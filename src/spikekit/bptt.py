@@ -1,12 +1,22 @@
 """Backpropagation through time for spiking layers.
 
 The forward pass unrolls the network over the simulation window and records
-a tape of per-layer, per-timestep values: the weighted input ``x``, the
-post-update membrane potential ``u``, and the emitted spikes ``o``. The
-backward pass walks the tape in reverse, propagating the loss gradient
-through space (layer to layer, within one timestep) and through time (the
-leaky membrane recurrence of each layer), and accumulates gradients for
-every trainable array.
+a tape of three ``(timesteps, batch, neurons)`` arrays per layer: the
+weighted input ``x``, the post-update membrane potential ``u``, and the
+emitted spikes ``o``. The backward pass walks the tape in reverse,
+propagating the loss gradient through space (layer to layer, within one
+timestep) and through time (the leaky membrane recurrence of each layer),
+and accumulates gradients for every trainable array.
+
+The engine is layer-major. There are no recurrent weights, so a layer's
+drive for every timestep comes from one GEMM over the spikes of the layer
+below, and only the elementwise membrane recurrence runs step by step. The
+backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)`` steps,
+latest block first. Within a block it takes each layer from the top down:
+an elementwise reverse scan of dL/du, then one GEMM for the weight gradient
+and one for the gradient sent to the layer below. The scan carries dL/du
+from one block to the next, so the blocking changes only how the sums are
+grouped, and the block size bounds the backward's working memory.
 
 Two modes share this machinery:
 
@@ -43,17 +53,26 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, DimensionError, StateError
 from .network import Network, readout_and_loss
-from .neurons import NeuronParams, NeuronState, sigmoid, sigmoid_prime, step, surrogate_spike_derivative
+from .neurons import NeuronState, sigmoid, sigmoid_prime, step, surrogate_spike_derivative
+
+# Rows (timesteps x batch) per backward GEMM: the time-block size is
+# ceil(GEMM_ROWS / batch) steps.
+GEMM_ROWS = 1024
 
 
 @dataclass
 class BpttTape:
-    """Per-layer, per-timestep forward record consumed by the backward pass."""
+    """Forward record consumed by the backward pass.
+
+    ``x[n]``, ``u[n]`` and ``o[n]`` are float64 arrays of shape
+    ``(timesteps, batch, neurons of layer n)``, so ``x[n][t]`` is layer
+    ``n``'s weighted input at step ``t``.
+    """
 
     inputs: np.ndarray
-    x: list[list[np.ndarray]]
-    u: list[list[np.ndarray]]
-    o: list[list[np.ndarray]]
+    x: list[np.ndarray]
+    u: list[np.ndarray]
+    o: list[np.ndarray]
     readout: np.ndarray
     smoothed: bool = False
 
@@ -70,16 +89,14 @@ class BpttTape:
         if len(self.x) != n_layers or len(self.u) != n_layers or len(self.o) != n_layers:
             raise StateError(f"tape holds {len(self.x)} layers, network has {n_layers}")
         for n, layer in enumerate(net.layers):
-            for series in (self.x[n], self.u[n], self.o[n]):
-                if len(series) != self.timesteps:
+            expected = (self.timesteps, self.batch_size, layer.out_width)
+            for name, series in (("x", self.x[n]), ("u", self.u[n]), ("o", self.o[n])):
+                if not isinstance(series, np.ndarray) or series.dtype != np.float64:
+                    raise StateError(f"tape {name}[{n}] must be a float64 array")
+                if series.shape != expected:
                     raise StateError(
-                        f"tape layer {n} holds {len(series)} timesteps, expected {self.timesteps}"
+                        f"tape {name}[{n}] has shape {series.shape}, expected {expected}"
                     )
-            if self.x[n][0].shape != (self.batch_size, layer.out_width):
-                raise StateError(
-                    f"tape layer {n} entries have shape {self.x[n][0].shape}, "
-                    f"expected {(self.batch_size, layer.out_width)}"
-                )
 
 
 @dataclass
@@ -107,6 +124,32 @@ def _smoothed_drive(x: np.ndarray, model: str, beta) -> np.ndarray:
     return x
 
 
+def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Input spikes of steps ``[start, stop)`` as a ``(steps * batch, width)`` matrix."""
+    block = inputs[:, :, start:stop].transpose(2, 0, 1)
+    return np.ascontiguousarray(block).reshape(-1, inputs.shape[1])
+
+
+def _scan(x: np.ndarray, layer, smoothed: bool):
+    """Run one layer's membrane recurrence over a ``(T, B, N)`` drive; returns ``(u, o)``."""
+    p = layer.params()
+    u = np.empty_like(x)
+    o = np.empty_like(x)
+    state = NeuronState.zeros(x.shape[1:])
+    if smoothed:
+        leak = p.effective_leak()
+        drive = _smoothed_drive(x, p.model, layer.beta)
+    for t in range(len(x)):
+        if smoothed:
+            u_t = leak * state.u * (1.0 - state.o) + drive[t]
+            state = NeuronState(u=u_t, o=sigmoid((u_t - p.v_th) / p.surrogate_width))
+        else:
+            state = step(state, x[t], p, layer.beta)
+        u[t] = state.u
+        o[t] = state.o
+    return u, o
+
+
 def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
@@ -128,45 +171,46 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         )
     numerics.require_finite(inputs, "inputs")
 
-    params = [layer.params() for layer in net.layers]
-    states = [NeuronState.zeros((batch, layer.out_width)) for layer in net.layers]
-    tape = BpttTape(
-        inputs=inputs,
-        x=[[] for _ in net.layers],
-        u=[[] for _ in net.layers],
-        o=[[] for _ in net.layers],
-        readout=np.zeros((batch, net.class_count)),
-        smoothed=smoothed,
-    )
+    tape = BpttTape(inputs=inputs, x=[], u=[], o=[], readout=None, smoothed=smoothed)
+    pre = _time_major(inputs, 0, timesteps)
+    for layer in net.layers:
+        x = numerics.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
+        del pre  # layer 0's time-major input copy is not kept past its GEMM
+        u, o = _scan(x, layer, smoothed)
+        tape.x.append(x)
+        tape.u.append(u)
+        tape.o.append(o)
+        pre = o.reshape(-1, layer.out_width)
 
-    for t in range(timesteps):
-        o_prev = inputs[:, :, t]
-        for n, layer in enumerate(net.layers):
-            x = numerics.matmul(o_prev, layer.w.T)
-            if smoothed:
-                p = params[n]
-                leak = p.effective_leak()
-                drive = _smoothed_drive(x, p.model, layer.beta)
-                u = leak * states[n].u * (1.0 - states[n].o) + drive
-                o = sigmoid((u - p.v_th) / p.surrogate_width)
-                states[n] = NeuronState(u=u, o=o)
-            else:
-                states[n] = step(states[n], x, params[n], layer.beta)
-            tape.x[n].append(x)
-            tape.u[n].append(states[n].u)
-            tape.o[n].append(states[n].o)
-            o_prev = states[n].o
-
-    tape.readout = sum(tape.o[-1]) / float(timesteps)
+    tape.readout = np.sum(tape.o[-1], axis=0) / float(timesteps)
     return tape, tape.readout
 
 
-def _spike_derivative(tape: BpttTape, p: NeuronParams, n: int, t: int) -> np.ndarray:
-    if tape.smoothed:
-        # o = logistic((u - v_th) / a), so do/du = o (1 - o) / a.
-        o = tape.o[n][t]
-        return o * (1.0 - o) / p.surrogate_width
-    return surrogate_spike_derivative(tape.u[n][t], p)
+def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.ndarray:
+    """dL/du over one time block of one layer, by a reverse scan.
+
+    ``do`` is dL/do for the block (or one (batch, neurons) slice broadcast
+    over it) and ``carry`` is dL/du at the step after the block, or None at
+    the end of the window.
+    """
+    leak = p.effective_leak()
+    if smoothed:
+        # o = logistic((u - v_th) / a), so do/du = o (1 - o) / a; the reset
+        # gate is differentiated exactly.
+        spike_deriv = o * (1.0 - o) / p.surrogate_width
+        through_time = leak * (1.0 - o) - leak * u * spike_deriv
+    else:
+        # The reset gate is a constant in hard mode.
+        spike_deriv = surrogate_spike_derivative(u, p)
+        through_time = 1.0 - o
+        through_time *= leak
+    du = spike_deriv
+    du *= do
+    if carry is not None:
+        du[-1] += through_time[-1] * carry
+    for k in reversed(range(len(du) - 1)):
+        du[k] += through_time[k] * du[k + 1]
+    return du
 
 
 def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) -> GradientSet:
@@ -181,62 +225,54 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
         )
 
     n_layers = len(net.layers)
-    timesteps = tape.timesteps
+    timesteps, batch = tape.timesteps, tape.batch_size
+    block_steps = -(-GEMM_ROWS // batch)
     params = [layer.params() for layer in net.layers]
     d_w = [np.zeros_like(layer.w) for layer in net.layers]
     d_beta = [None if layer.beta is None else np.zeros_like(layer.beta) for layer in net.layers]
     leak_acc = [0.0 if layer.plif_raw is not None else None for layer in net.layers]
+    # dL/du of each layer at the first step of the block processed last.
+    du_carry = [None] * n_layers
 
-    # dL/du of each layer at the timestep after the one being processed.
-    du_future = [None] * n_layers
-
-    for t in reversed(range(timesteps)):
-        spatial = [None] * n_layers  # dL/do arriving from the layer above, same timestep
+    for stop in range(timesteps, 0, -block_steps):
+        start = max(stop - block_steps, 0)
+        steps = slice(start, stop)
+        do = upstream / float(timesteps)  # dL/do of the layer being processed
         for n in reversed(range(n_layers)):
-            layer = net.layers[n]
-            p = params[n]
-            leak = p.effective_leak()
-            u = tape.u[n][t]
-            o = tape.o[n][t]
-            x = tape.x[n][t]
+            layer, p = net.layers[n], params[n]
+            x = tape.x[n][steps]
+            du = _block_du(do, tape.u[n][steps], tape.o[n][steps], p, smoothed, du_carry[n])
+            du_carry[n] = du[0]
 
-            do = np.zeros_like(o)
-            if n == n_layers - 1:
-                do += upstream / float(timesteps)
-            if spatial[n] is not None:
-                do += spatial[n]
-            if smoothed and du_future[n] is not None:
-                # Exact reset-gate term; in hard mode the gate is a constant.
-                do += du_future[n] * (-leak * u)
-
-            du = do * _spike_derivative(tape, p, n, t)
-            if du_future[n] is not None:
-                du += du_future[n] * leak * (1.0 - o)
-
-            if leak_acc[n] is not None and t > 0:
-                carried = tape.u[n][t - 1] * (1.0 - tape.o[n][t - 1])
-                leak_acc[n] += float(np.sum(du * carried))
+            if leak_acc[n] is not None:
+                first = max(start, 1)
+                prev = slice(first - 1, stop - 1)
+                carried = tape.u[n][prev] * (1.0 - tape.o[n][prev])
+                leak_acc[n] += float(np.sum(du[first - start:] * carried))
 
             site = du
             if p.model == "aia":
                 site = du * x
             elif p.model == "cached-aia":
                 site = du * layer.beta
-            o_pre = tape.inputs[:, :, t] if n == 0 else tape.o[n - 1][t]
-            d_w[n] += numerics.matmul(site.T, o_pre)
+            if n == 0:
+                o_pre = _time_major(tape.inputs, start, stop)
+            else:
+                o_pre = tape.o[n - 1][steps].reshape(-1, layer.in_width)
+            d_w[n] += numerics.matmul(site.reshape(-1, layer.out_width).T, o_pre)
+            del o_pre
 
             if d_beta[n] is not None:
-                d_beta[n] += np.sum(du * x, axis=0)
+                d_beta[n] += np.sum(du * x, axis=(0, 1))
 
             if n > 0:
-                through = du
-                if p.model == "cached-aia":
-                    through = du * layer.beta
-                elif p.model == "aia" and smoothed:
-                    through = du * x
-                spatial[n - 1] = numerics.matmul(through, layer.w)
-
-            du_future[n] = du
+                # Only the hard aia rule keeps the drive off the spatial path.
+                through = du if p.model == "aia" and not smoothed else site
+                do = numerics.matmul(through.reshape(-1, layer.out_width), layer.w)
+                do = do.reshape(stop - start, batch, layer.in_width)
+                del through
+            # Free this layer's block arrays before the next layer makes its own.
+            del du, site
 
     d_plif_raw = []
     for n, layer in enumerate(net.layers):

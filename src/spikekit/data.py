@@ -147,7 +147,7 @@ def load_events_csv(manifest_path) -> list:
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise DataError(f"manifest {manifest_path} must be a JSON list of {{path, label}}")
@@ -165,16 +165,21 @@ def load_events_csv(manifest_path) -> list:
 
         records = []
         dropped = 0
-        with open(file_path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line == EVENT_HEADER:
-                    continue
-                record = _parse_event_line(line)
-                if record is None:
-                    dropped += 1
-                else:
-                    records.append(record)
+        try:
+            with open(file_path, encoding="utf-8") as fh:
+                for raw in fh:
+                    line = raw.strip()
+                    if not line or line == EVENT_HEADER:
+                        continue
+                    record = _parse_event_line(line)
+                    if record is None:
+                        dropped += 1
+                    else:
+                        records.append(record)
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{file_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
         considered = len(records) + dropped
         if considered and dropped / considered > 0.01:
             raise DataError(

@@ -243,11 +243,21 @@ def _encode_array(arr: np.ndarray) -> str:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes().hex()
 
 
-def _decode_array(text: str, shape) -> np.ndarray:
-    flat = np.frombuffer(bytes.fromhex(text), dtype="<f8")
+def _decode_array(text, shape, path, field) -> np.ndarray:
+    if not isinstance(text, str):
+        raise DataError(f"checkpoint {path}: {field} must be a hex string")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        raise DataError(f"checkpoint {path}: {field} is not valid hex") from None
     expected = int(np.prod(shape)) if shape else 1
-    if flat.size != expected:
-        raise DataError(f"checkpoint array has {flat.size} values, expected {expected}")
+    if len(raw) != 8 * expected:
+        raise DataError(
+            f"checkpoint {path}: {field} holds {len(raw) / 8:g} values, expected {expected}"
+        )
+    flat = np.frombuffer(raw, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"checkpoint {path}: {field} contains non-finite values")
     return flat.reshape(shape).copy()
 
 
@@ -279,38 +289,78 @@ def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
         fh.write("\n")
 
 
+_LAYER_FIELDS = ("model", "v_th", "leak", "surrogate_width", "shape", "w", "beta", "plif_raw")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_layer(entry, i: int, path) -> Layer:
+    name = f"layer{i}"
+    if not isinstance(entry, dict):
+        raise DataError(f"checkpoint {path}: {name} must be an object")
+    missing = [key for key in _LAYER_FIELDS if key not in entry]
+    if missing:
+        raise DataError(f"checkpoint {path}: {name} is missing {', '.join(missing)}")
+    shape = entry["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_int(v) and v >= 1 for v in shape)):
+        raise DataError(f"checkpoint {path}: {name}.shape must be two positive integers")
+    for key in ("v_th", "leak", "surrogate_width"):
+        if not _is_number(entry[key]):
+            raise DataError(f"checkpoint {path}: {name}.{key} must be a number")
+    try:
+        neuron = NeuronParams(model=entry["model"], v_th=entry["v_th"], leak=entry["leak"],
+                              surrogate_width=entry["surrogate_width"])
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {name}: {exc}") from None
+    extras = {}
+    for key, model, extra_shape in (("beta", "cached-aia", (shape[0],)), ("plif_raw", "plif", ())):
+        if (entry[key] is not None) != (neuron.model == model):
+            state = "null" if entry[key] is None else "given"
+            raise DataError(f"checkpoint {path}: {name}.{key} is {state} for a "
+                            f"{neuron.model} layer")
+        if entry[key] is not None:
+            extras[key] = _decode_array(entry[key], extra_shape, path, f"{name}.{key}")
+    return Layer(w=_decode_array(entry["w"], tuple(shape), path, f"{name}.w"),
+                 neuron=neuron, **extras)
+
+
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(network, seed)``."""
+    """Read a checkpoint; returns ``(network, seed)``.
+
+    A file that is not a well-formed checkpoint raises :class:`DataError`
+    naming the file and the offending field, e.g. ``layer0.w``; so does a
+    parameter array holding NaN or infinity.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a spikekit checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {doc.get('version')!r}")
-    layers = []
-    for entry in doc["layers"]:
-        shape = tuple(entry["shape"])
-        neuron = NeuronParams(
-            model=entry["model"],
-            v_th=entry["v_th"],
-            leak=entry["leak"],
-            surrogate_width=entry["surrogate_width"],
+    for key in ("input_width", "timesteps", "class_count"):
+        if not _is_int(doc.get(key)):
+            raise DataError(f"checkpoint {path}: {key} must be an integer")
+    entries = doc.get("layers")
+    if not isinstance(entries, list) or not entries:
+        raise DataError(f"checkpoint {path}: layers must be a non-empty list")
+    layers = [_load_layer(entry, i, path) for i, entry in enumerate(entries)]
+    try:
+        net = Network(
+            input_width=doc["input_width"],
+            timesteps=doc["timesteps"],
+            class_count=doc["class_count"],
+            layers=layers,
         )
-        layers.append(
-            Layer(
-                w=_decode_array(entry["w"], shape),
-                neuron=neuron,
-                beta=None if entry["beta"] is None else _decode_array(entry["beta"], (shape[0],)),
-                plif_raw=None if entry["plif_raw"] is None else _decode_array(entry["plif_raw"], ()),
-            )
-        )
-    net = Network(
-        input_width=doc["input_width"],
-        timesteps=doc["timesteps"],
-        class_count=doc["class_count"],
-        layers=layers,
-    )
+    except (ConfigError, DimensionError) as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
     return net, doc.get("seed")

@@ -47,10 +47,12 @@ def matmul(a, b) -> np.ndarray:
     """Matrix product of a (m, k) and (k, n) array.
 
     Summation order is fixed by the backing BLAS kernel, so repeated calls
-    on identical inputs produce bit-identical results.
+    on identical inputs produce bit-identical results. Operands keep their
+    memory order: np.matmul hands a transposed view such as ``w.T`` to BLAS
+    as a transpose flag instead of copying it.
     """
-    a = as_dense(a)
-    b = as_dense(b)
+    a = np.asarray(a, dtype=DTYPE)
+    b = np.asarray(b, dtype=DTYPE)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

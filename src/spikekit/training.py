@@ -148,6 +148,24 @@ def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(3, epoch)).generate_state(1)[0])
 
 
+def _train_step(net: Network, opt: Adam, batch: np.ndarray, labels: np.ndarray):
+    """Forward, backward and one Adam update on a batch; returns ``(loss, predictions)``.
+
+    The batch, its tape and its gradients live only in this frame, so they
+    are freed before the next batch's forward and before any evaluation.
+    """
+    try:
+        tape, _ = bptt.forward_record(net, batch)
+        loss, upstream, predictions = readout_and_loss(tape, labels)
+    except NumericError:
+        # Blown-up parameters surface as non-finite drive mid-forward.
+        raise TrainingDiverged(_first_nonfinite(net) or "loss") from None
+    if not np.isfinite(loss):
+        raise TrainingDiverged(_first_nonfinite(net) or "loss")
+    opt.step(bptt.backward(tape, upstream, net))
+    return loss, predictions
+
+
 def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Dataset | None = None):
     """Run Adam over the dataset; returns ``(trained copy, RunMetrics)``.
 
@@ -180,18 +198,8 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Datase
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = dataset.data[idx]
             labels = dataset.labels[idx]
-            try:
-                tape, _ = bptt.forward_record(net, batch)
-                loss, upstream, predictions = readout_and_loss(tape, labels)
-            except NumericError:
-                # Blown-up parameters surface as non-finite drive mid-forward.
-                raise TrainingDiverged(_first_nonfinite(net) or "loss") from None
-            if not np.isfinite(loss):
-                raise TrainingDiverged(_first_nonfinite(net) or "loss")
-            grads = bptt.backward(tape, upstream, net)
-            opt.step(grads)
+            loss, predictions = _train_step(net, opt, dataset.data[idx], labels)
             loss_sum += float(loss) * len(idx)
             correct += int(np.sum(predictions == labels))
 

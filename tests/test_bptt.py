@@ -38,8 +38,26 @@ class TestForwardRecord:
         assert len(tape.x) == 2
         for n, width in enumerate([6, 2]):
             for series in (tape.x[n], tape.u[n], tape.o[n]):
+                assert isinstance(series, np.ndarray)
+                assert series.shape == (5, 2, width)
+                assert series.dtype == np.float64
                 assert len(series) == 5
                 assert all(entry.shape == (2, width) for entry in series)
+
+    def test_tape_rows_are_the_per_step_recurrence(self):
+        # x[t] is the drive of step t and u follows u[t] = leak u[t-1] (1 - o[t-1]) + x[t].
+        rng = np.random.default_rng(7)
+        net = init_network([5, 4, 3], model="lif", timesteps=6, seed=8)
+        inputs = _binary_inputs(rng, 3, 5, 6)
+        tape, _ = forward_record(net, inputs)
+        leak = net.layers[0].neuron.leak
+        for t in range(6):
+            npt.assert_allclose(tape.x[0][t], inputs[:, :, t] @ net.layers[0].w.T,
+                                rtol=1e-14, atol=1e-15)
+            npt.assert_allclose(tape.x[1][t], tape.o[0][t] @ net.layers[1].w.T,
+                                rtol=1e-14, atol=1e-15)
+            carried = 0.0 if t == 0 else leak * tape.u[0][t - 1] * (1.0 - tape.o[0][t - 1])
+            npt.assert_array_equal(tape.u[0][t], carried + tape.x[0][t])
 
     def test_spikes_binary_in_hard_mode(self):
         rng = np.random.default_rng(2)
@@ -316,6 +334,18 @@ class TestBackwardValidation:
         other = init_network([4, 5, 3], model="lif", timesteps=2, seed=42)
         with pytest.raises(StateError):
             backward(tape, np.zeros((2, 3)), other)
+
+    def test_wrong_width_tape_entry_rejected(self):
+        net, tape = self._tape_and_upstream()
+        tape.u[0] = np.zeros((2, 2, 4))  # (T, B, N) with one neuron too many
+        with pytest.raises(StateError, match=r"u\[0\]"):
+            backward(tape, np.zeros((2, 3)), net)
+
+    def test_per_timestep_list_tape_rejected(self):
+        net, tape = self._tape_and_upstream()
+        tape.o[0] = list(tape.o[0])
+        with pytest.raises(StateError, match=r"o\[0\]"):
+            backward(tape, np.zeros((2, 3)), net)
 
     def test_mode_mismatch(self):
         rng = np.random.default_rng(43)

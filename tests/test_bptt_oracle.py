@@ -184,5 +184,7 @@ def test_mixed_per_layer_tags_match_naive_reference(tags):
 @pytest.mark.parametrize("model", ["aia", "plif", "cached-aia"])
 def test_several_backward_blocks_match_naive_reference(model):
     # B * T spans more than one backward block, with a shorter last block.
+    block_steps = -(-bptt.GEMM_ROWS // 64)
+    assert block_steps < 20 and 20 % block_steps != 0
     net = _network([5, 4, 3], model, timesteps=20, seed=11)
     _check_against_oracle(net, batch=64, seed=11)

@@ -8,6 +8,7 @@ from spikekit import bptt, cli
 from spikekit.cli import load_config, main, thread_limit, validate_config
 from spikekit.data import load_dataset_cache
 from spikekit.errors import ConfigError, TrainingDiverged
+from spikekit.network import init_network, save_checkpoint
 
 EVENTS_MANIFEST = Path(__file__).parent / "data" / "events" / "manifest.json"
 
@@ -240,6 +241,52 @@ class TestEvalCommand:
         assert deviation <= 1e-9
         if expect_zero:
             assert deviation == 0.0
+
+
+class TestMalformedInputs:
+    """Bad files end in exit 2 with a message naming the file and the field."""
+
+    def _eval_checkpoint(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "net.json"
+        save_checkpoint(init_network([8, 6, 2], model="lif", timesteps=3, seed=0), path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, TINY)
+        rc = main(["eval", "--config", cfg, "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(path) in err
+        return err
+
+    def test_checkpoint_missing_key(self, tmp_path, capsys):
+        err = self._eval_checkpoint(tmp_path, capsys, lambda doc: doc["layers"][1].pop("leak"))
+        assert "layer1 is missing leak" in err
+
+    def test_checkpoint_bad_hex(self, tmp_path, capsys):
+        def corrupt(doc):
+            doc["layers"][0]["w"] = "zz" + doc["layers"][0]["w"][2:]
+        err = self._eval_checkpoint(tmp_path, capsys, corrupt)
+        assert "layer0.w is not valid hex" in err
+
+    def test_checkpoint_non_finite_weights(self, tmp_path, capsys):
+        def corrupt(doc):
+            w = np.zeros((6, 8))
+            w[2, 3] = np.nan
+            doc["layers"][0]["w"] = w.astype("<f8").tobytes().hex()
+        err = self._eval_checkpoint(tmp_path, capsys, corrupt)
+        assert "layer0.w contains non-finite values" in err
+
+    def test_non_utf8_event_csv(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_bytes(b"t,x,y,p\n1,2,3,1\n\xff\xfe,1,1,0\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "bad.csv", "label": 0}]))
+        doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
+        cfg = _write_config(tmp_path, doc)
+        rc = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "gen")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "bad.csv" in err and "not UTF-8" in err
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -177,6 +179,27 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged) as info:
             train(_toy_net(), train_ds, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert info.value.parameter == "loss"
+
+    def test_each_step_releases_its_tape(self):
+        # Two equal batches: the first batch's tape, inputs and gradients must
+        # be gone before the second forward, so the peak stays near one tape.
+        kw = dict(class_count=2, neurons=4, timesteps=128, rate_lo=0.2, rate_hi=0.8, seed=5)
+        data = gen_poisson_patterns(n_per_class=64, split="train", **kw)
+        held_out = gen_poisson_patterns(n_per_class=2, split="test", **kw)
+        net = init_network([4, 32, 32, 2], model="lif", timesteps=128, seed=6)
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=0, timesteps=128)
+        tape, _ = training.bptt.forward_record(net, data.data[:64])
+        tape_bytes = sum(a.nbytes for series in (tape.x, tape.u, tape.o) for a in series)
+        del tape
+
+        tracemalloc.start()
+        try:
+            train(net, data, cfg, test_dataset=held_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tape_bytes, (
+            f"peak {peak / 1e6:.1f} MB, one tape {tape_bytes / 1e6:.1f} MB")
 
     def test_width_mismatch_rejected(self):
         train_ds, _ = _toy()
