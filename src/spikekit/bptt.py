@@ -124,10 +124,28 @@ def _smoothed_drive(x: np.ndarray, model: str, beta) -> np.ndarray:
     return x
 
 
+def time_major_batch(data, index) -> np.ndarray:
+    """Samples ``index`` of a (samples, width, timesteps) tensor, time-major in memory.
+
+    The result has shape (batch, width, timesteps) but is a view of a
+    (timesteps, batch, width) array, so the engine reads each timestep's
+    input rows in place. A C-ordered batch costs it one transposed copy in
+    the forward pass and one per backward block. The copy goes one sample
+    at a time, which keeps its reads within a cache-sized tile.
+    """
+    data = np.asarray(data, dtype=numerics.DTYPE)
+    out = np.empty((data.shape[2], len(index), data.shape[1]))
+    for k, i in enumerate(index):
+        out[:, k, :] = data[i].T
+    return out.transpose(1, 2, 0)
+
+
 def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Input spikes of steps ``[start, stop)`` as a ``(steps * batch, width)`` matrix."""
-    block = inputs[:, :, start:stop].transpose(2, 0, 1)
-    return np.ascontiguousarray(block).reshape(-1, inputs.shape[1])
+    block = inputs[:, :, start:stop]
+    if not block.transpose(2, 0, 1).flags.c_contiguous:
+        block = time_major_batch(block, range(len(block)))
+    return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 
 def _scan(x: np.ndarray, layer, smoothed: bool):
@@ -157,7 +175,7 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     All membrane potentials start at 0 with no prior spike. The readout is
     the output layer's per-class firing rate, averaged over the window.
     """
-    inputs = numerics.as_dense(inputs)
+    inputs = np.asarray(inputs, dtype=numerics.DTYPE)  # keeps a time-major batch's layout
     if inputs.ndim != 3:
         raise DimensionError(f"inputs must be (batch, neurons, timesteps), got shape {inputs.shape}")
     batch, width, timesteps = inputs.shape
@@ -260,7 +278,6 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
             else:
                 o_pre = tape.o[n - 1][steps].reshape(-1, layer.in_width)
             d_w[n] += numerics.matmul(site.reshape(-1, layer.out_width).T, o_pre)
-            del o_pre
 
             if d_beta[n] is not None:
                 d_beta[n] += np.sum(du * x, axis=(0, 1))
@@ -270,9 +287,8 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
                 through = du if p.model == "aia" and not smoothed else site
                 do = numerics.matmul(through.reshape(-1, layer.out_width), layer.w)
                 do = do.reshape(stop - start, batch, layer.in_width)
-                del through
             # Free this layer's block arrays before the next layer makes its own.
-            del du, site
+            du = site = through = o_pre = None
 
     d_plif_raw = []
     for n, layer in enumerate(net.layers):

@@ -199,7 +199,8 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Datase
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             labels = dataset.labels[idx]
-            loss, predictions = _train_step(net, opt, dataset.data[idx], labels)
+            loss, predictions = _train_step(net, opt, bptt.time_major_batch(dataset.data, idx),
+                                            labels)
             loss_sum += float(loss) * len(idx)
             correct += int(np.sum(predictions == labels))
 
