@@ -133,8 +133,8 @@ def time_major_batch(data, index) -> np.ndarray:
     the forward pass and one per backward block. The copy goes one sample
     at a time, which keeps its reads within a cache-sized tile.
     """
-    data = np.asarray(data, dtype=numerics.DTYPE)
-    out = np.empty((data.shape[2], len(index), data.shape[1]))
+    data = np.asarray(data)
+    out = np.empty((data.shape[2], len(index), data.shape[1]), dtype=numerics.DTYPE)
     for k, i in enumerate(index):
         out[:, k, :] = data[i].T
     return out.transpose(1, 2, 0)
