@@ -244,7 +244,7 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
 
     n_layers = len(net.layers)
     timesteps, batch = tape.timesteps, tape.batch_size
-    block_steps = -(-GEMM_ROWS // batch)
+    block_steps = -(-GEMM_ROWS // max(batch, 1))
     params = [layer.params() for layer in net.layers]
     d_w = [np.zeros_like(layer.w) for layer in net.layers]
     d_beta = [None if layer.beta is None else np.zeros_like(layer.beta) for layer in net.layers]
