@@ -11,7 +11,7 @@ Run from the repository root:
     python3 demos/02_event_binning.py
 """
 
-from spikekit.data import EventRecord, bin_events
+from spikekit.data import bin_events
 
 GRID_W = GRID_H = 2
 TIMESTEPS = 4
@@ -20,15 +20,15 @@ TIMESTEPS = 4
 def main():
     # an "object" drifting from the top-left cell to the bottom-right one,
     # with OFF events trailing the ON events
-    events = [
-        EventRecord(t=0, x=0, y=0, polarity=1),
-        EventRecord(t=100, x=1, y=0, polarity=1),
-        EventRecord(t=150, x=0, y=0, polarity=0),
-        EventRecord(t=400, x=2, y=1, polarity=1),
-        EventRecord(t=420, x=2, y=1, polarity=1),  # duplicate cell+bin
-        EventRecord(t=500, x=1, y=1, polarity=0),
-        EventRecord(t=900, x=3, y=3, polarity=1),
-        EventRecord(t=999, x=3, y=2, polarity=0),
+    events = [  # (t, x, y, polarity)
+        (0, 0, 0, 1),
+        (100, 1, 0, 1),
+        (150, 0, 0, 0),
+        (400, 2, 1, 1),
+        (420, 2, 1, 1),  # duplicate cell+bin
+        (500, 1, 1, 0),
+        (900, 3, 3, 1),
+        (999, 3, 2, 0),
     ]
     print(f"{len(events)} events, sensor extent inferred from the stream")
 

@@ -225,9 +225,12 @@ def validate_config(raw: dict) -> dict:
 def load_config(path) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -303,28 +306,31 @@ def _build_datasets(cfg: dict):
             )
         return train_ds, test_ds
 
+    dataset, skipped = _events_dataset(cfg)
+    if skipped:
+        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
+    return dataset, None
+
+
+def _events_dataset(cfg: dict):
+    """Load, bin and stack the events manifest; returns (dataset, empty samples skipped)."""
+    ds = cfg["dataset"]
     frames = []
     labels = []
     skipped = 0
-    for records, label in load_events_csv(ds["manifest"]):
+    for events, label in load_events_csv(ds["manifest"]):
         try:
-            frames.append(bin_events(records, ds["grid_width"], ds["grid_height"],
+            frames.append(bin_events(events, ds["grid_width"], ds["grid_height"],
                                      cfg["timesteps"]))
             labels.append(label)
         except EmptySampleError:
             skipped += 1
     if not frames:
         raise DataError(f"no usable samples in {ds['manifest']} ({skipped} empty)")
-    if skipped:
-        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
     class_count = ds["class_count"] or max(labels) + 1
-    dataset = Dataset(
-        data=np.stack(frames),
-        labels=np.asarray(labels, dtype=np.int64),
-        class_count=class_count,
-        split="train",
-    )
-    return dataset, None
+    dataset = Dataset(np.stack(frames), np.asarray(labels, dtype=np.int64),
+                      class_count, split="train")
+    return dataset, skipped
 
 
 def _eval_split(cfg: dict) -> Dataset:
@@ -481,28 +487,14 @@ def cmd_gen_data(spec: RunSpec) -> int:
               f"test samples {manifest['test_samples']}")
         return 0
 
-    frames = []
-    labels = []
-    skipped = 0
-    for records, label in load_events_csv(ds["manifest"]):
-        try:
-            frames.append(bin_events(records, ds["grid_width"], ds["grid_height"],
-                                     cfg["timesteps"]))
-            labels.append(label)
-        except EmptySampleError:
-            skipped += 1
-    if not frames:
-        raise DataError(f"no usable samples in {ds['manifest']} ({skipped} empty)")
-    class_count = ds["class_count"] or max(labels) + 1
-    dataset = Dataset(np.stack(frames), np.asarray(labels, dtype=np.int64),
-                      class_count, split="train")
+    dataset, skipped = _events_dataset(cfg)
     params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
               "split": "train"}
     save_dataset_cache(dataset, run_dir / "events.cache", params)
     manifest = {
         "kind": "events",
-        "class_count": class_count,
-        "labels": labels,
+        "class_count": dataset.class_count,
+        "labels": dataset.labels.tolist(),
         "samples": len(dataset),
         "skipped_empty": skipped,
         "files": {"train": "events.cache"},
@@ -510,7 +502,7 @@ def cmd_gen_data(spec: RunSpec) -> int:
     with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"classes {class_count}, samples {len(dataset)}, skipped {skipped} empty")
+    print(f"classes {dataset.class_count}, samples {len(dataset)}, skipped {skipped} empty")
     return 0
 
 
@@ -535,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="DIR", default="runs")
         sp.add_argument("--seed", type=int, default=None, metavar="N")
         sp.add_argument("--model", choices=MODELS, default=None)
-        sp.add_argument("--merge-beta", action="store_true")
         if name == "eval":
             sp.add_argument("--checkpoint", metavar="PATH", default=None)
+            sp.add_argument("--merge-beta", action="store_true")
         if name == "analyze":
             sp.add_argument("--checkpoint-a", metavar="PATH", default=None)
             sp.add_argument("--checkpoint-b", metavar="PATH", default=None)
@@ -555,7 +547,7 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         config_path=args.config,
         out_dir=args.out,
         overrides=overrides,
-        merge_beta=args.merge_beta,
+        merge_beta=getattr(args, "merge_beta", False),
         checkpoint=getattr(args, "checkpoint", None),
         checkpoint_a=getattr(args, "checkpoint_a", None),
         checkpoint_b=getattr(args, "checkpoint_b", None),

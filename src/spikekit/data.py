@@ -14,9 +14,11 @@ Every path ends in a :class:`Dataset` whose entries are exactly 0 or 1.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,20 +29,12 @@ from .errors import CacheMismatchError, ConfigError, DataError, EmptySampleError
 log = logging.getLogger(__name__)
 
 EVENT_HEADER = "t,x,y,polarity"
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_STRIP_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # whitespace to str.strip(), not to int()
 
 _CACHE_MAGIC = b"SKCACHE"
 _CACHE_VERSION = 1
 _SPLITS = ("train", "test")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One camera event: microsecond timestamp, pixel, polarity channel."""
-
-    t: int
-    x: int
-    y: int
-    polarity: int
 
 
 @dataclass
@@ -122,27 +116,70 @@ def gen_poisson_patterns(class_count, neurons, timesteps, rate_lo, rate_hi,
     return Dataset(data=data, labels=labels, class_count=class_count, split=split)
 
 
-def _parse_event_line(line: str) -> EventRecord | None:
-    parts = line.split(",")
-    if len(parts) != 4:
+def _first_invalid_row(events: np.ndarray) -> int | None:
+    """Index of the first row breaking t, x, y >= 0 or polarity in {0, 1}; None if none does.
+
+    ``events`` must be non-empty.
+    """
+    if events.min() >= 0 and events[:, 3].max() <= 1:
         return None
+    return int(np.argmax((events < 0).any(axis=1) | (events[:, 3] > 1)))
+
+
+def _parse_fast(text: str) -> np.ndarray | None:
+    """All lines as int64 columns in one parse, or None if any line needs the slow rules."""
+    # numpy's (2.4) integer parser reads non-ASCII letters as digits and can
+    # segfault on astral ones, and it skips \x1c-\x1f around a field where
+    # int() does not; such text takes the per-line rules.
+    if not text.isascii() or any(c in text for c in _STRIP_ONLY_SPACE):
+        return None
+    first, _, rest = text.partition("\n")
+    body = rest if first.strip() == EVENT_HEADER else text
     try:
-        t, x, y, polarity = (int(p) for p in parts)
-    except ValueError:
+        # Any warning, such as "input contained no data", falls back too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            events = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                                comments=None, ndmin=2)
+    except (ValueError, Warning):
         return None
-    if t < 0 or x < 0 or y < 0 or polarity not in (0, 1):
+    if events.shape[1] != 4 or _first_invalid_row(events) is not None:
         return None
-    return EventRecord(t=t, x=x, y=y, polarity=polarity)
+    return events
+
+
+def _parse_lines(text: str) -> tuple:
+    """The per-line rules: returns (int64 columns, number of lines dropped)."""
+    rows = []
+    dropped = 0
+    for raw in text.split("\n"):
+        line = raw.strip()
+        if not line or line == EVENT_HEADER:
+            continue
+        try:
+            t, x, y, polarity = map(int, line.split(","))  # four fields, or ValueError
+        except ValueError:
+            dropped += 1
+            continue
+        if t < 0 or x < 0 or y < 0 or polarity not in (0, 1) or max(t, x, y) > _INT64_MAX:
+            dropped += 1
+        else:
+            rows.append((t, x, y, polarity))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), dropped
 
 
 def load_events_csv(manifest_path) -> list:
     """Load event streams listed in a JSON manifest of {path, label} pairs.
 
-    Paths are resolved relative to the manifest. Lines that do not parse as
-    "t,x,y,polarity" with valid ranges are dropped and counted; a file
-    whose malformed lines exceed 1% of its event lines is rejected.
-    Streams come back sorted by timestamp (stable). An empty file yields an
-    empty stream, left for the binning stage to reject.
+    Returns one ``(events, label)`` pair per entry, where ``events`` is an
+    ``(n, 4)`` int64 array of ``t, x, y, polarity`` rows, stably sorted by
+    ``t``. Paths are resolved relative to the manifest. Each file is parsed
+    in one vectorized pass; only a file that pass cannot take whole goes
+    through the per-line rules, where lines that do not parse as
+    "t,x,y,polarity" with valid ranges and values that fit int64 are
+    dropped and counted. A file whose malformed lines exceed 1% of its
+    event lines is rejected. An empty file yields a ``(0, 4)`` array, left
+    for the binning stage to reject.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -163,69 +200,77 @@ def load_events_csv(manifest_path) -> list:
         if not file_path.is_absolute():
             file_path = manifest_path.parent / file_path
 
-        records = []
-        dropped = 0
         try:
+            # Text mode: universal newlines, and lines split on "\n" only,
+            # as iterating the file would.
             with open(file_path, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line or line == EVENT_HEADER:
-                        continue
-                    record = _parse_event_line(line)
-                    if record is None:
-                        dropped += 1
-                    else:
-                        records.append(record)
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise DataError(
                 f"{file_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
-        considered = len(records) + dropped
+        events, dropped = _parse_fast(text), 0
+        if events is None:
+            events, dropped = _parse_lines(text)
+        considered = len(events) + dropped
         if considered and dropped / considered > 0.01:
             raise DataError(
                 f"{file_path}: {dropped} of {considered} event lines malformed (> 1%)"
             )
         if dropped:
             log.warning("%s: dropped %d malformed event line(s)", file_path, dropped)
-        records.sort(key=lambda r: r.t)
-        out.append((records, label))
+        out.append((events[np.argsort(events[:, 0], kind="stable")], label))
     return out
 
 
 def bin_events(stream, grid_w, grid_h, timesteps) -> np.ndarray:
     """Bin an event stream into a (2 * grid_w * grid_h, timesteps) spike frame.
 
-    The stream's time range [t_min, t_max] is split into equal bins with
-    the last bin right-closed so t_max lands in bin T-1; all arithmetic is
-    integer, so bin placement is exact. Pixel coordinates are downscaled
-    onto the grid by an integer factor inferred from the stream's own
-    extent, and the two polarity channels are stacked along the neuron
-    axis. A cell is 1 if at least one event maps into it.
+    ``stream`` is an ``(n, 4)`` integer array, or a sequence of
+    ``(t, x, y, polarity)`` rows. The stream's time range [t_min, t_max] is
+    split into equal bins with the last bin right-closed so t_max lands in
+    bin T-1; all arithmetic is integer, so bin placement is exact, and a
+    stream whose time span times ``timesteps`` would overflow int64 is
+    rejected. Pixel coordinates are downscaled onto the grid by an integer
+    factor inferred from the stream's own extent, and the two polarity
+    channels are stacked along the neuron axis. A cell is 1 if at least
+    one event maps into it.
     """
     if timesteps < 1:
         raise ConfigError("timesteps must be >= 1")
     if grid_w < 1 or grid_h < 1:
         raise ConfigError("grid dimensions must be >= 1")
-    stream = list(stream)
-    if not stream:
+    events = np.asarray(stream)
+    if events.size == 0:
         raise EmptySampleError("cannot bin a stream with no events")
-    for r in stream:
-        if r.t < 0 or r.x < 0 or r.y < 0 or r.polarity not in (0, 1):
-            raise DataError(f"invalid event record {r}")
+    if events.ndim != 2 or events.shape[1] != 4 or events.dtype.kind not in "iu":
+        raise DataError(f"events must be an (n, 4) integer array, got shape "
+                        f"{events.shape} of {events.dtype}")
+    events = events.astype(np.int64, copy=False)
+    bad = _first_invalid_row(events)
+    if bad is not None:
+        raise DataError(f"invalid event {tuple(events[bad].tolist())} at row {bad}")
 
-    sensor_w = max(r.x for r in stream) + 1
-    sensor_h = max(r.y for r in stream) + 1
+    t, x, y, polarity = events.T
+    sensor_w = int(x.max()) + 1
+    sensor_h = int(y.max()) + 1
+    t_min = int(t.min())
+    span = int(t.max()) - t_min
+    if span * timesteps > _INT64_MAX:
+        raise DataError(f"time span {span} x {timesteps} timesteps overflows int64")
     scale_x = -(-sensor_w // grid_w)
     scale_y = -(-sensor_h // grid_h)
-    t_min = min(r.t for r in stream)
-    t_max = max(r.t for r in stream)
-    span = t_max - t_min
+    if max(scale_x, scale_y) > _INT64_MAX:
+        raise DataError(f"pixel extent {sensor_w} x {sensor_h} over a {grid_w} x {grid_h} "
+                        f"grid overflows int64")
 
+    if span == 0:
+        time_bin = np.zeros_like(t)
+    else:
+        time_bin = np.minimum(timesteps - 1, ((t - t_min) * timesteps) // span)
+    neuron = polarity * (grid_w * grid_h) + (y // scale_y) * grid_w + (x // scale_x)
     frame = np.zeros((2 * grid_w * grid_h, timesteps), dtype=np.float64)
-    for r in stream:
-        time_bin = 0 if span == 0 else min(timesteps - 1, ((r.t - t_min) * timesteps) // span)
-        neuron = r.polarity * (grid_w * grid_h) + (r.y // scale_y) * grid_w + (r.x // scale_x)
-        frame[neuron, time_bin] = 1.0
+    frame[neuron, time_bin] = 1.0
     return frame
 
 

@@ -140,6 +140,10 @@ class TestArgumentErrors:
         assert main(["train", "--config", missing]) == 2
         capsys.readouterr()
 
+    def test_merge_beta_is_an_eval_flag_only(self, capsys):
+        assert main(["train", "--merge-beta"]) == 2
+        assert "unrecognized arguments: --merge-beta" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_writes_run_artifacts(self, tmp_path, capsys):
@@ -287,6 +291,14 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 2
         assert "bad.csv" in err and "not UTF-8" in err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": 1, "model": "\xff"}')
+        rc = main(["gradcheck", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(path) in err and "not UTF-8" in err
 
 
 class TestGradcheckCommand:

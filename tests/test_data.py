@@ -1,15 +1,19 @@
 import json
 import logging
+import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikekit.data import (
+    EVENT_HEADER,
     Dataset,
-    EventRecord,
     bin_events,
     gen_poisson_patterns,
     load_dataset_cache,
@@ -114,8 +118,9 @@ class TestLoadEventsCsv:
         assert [label for _, label in streams] == [0, 1, 0, 2]
 
         clean, _ = streams[0]
-        assert clean[0] == EventRecord(t=100, x=3, y=4, polarity=1)
-        assert clean[-1] == EventRecord(t=3000, x=2, y=19, polarity=0)
+        assert clean.shape[1] == 4 and clean.dtype == np.int64
+        assert tuple(clean[0]) == (100, 3, 4, 1)
+        assert tuple(clean[-1]) == (3000, 2, 19, 0)
 
         # dropped-line report for the file with one bad line
         assert len(streams[2][0]) == 150
@@ -123,14 +128,14 @@ class TestLoadEventsCsv:
         assert any("noisy.csv" in m and "dropped 1" in m for m in messages)
 
         # empty file loads as an empty stream, not an error
-        assert streams[3][0] == []
+        assert streams[3][0].shape == (0, 4)
 
     def test_unsorted_input_sorted_stably(self):
         streams = load_events_csv(EVENTS_DIR / "manifest.json")
         unsorted, _ = streams[1]
-        assert [r.t for r in unsorted] == [100, 300, 500, 500, 700]
+        assert unsorted[:, 0].tolist() == [100, 300, 500, 500, 700]
         # the two t=500 events keep their file order: x=9 came first
-        assert [r.x for r in unsorted if r.t == 500] == [9, 1]
+        assert unsorted[unsorted[:, 0] == 500, 1].tolist() == [9, 1]
 
     def test_over_one_percent_malformed_rejected(self):
         with pytest.raises(DataError, match="corrupt.csv"):
@@ -167,26 +172,130 @@ class TestLoadEventsCsv:
         (records, _), = load_events_csv(manifest)
         assert len(records) == 1000
 
+    def test_values_beyond_int64_dropped(self, tmp_path, caplog):
+        # Python's int() takes any size; a field int64 cannot hold is malformed
+        top = 2**63 - 1
+        good = [f"{i},0,0,0" for i in range(200)] + [f"{top},{top},{top},1"]
+        bad = [f"{top + 1},0,0,0", f"0,{10**22},0,0"]
+        csv = tmp_path / "s.csv"
+        csv.write_text("\n".join(good + bad) + "\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"path": "s.csv", "label": 0}]))
+        with caplog.at_level(logging.WARNING, logger="spikekit.data"):
+            (records, _), = load_events_csv(manifest)
+        assert len(records) == 201
+        assert tuple(records[-1]) == (top, top, top, 1)
+        assert any("dropped 2 malformed" in rec.getMessage() for rec in caplog.records)
+
+
+def _reference_parse(path):
+    """The loader's per-line rules, read by iterating the file in text mode."""
+    rows, dropped = [], 0
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line == EVENT_HEADER:
+                continue
+            parts = line.split(",")
+            try:
+                row = tuple(int(p) for p in parts)
+            except ValueError:
+                row = ()
+            if (len(row) == 4 and min(row) >= 0 and row[3] in (0, 1)
+                    and max(row) < 2**63):
+                rows.append(row)
+            else:
+                dropped += 1
+    rows.sort(key=lambda r: r[0])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), dropped
+
+
+_ROW = st.tuples(st.integers(0, 60), st.integers(0, 40), st.integers(0, 40), st.integers(0, 1))
+# Lines the per-line rules keep, skip or drop that a plain "t,x,y,p" never shows.
+_ODD_LINES = st.one_of(
+    st.sampled_from(["", "  \t", EVENT_HEADER, f" {EVENT_HEADER} "]),
+    _ROW.map(lambda r: "+{},{},{},{}".format(*r)),
+    _ROW.map(lambda r: "1_{},{},{},{}".format(*r)),
+    _ROW.map(lambda r: "{},{},{},{}\x0c".format(*r)),
+    _ROW.map(lambda r: " {}, {} ,{},{}\x0b".format(*r)),
+    _ROW.map(lambda r: "{0},{1},{2},{3}\u2028{0},{1},{2},{3}".format(*r)),
+    _ROW.map(lambda r: "{},{}\x1c,{},{}".format(*r)),
+    _ROW.map(lambda r: "{},{},{},{}\x1f".format(*r)),
+    _ROW.map(lambda r: "{},\u0663,{},{}".format(r[0], *r[2:])),
+    _ROW.map(lambda r: "{},\u01fe,{},{}".format(r[0], *r[2:])),
+    _ROW.map(lambda r: "{},{},{}".format(*r)),
+    _ROW.map(lambda r: "{},{},{},{},0".format(*r)),
+    _ROW.map(lambda r: "{},{},abc,{}".format(*r)),
+    _ROW.map(lambda r: "-{},{},{},{}".format(r[0] + 1, *r[1:])),
+    _ROW.map(lambda r: "{},{},{},2".format(*r)),
+    _ROW.map(lambda r: "{};{};{};{}".format(*r)),
+    _ROW.map(lambda r: "{},{},{},{}".format(2**63 + r[0], *r[1:])),
+)
+
+
+@st.composite
+def _event_csv(draw):
+    rows = draw(st.lists(_ROW, max_size=30)) * draw(st.integers(1, 40))
+    lines = ["{},{},{},{}".format(*r) for r in rows]
+    for pos, odd in draw(st.lists(st.tuples(st.integers(0, 1200), _ODD_LINES), max_size=4)):
+        lines.insert(pos, odd)
+    if draw(st.booleans()):
+        lines.insert(0, EVENT_HEADER)
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class _Dropped(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.counts = []
+
+    def emit(self, record):
+        self.counts.append(int(re.search(r"dropped (\d+) malformed", record.getMessage())[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_event_csv())
+def test_loader_matches_per_line_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "s.csv"
+        csv.write_bytes(text.encode("utf-8"))
+        manifest = Path(tmp) / "m.json"
+        manifest.write_text(json.dumps([{"path": "s.csv", "label": 0}]))
+        expected, dropped = _reference_parse(csv)
+        considered = len(expected) + dropped
+        if considered and dropped / considered > 0.01:
+            with pytest.raises(DataError, match="s.csv"):
+                load_events_csv(manifest)
+            return
+        handler = _Dropped()
+        logger = logging.getLogger("spikekit.data")
+        logger.addHandler(handler)
+        try:
+            (events, _), = load_events_csv(manifest)
+        finally:
+            logger.removeHandler(handler)
+    assert events.dtype == np.int64
+    npt.assert_array_equal(events, expected)
+    assert handler.counts == ([dropped] if dropped else [])
+
 
 class TestBinEvents:
     def test_single_event_single_one(self):
-        frame = bin_events([EventRecord(t=50, x=0, y=0, polarity=1)], 4, 4, 6)
+        frame = bin_events([(50, 0, 0, 1)], 4, 4, 6)
         assert frame.shape == (32, 6)
         assert frame.sum() == 1.0
         # polarity 1 lands in the second channel, zero time span lands in bin 0
         assert frame[16, 0] == 1.0
 
     def test_or_accumulation(self):
-        events = [EventRecord(t=0, x=1, y=1, polarity=0),
-                  EventRecord(t=1, x=1, y=1, polarity=0),
-                  EventRecord(t=2, x=1, y=1, polarity=0),
-                  EventRecord(t=1000, x=1, y=1, polarity=0)]
+        events = [(0, 1, 1, 0), (1, 1, 1, 0), (2, 1, 1, 0), (1000, 1, 1, 0)]
         frame = bin_events(events, 4, 4, 2)
         assert frame.sum() == 2.0  # first three collapse into one cell
 
     def test_extremes_land_in_first_and_last_bin(self):
-        events = [EventRecord(t=123, x=0, y=0, polarity=0),
-                  EventRecord(t=7777, x=1, y=0, polarity=0)]
+        events = [(123, 0, 0, 0), (7777, 1, 0, 0)]
         for timesteps in (1, 2, 3, 7, 16):
             frame = bin_events(events, 2, 1, timesteps)
             assert frame[0, 0] == 1.0
@@ -198,7 +307,7 @@ class TestBinEvents:
         for _ in range(30):
             n = int(rng.integers(2, 12))
             times = sorted(int(t) for t in rng.integers(0, 100000, size=n))
-            events = [EventRecord(t=t, x=i, y=0, polarity=0) for i, t in enumerate(times)]
+            events = [(t, i, 0, 0) for i, t in enumerate(times)]
             timesteps = int(rng.integers(1, 9))
             frame = bin_events(events, n, 1, timesteps)
             t_min, t_max = times[0], times[-1]
@@ -215,16 +324,14 @@ class TestBinEvents:
         rng = np.random.default_rng(18)
         for _ in range(20):
             times = sorted(int(t) for t in rng.integers(0, 5000, size=10))
-            events = [EventRecord(t=t, x=i, y=0, polarity=0) for i, t in enumerate(times)]
+            events = [(t, i, 0, 0) for i, t in enumerate(times)]
             frame = bin_events(events, 10, 1, 5)
             bins = [int(np.argmax(frame[i])) for i in range(10)]
             assert bins == sorted(bins)
 
     def test_integer_downscale_onto_grid(self):
         # 6-wide, 4-tall extent onto a 3x2 grid: both axes scale by 2
-        events = [EventRecord(t=0, x=5, y=3, polarity=0),
-                  EventRecord(t=10, x=4, y=2, polarity=0),
-                  EventRecord(t=20, x=0, y=0, polarity=1)]
+        events = [(0, 5, 3, 0), (10, 4, 2, 0), (20, 0, 0, 1)]
         frame = bin_events(events, 3, 2, 1)
         assert frame[1 * 3 + 2, 0] == 1.0  # (5,3) and (4,2) -> cell (2,1)
         assert frame[6 + 0, 0] == 1.0      # polarity channel offset is 3*2
@@ -232,9 +339,8 @@ class TestBinEvents:
 
     def test_output_binary(self):
         rng = np.random.default_rng(19)
-        events = [EventRecord(t=int(t), x=int(x), y=int(y), polarity=int(p))
-                  for t, x, y, p in zip(rng.integers(0, 999, 200), rng.integers(0, 64, 200),
-                                        rng.integers(0, 48, 200), rng.integers(0, 2, 200))]
+        events = np.stack([rng.integers(0, 999, 200), rng.integers(0, 64, 200),
+                           rng.integers(0, 48, 200), rng.integers(0, 2, 200)], axis=1)
         frame = bin_events(events, 8, 8, 10)
         assert np.all((frame == 0.0) | (frame == 1.0))
 
@@ -244,10 +350,36 @@ class TestBinEvents:
 
     def test_invalid_records_rejected(self):
         with pytest.raises(DataError):
-            bin_events([EventRecord(t=1, x=1, y=1, polarity=2)], 4, 4, 5)
+            bin_events([(1, 1, 1, 2)], 4, 4, 5)
+        with pytest.raises(DataError, match="integer"):
+            bin_events([(1.0, 1, 1, 0)], 4, 4, 5)
+        with pytest.raises(DataError, match="integer"):
+            bin_events([(1, 1, 1)], 4, 4, 5)
+
+    def test_int64_overflow_rejected(self):
+        # (t - t_min) * timesteps must fit int64; 2**62 * 2 does not
+        with pytest.raises(DataError, match="time span .* overflows int64"):
+            bin_events([(0, 0, 0, 0), (2**62, 0, 0, 0)], 1, 1, 2)
+        frame = bin_events([(0, 0, 0, 0), (2**62, 0, 0, 0)], 1, 1, 1)
+        assert frame[0, 0] == 1.0
+        with pytest.raises(DataError, match="pixel extent .* overflows int64"):
+            bin_events([(0, 2**63 - 1, 0, 0)], 1, 1, 1)
+
+    @given(events=st.lists(_ROW, min_size=1, max_size=60), data=st.data(),
+           grid=st.integers(1, 6), timesteps=st.integers(1, 12))
+    def test_invariant_to_event_order(self, events, data, grid, timesteps):
+        shuffled = data.draw(st.permutations(events))
+        npt.assert_array_equal(bin_events(events, grid, grid, timesteps),
+                               bin_events(shuffled, grid, grid, timesteps))
+
+    @given(events=st.lists(_ROW, min_size=1, max_size=60),
+           grid=st.integers(1, 6), timesteps=st.integers(1, 12))
+    def test_set_cells_at_most_events(self, events, grid, timesteps):
+        frame = bin_events(events, grid, grid, timesteps)
+        assert 1 <= np.count_nonzero(frame) <= len(events)
 
     def test_parameter_preconditions(self):
-        stream = [EventRecord(t=1, x=1, y=1, polarity=0)]
+        stream = [(1, 1, 1, 0)]
         with pytest.raises(ConfigError):
             bin_events(stream, 0, 4, 5)
         with pytest.raises(ConfigError):
