@@ -13,25 +13,18 @@ Run from the repository root:
 
 import numpy as np
 
-from spikekit.neurons import (
-    NeuronParams,
-    NeuronState,
-    cached_aia_step,
-    if_step,
-    lif_step,
-    plif_step,
-)
+from spikekit.neurons import NeuronParams, NeuronState, step
 
 STEPS = 16
 # a drip of sub-threshold input with one strong burst in the middle
 DRIVE = np.array([0.3] * 5 + [0.9] + [0.0] * 4 + [0.3] * 6)
 
 
-def trace(label, stepper):
+def trace(label, params, beta=None):
     state = NeuronState.zeros(1)
     us, os_ = [], []
     for t in range(STEPS):
-        state = stepper(state, np.array([DRIVE[t]]))
+        state = step(state, np.array([DRIVE[t]]), params, beta)
         us.append(float(state.u[0]))
         os_.append(int(state.o[0]))
     spikes = "".join("|" if o else "." for o in os_)
@@ -44,20 +37,13 @@ def main():
     print(f"input drive per step: {' '.join(f'{d:.1f}' for d in DRIVE)}")
     print(f"threshold 1.0, {STEPS} steps; '|' marks a spike\n")
 
-    lif = NeuronParams(model="lif", leak=0.5)
-    trace("leaky (leak 0.5)", lambda s, x: lif_step(s, x, lif))
-
-    integ = NeuronParams(model="if")
-    trace("non-leaky", lambda s, x: if_step(s, x, integ))
-
-    plif = NeuronParams(model="plif", plif_raw=2.0)  # sigmoid(2) ~ 0.88
-    trace("learned leak (~0.88)", lambda s, x: plif_step(s, x, plif))
+    trace("leaky (leak 0.5)", NeuronParams(model="lif", leak=0.5))
+    trace("non-leaky", NeuronParams(model="if"))
+    trace("learned leak (~0.88)", NeuronParams(model="plif", plif_raw=2.0))  # sigmoid(2) ~ 0.88
 
     # gain 2.2 lifts the 0.3 drip to 0.66, enough to cross threshold even
     # with leak 0.5; the plain leaky neuron above only fires on the burst
-    gained = NeuronParams(model="cached-aia", leak=0.5)
-    beta = np.array([2.2])
-    trace("gain 2.2 on drive", lambda s, x: cached_aia_step(s, x, gained, beta))
+    trace("gain 2.2 on drive", NeuronParams(model="cached-aia", leak=0.5), np.array([2.2]))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,6 @@ from .bptt import (
     aia_update_from_drive,
     aia_update_gated_sum,
     backward,
-    backward_aia,
-    backward_cached_aia,
-    backward_lif,
-    backward_plif,
     forward_record,
     gradcheck,
 )
@@ -53,11 +49,6 @@ from .neurons import (
     MODELS,
     NeuronParams,
     NeuronState,
-    aia_step,
-    cached_aia_step,
-    if_step,
-    lif_step,
-    plif_step,
     step,
     surrogate_spike_derivative,
 )
@@ -98,28 +89,19 @@ __all__ = [
     "StateError",
     "TrainConfig",
     "TrainingDiverged",
-    "aia_step",
     "aia_update_from_drive",
     "aia_update_gated_sum",
     "backward",
-    "backward_aia",
-    "backward_cached_aia",
-    "backward_lif",
-    "backward_plif",
     "bin_events",
-    "cached_aia_step",
     "evaluate",
     "forward_record",
     "gen_poisson_patterns",
     "gradcheck",
-    "if_step",
     "init_network",
-    "lif_step",
     "load_checkpoint",
     "load_dataset_cache",
     "load_events_csv",
     "merge_beta",
-    "plif_step",
     "readout_and_loss",
     "save_checkpoint",
     "save_dataset_cache",

@@ -18,30 +18,28 @@ and one for the gradient sent to the layer below. The scan carries dL/du
 from one block to the next, so the blocking changes only how the sums are
 grouped, and the block size bounds the backward's working memory.
 
-Two modes share this machinery:
+The layer's row of :data:`spikekit.neurons.MODEL_TABLE` is all that tells
+the models apart here: its leak and drive shape the forward, and its site
+factor scales dL/du where the weight gradient forms. ``aia``'s site is the
+recorded drive ``x``, so only co-active synapses move and stronger drive
+means a stronger update; ``cached-aia``'s site is its per-neuron gain
+``beta``, and ``beta`` itself accumulates the drive-weighted gradient it
+stands in for. ``plif`` adds the gradient of its trainable leak. Two modes
+share this machinery:
 
 * **hard mode** (training): spikes are exact 0/1 threshold crossings. The
   non-differentiable threshold is handled with a rectangular surrogate
   derivative, and no gradient flows through the reset gate (the ``1 - o``
   factor is treated as a constant), the usual stabilization for hard-reset
-  training. Per-model weight-update rules:
-
-  - ``lif`` / ``if``:  dW[i, j] += dL/du[i] * o_pre[j]
-  - ``plif``:          as ``lif``, plus the gradient of the trainable leak
-  - ``aia``:           each term additionally multiplied by the recorded
-                       drive x[i], so only co-active synapses move and
-                       stronger drive means a stronger update
-  - ``cached-aia``:    each term multiplied by the neuron's cache gain
-                       beta[i] instead; beta itself accumulates the drive-
-                       weighted gradient it stands in for
+  training. A row marked ``hard_spatial_bare`` (``aia``) sends dL/du to the
+  layer below without its site factor.
 
 * **smoothed mode** (gradient checking): the threshold becomes a logistic
-  ramp, the reset gate is differentiated exactly, and each model's backward
-  is the exact reverse-mode gradient of its smoothed forward. So that the
-  drive-modulated rule of ``aia`` is itself checkable against finite
-  differences, the smoothed ``aia`` forward integrates ``x**2 / 2`` (whose
-  derivative is the drive ``x``), and the modulation is applied
-  consistently on the spatial path as well.
+  ramp, the reset gate is differentiated exactly, the forward integrates the
+  row's smoothed drive, and each model's backward is the exact reverse-mode
+  gradient of its smoothed forward. ``aia``'s smoothed drive ``x**2 / 2``
+  has derivative ``x``, so its drive-modulated rule is itself checkable
+  against finite differences, with the site factor on the spatial path too.
 """
 
 from __future__ import annotations
@@ -51,9 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, DimensionError, StateError
+from .errors import DimensionError, StateError
 from .network import Network, readout_and_loss
-from .neurons import NeuronState, sigmoid, sigmoid_prime, step, surrogate_spike_derivative
+from .neurons import (MODEL_TABLE, NeuronState, sigmoid, sigmoid_prime, step,
+                      surrogate_spike_derivative)
 
 # Rows (timesteps x batch) per backward GEMM: the time-block size is
 # ceil(GEMM_ROWS / batch) steps.
@@ -116,14 +115,6 @@ class GradientSet:
                 yield f"layer{i}.plif_raw", self.d_plif_raw[i]
 
 
-def _smoothed_drive(x: np.ndarray, model: str, beta) -> np.ndarray:
-    if model == "aia":
-        return 0.5 * x * x
-    if model == "cached-aia":
-        return beta * x
-    return x
-
-
 def time_major_batch(data, index) -> np.ndarray:
     """Samples ``index`` of a (samples, width, timesteps) tensor, time-major in memory.
 
@@ -156,7 +147,7 @@ def _scan(x: np.ndarray, layer, smoothed: bool):
     state = NeuronState.zeros(x.shape[1:])
     if smoothed:
         leak = p.effective_leak()
-        drive = _smoothed_drive(x, p.model, layer.beta)
+        drive = MODEL_TABLE[p.model].smoothed_drive(x, layer.beta)
     for t in range(len(x)):
         if smoothed:
             u_t = leak * state.u * (1.0 - state.o) + drive[t]
@@ -268,11 +259,8 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
                 carried = tape.u[n][prev] * (1.0 - tape.o[n][prev])
                 leak_acc[n] += float(np.sum(du[first - start:] * carried))
 
-            site = du
-            if p.model == "aia":
-                site = du * x
-            elif p.model == "cached-aia":
-                site = du * layer.beta
+            model = MODEL_TABLE[p.model]
+            site = du if model.site is None else du * model.site(x, layer.beta)
             if n == 0:
                 o_pre = _time_major(tape.inputs, start, stop)
             else:
@@ -283,8 +271,7 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
                 d_beta[n] += np.sum(du * x, axis=(0, 1))
 
             if n > 0:
-                # Only the hard aia rule keeps the drive off the spatial path.
-                through = du if p.model == "aia" and not smoothed else site
+                through = du if model.hard_spatial_bare and not smoothed else site
                 do = numerics.matmul(through.reshape(-1, layer.out_width), layer.w)
                 do = do.reshape(stop - start, batch, layer.in_width)
             # Free this layer's block arrays before the next layer makes its own.
@@ -301,37 +288,8 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
 
 
 def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
-    """Hard-mode backward pass, dispatching per layer on the model tag."""
+    """Hard-mode backward pass; each layer follows its model's table row."""
     return _backward(tape, upstream, net, smoothed=False)
-
-
-def _tag_checked(net: Network, allowed: tuple, op: str) -> None:
-    for i, layer in enumerate(net.layers):
-        if layer.neuron.model not in allowed:
-            raise ConfigError(
-                f"{op} expects layers with model in {allowed}, layer {i} is "
-                f"{layer.neuron.model!r}"
-            )
-
-
-def backward_lif(tape: BpttTape, upstream, net: Network) -> GradientSet:
-    _tag_checked(net, ("lif", "if"), "backward_lif")
-    return _backward(tape, upstream, net)
-
-
-def backward_aia(tape: BpttTape, upstream, net: Network) -> GradientSet:
-    _tag_checked(net, ("aia",), "backward_aia")
-    return _backward(tape, upstream, net)
-
-
-def backward_cached_aia(tape: BpttTape, upstream, net: Network) -> GradientSet:
-    _tag_checked(net, ("cached-aia",), "backward_cached_aia")
-    return _backward(tape, upstream, net)
-
-
-def backward_plif(tape: BpttTape, upstream, net: Network) -> GradientSet:
-    _tag_checked(net, ("plif",), "backward_plif")
-    return _backward(tape, upstream, net)
 
 
 def aia_update_from_drive(w, o_pre, dldu) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -47,22 +47,6 @@ from .training import (
     write_weight_shift_csv,
 )
 
-ENV_THREADS = "AIA_THREADS"
-
-
-def thread_limit() -> int:
-    """Parallelism bound from the environment; execution is sequential, which
-    trivially honors any bound >= 1."""
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_THREADS} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{ENV_THREADS} must be a positive integer, got {raw!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # config schema
 
@@ -79,7 +63,12 @@ def _chk_int(path, value, lo=None, hi=None):
 def _chk_number(path, value, lo=None, hi=None, lo_strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {path} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {path} must be a finite number, got {value}")
     if lo is not None and (value <= lo if lo_strict else value < lo):
         op = ">" if lo_strict else ">="
         raise ConfigError(f"config key {path} must be {op} {lo}, got {value}")
@@ -561,7 +550,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        thread_limit()
         spec = _spec_from_args(args)
         return _COMMANDS[spec.command](spec)
     except TrainingDiverged as exc:

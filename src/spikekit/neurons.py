@@ -1,41 +1,51 @@
-"""Single-timestep neuron dynamics for the five supported models.
+"""Neuron dynamics for the five supported models.
 
-All models share the same discrete hard-reset membrane update
+All models share one discrete hard-reset membrane update of the weighted
+input ``x``
 
-    u' = leak * u * (1 - o) + drive
+    u' = leak * u * (1 - o) + drive(x)
     o' = 1 if u' >= v_th else 0
-
-and differ only in the leak coefficient and in what ``drive`` is:
-
-* ``lif``        - drive is the weighted input x, leak is a fixed constant.
-* ``if``         - same with leak pinned to 1 (no decay).
-* ``plif``       - leak is trainable: the logistic squashing of a raw
-                   parameter, so it stays in (0, 1) during training.
-* ``aia``        - forward-identical to ``lif``; the model differs only in
-                   how weight gradients are computed (see :mod:`spikekit.bptt`).
-* ``cached-aia`` - drive is ``beta * x`` for a per-neuron cache gain
-                   ``beta``, initialized to 1 so the untrained model matches
-                   ``lif`` exactly. ``beta`` can be folded into the weights
-                   at inference time (see :func:`spikekit.network.merge_beta`).
 
 The `(1 - o)` factor implements the hard reset: a neuron that fired on the
 previous step carries no potential forward. Spike values are exactly 0.0 or
 1.0.
 
-Functions are pure and vectorized: state arrays may be ``(neurons,)`` or
-``(batch, neurons)``.
+:data:`MODEL_TABLE` holds one :class:`Model` row per tag, and the rows are
+all that tells the models apart:
+
+==============  ==================  ============  ==============  ===========
+tag             leak                drive         smoothed drive  site factor
+==============  ==================  ============  ==============  ===========
+``lif``         ``leak``            ``x``         ``x``           none
+``if``          1                   ``x``         ``x``           none
+``plif``        logistic(plif_raw)  ``x``         ``x``           none
+``aia``         ``leak``            ``x``         ``x * x / 2``   ``x`` (*)
+``cached-aia``  ``leak``            ``beta * x``  ``beta * x``    ``beta``
+==============  ==================  ============  ==============  ===========
+
+The site factor multiplies dL/du where the weight gradient forms (see
+:mod:`spikekit.bptt`). ``aia`` is forward-identical to ``lif``: only its
+weight update is scaled by the neuron's own drive, and (*) hard mode keeps
+that factor off the gradient sent to the layer below. The smoothed drive
+``x * x / 2`` has derivative ``x``, which makes that update checkable by
+finite differences. ``cached-aia`` replaces the drive factor with a
+per-neuron gain ``beta``, initialized to 1 so the untrained model matches
+``lif`` exactly; ``beta`` folds into the weights at inference time (see
+:func:`spikekit.network.merge_beta`).
+
+State arrays may be ``(neurons,)`` or ``(batch, neurons)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import numerics
 from .errors import ConfigError, DimensionError
-
-MODELS = ("lif", "if", "plif", "aia", "cached-aia")
 
 
 def sigmoid(z):
@@ -52,6 +62,53 @@ def sigmoid(z):
 def sigmoid_prime(z):
     s = sigmoid(z)
     return s * (1.0 - s)
+
+
+def _configured_leak(p):
+    return p.leak
+
+
+def _x(x, beta):
+    return x
+
+
+def _beta(x, beta):
+    return beta
+
+
+def _beta_x(x, beta):
+    return beta * x
+
+
+@dataclass(frozen=True)
+class Model:
+    """One row of :data:`MODEL_TABLE`.
+
+    ``leak`` maps the layer's :class:`NeuronParams` to the leak the
+    dynamics use (by default its configured ``leak``). ``drive``
+    and ``smoothed_drive`` map ``(x, beta)`` to the drive of hard and
+    smoothed mode. ``site`` maps ``(x, beta)`` to the factor on dL/du at
+    which the weight gradient forms, or is None for a factor of 1.
+    ``hard_spatial_bare`` keeps that factor off the hard-mode gradient sent
+    to the layer below. ``gain`` marks a model that needs ``beta``.
+    """
+
+    leak: Callable = _configured_leak
+    drive: Callable = _x
+    smoothed_drive: Callable = _x
+    site: Callable | None = None
+    hard_spatial_bare: bool = False
+    gain: bool = False
+
+
+MODEL_TABLE = {
+    "lif": Model(),
+    "if": Model(leak=lambda p: 1.0),
+    "plif": Model(leak=lambda p: float(sigmoid(p.plif_raw))),
+    "aia": Model(smoothed_drive=lambda x, beta: 0.5 * x * x, site=_x, hard_spatial_bare=True),
+    "cached-aia": Model(drive=_beta_x, smoothed_drive=_beta_x, site=_beta, gain=True),
+}
+MODELS = tuple(MODEL_TABLE)
 
 
 @dataclass(frozen=True)
@@ -75,6 +132,9 @@ class NeuronParams:
             raise ConfigError(f"unknown neuron model {self.model!r}; expected one of {MODELS}")
         if not 0.0 <= self.leak <= 1.0:
             raise ConfigError(f"leak must be in [0, 1], got {self.leak}")
+        for name in ("v_th", "surrogate_width", "plif_raw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_th <= 0.0:
             raise ConfigError(f"v_th must be positive, got {self.v_th}")
         if self.surrogate_width <= 0.0:
@@ -82,11 +142,7 @@ class NeuronParams:
 
     def effective_leak(self) -> float:
         """Leak actually used by the dynamics: 1 for ``if``, logistic(plif_raw) for ``plif``."""
-        if self.model == "if":
-            return 1.0
-        if self.model == "plif":
-            return float(sigmoid(self.plif_raw))
-        return self.leak
+        return MODEL_TABLE[self.model].leak(self)
 
 
 @dataclass(frozen=True)
@@ -101,66 +157,21 @@ class NeuronState:
         return NeuronState(u=np.zeros(shape, dtype=np.float64), o=np.zeros(shape, dtype=np.float64))
 
 
-def _step(state: NeuronState, x: np.ndarray, leak: float, v_th: float) -> NeuronState:
-    u_new = leak * state.u * (1.0 - state.o) + x
-    o_new = numerics.heaviside_ge(u_new, v_th)
-    return NeuronState(u=u_new, o=o_new)
-
-
-def _checked_input(x) -> np.ndarray:
+def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
+    """One timestep of the model named by ``p.model``; ``beta`` is its gain, if it has one."""
+    model = MODEL_TABLE[p.model]
     x = numerics.as_dense(x)
     numerics.require_finite(x, "weighted input")
-    return x
-
-
-def lif_step(state: NeuronState, x, p: NeuronParams) -> NeuronState:
-    """Leaky integrate-and-fire update with hard reset."""
-    return _step(state, _checked_input(x), p.leak, p.v_th)
-
-
-def if_step(state: NeuronState, x, p: NeuronParams) -> NeuronState:
-    """Integrate-and-fire update: the leaky update with leak pinned to 1."""
-    return _step(state, _checked_input(x), 1.0, p.v_th)
-
-
-def plif_step(state: NeuronState, x, p: NeuronParams) -> NeuronState:
-    """Parametric-leak update; the leak is logistic(plif_raw)."""
-    return _step(state, _checked_input(x), float(sigmoid(p.plif_raw)), p.v_th)
-
-
-def aia_step(state: NeuronState, x, p: NeuronParams) -> NeuronState:
-    """Drive-association model: forward dynamics are bit-identical to lif_step.
-
-    The model is a backward-pass modification only; its weight updates are
-    scaled by the neuron's total weighted drive (see :mod:`spikekit.bptt`).
-    """
-    return _step(state, _checked_input(x), p.leak, p.v_th)
-
-
-def cached_aia_step(state: NeuronState, x, p: NeuronParams, beta) -> NeuronState:
-    """Cached variant: the drive is ``beta * x`` with ``beta`` one gain per neuron."""
-    x = _checked_input(x)
-    beta = numerics.as_dense(beta)
-    if beta.shape != x.shape[-1:]:
-        raise DimensionError(
-            f"beta shape {beta.shape} does not match neuron count of input shape {x.shape}"
-        )
-    return _step(state, beta * x, p.leak, p.v_th)
-
-
-def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
-    """Dispatch to the model named by ``p.model``."""
-    if p.model == "lif":
-        return lif_step(state, x, p)
-    if p.model == "if":
-        return if_step(state, x, p)
-    if p.model == "plif":
-        return plif_step(state, x, p)
-    if p.model == "aia":
-        return aia_step(state, x, p)
-    if beta is None:
-        raise ConfigError("cached-aia step requires a beta vector")
-    return cached_aia_step(state, x, p, beta)
+    if model.gain:
+        if beta is None:
+            raise ConfigError(f"{p.model} step requires a beta vector")
+        beta = numerics.as_dense(beta)
+        if beta.shape != x.shape[-1:]:
+            raise DimensionError(
+                f"beta shape {beta.shape} does not match neuron count of input shape {x.shape}"
+            )
+    u = model.leak(p) * state.u * (1.0 - state.o) + model.drive(x, beta)
+    return NeuronState(u=u, o=(u >= p.v_th).astype(np.float64))
 
 
 def surrogate_spike_derivative(u, p: NeuronParams) -> np.ndarray:

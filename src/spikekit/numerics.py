@@ -1,11 +1,10 @@
 """Dense-array substrate used by the rest of the engine.
 
 All real-valued quantities (potentials, weighted inputs, weights, cache
-gains, gradients) live in 64-bit C-contiguous numpy arrays. The functions
-here are thin contract-enforcing wrappers: shapes are checked up front and
-mismatches raise :class:`DimensionError` naming both shapes, reductions on
-empty arrays raise :class:`EmptyInputError`, and broadcasting is restricted
-to scalar-vs-array and same-shape so every call site stays auditable.
+gains, gradients) are float64 numpy arrays. The functions here are thin
+contract-enforcing wrappers: shapes are checked up front and mismatches
+raise :class:`DimensionError` naming both shapes, and a histogram of an
+empty array raises :class:`EmptyInputError`.
 
 Given identical inputs the results are deterministic across runs; nothing
 here depends on global state.
@@ -37,12 +36,6 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def _check_elementwise(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    # Only scalar-vs-array and same-shape combinations are supported.
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product of a (m, k) and (k, n) array.
 
@@ -60,58 +53,9 @@ def matmul(a, b) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def add(a, b) -> np.ndarray:
-    a, b = as_dense(a), as_dense(b)
-    _check_elementwise(a, b, "add")
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a, b = as_dense(a), as_dense(b)
-    _check_elementwise(a, b, "sub")
-    return a - b
-
-
-def mul(a, b) -> np.ndarray:
-    a, b = as_dense(a), as_dense(b)
-    _check_elementwise(a, b, "mul")
-    return a * b
-
-
-def scale(a, factor: float) -> np.ndarray:
-    return as_dense(a) * DTYPE(factor)
-
-
-def heaviside_ge(u, threshold) -> np.ndarray:
-    """1.0 where ``u >= threshold``, else 0.0 (exact values, at-threshold fires)."""
-    u = as_dense(u)
-    t = as_dense(threshold)
-    _check_elementwise(u, t, "heaviside_ge")
-    return (u >= t).astype(DTYPE)
-
-
 def _check_nonempty(a: np.ndarray, op: str) -> None:
     if a.size == 0:
         raise EmptyInputError(f"{op} on an empty array")
-
-
-def reduce_sum(a, axis=None) -> np.ndarray:
-    a = as_dense(a)
-    _check_nonempty(a, "sum")
-    return np.sum(a, axis=axis)
-
-
-def reduce_mean(a, axis=None) -> np.ndarray:
-    a = as_dense(a)
-    _check_nonempty(a, "mean")
-    return np.mean(a, axis=axis)
-
-
-def argmax(a, axis=None):
-    """Index of the largest value; ties break toward the lowest index."""
-    a = as_dense(a)
-    _check_nonempty(a, "argmax")
-    return np.argmax(a, axis=axis)
 
 
 def histogram(a, edges) -> np.ndarray:

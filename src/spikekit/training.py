@@ -41,12 +41,12 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         # 0 is allowed so the no-op fixpoint stays expressible in tests.
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and >= 0")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError("adam_eps must be > 0")
+        if not 0 < self.adam_eps < np.inf:
+            raise ConfigError("adam_eps must be finite and > 0")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.timesteps < 1:
@@ -157,8 +157,9 @@ def _train_step(net: Network, opt: Adam, batch: np.ndarray, labels: np.ndarray):
     try:
         tape, _ = bptt.forward_record(net, batch)
         loss, upstream, predictions = readout_and_loss(tape, labels)
-    except NumericError:
-        # Blown-up parameters surface as non-finite drive mid-forward.
+    except (NumericError, ConfigError):
+        # Blown-up parameters surface as non-finite drive mid-forward, or as
+        # a non-finite plif leak parameter.
         raise TrainingDiverged(_first_nonfinite(net) or "loss") from None
     if not np.isfinite(loss):
         raise TrainingDiverged(_first_nonfinite(net) or "loss")

@@ -22,15 +22,7 @@ from spikekit.bptt import (
 )
 from spikekit.cli import main as cli_main
 from spikekit.network import init_network, merge_beta
-from spikekit.neurons import (
-    MODELS,
-    NeuronParams,
-    NeuronState,
-    aia_step,
-    cached_aia_step,
-    if_step,
-    lif_step,
-)
+from spikekit.neurons import MODELS, NeuronParams, NeuronState, step
 
 TOY_MODELS = ("lif", "aia", "cached-aia")
 
@@ -138,12 +130,12 @@ def test_forward_equivalences_bit_exact(capsys):
             u=rng.normal(size=n), o=(rng.random(n) < 0.5).astype(np.float64)
         )
         x = rng.normal(size=n)
-        ref = lif_step(state, x, p_lif)
-        ref_full = lif_step(state, x, p_lif_full)
+        ref = step(state, x, p_lif)
+        ref_full = step(state, x, p_lif_full)
         pairs = [
-            (aia_step(state, x, p_aia), ref),
-            (if_step(state, x, p_if), ref_full),
-            (cached_aia_step(state, x, p_cached, np.ones(n)), ref),
+            (step(state, x, p_aia), ref),
+            (step(state, x, p_if), ref_full),
+            (step(state, x, p_cached, np.ones(n)), ref),
         ]
         for got, want in pairs:
             if got.u.tobytes() != want.u.tobytes() or got.o.tobytes() != want.o.tobytes():

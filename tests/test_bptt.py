@@ -7,14 +7,10 @@ from spikekit.bptt import (
     aia_update_from_drive,
     aia_update_gated_sum,
     backward,
-    backward_aia,
-    backward_cached_aia,
-    backward_lif,
-    backward_plif,
     forward_record,
     gradcheck,
 )
-from spikekit.errors import ConfigError, DimensionError, StateError
+from spikekit.errors import DimensionError, StateError
 from spikekit.network import init_network, readout_and_loss, softmax
 
 
@@ -148,7 +144,7 @@ class TestHardBackwardClosedForms:
         net, inputs, labels = self._net_and_data("lif")
         tape, _ = forward_record(net, inputs)
         _, upstream, _ = readout_and_loss(tape, labels)
-        grads = backward_lif(tape, upstream, net)
+        grads = backward(tape, upstream, net)
         o_pre, _, dv = _single_step_pieces(net, inputs, labels)
         npt.assert_allclose(grads.d_w[0], dv.T @ o_pre, rtol=1e-13, atol=1e-16)
 
@@ -156,7 +152,7 @@ class TestHardBackwardClosedForms:
         net, inputs, labels = self._net_and_data("aia")
         tape, _ = forward_record(net, inputs)
         _, upstream, _ = readout_and_loss(tape, labels)
-        grads = backward_aia(tape, upstream, net)
+        grads = backward(tape, upstream, net)
         o_pre, x, dv = _single_step_pieces(net, inputs, labels)
         npt.assert_allclose(grads.d_w[0], (dv * x).T @ o_pre, rtol=1e-13, atol=1e-16)
 
@@ -166,7 +162,7 @@ class TestHardBackwardClosedForms:
         net.layers[0].beta[:] = beta
         tape, _ = forward_record(net, inputs)
         _, upstream, _ = readout_and_loss(tape, labels)
-        grads = backward_cached_aia(tape, upstream, net)
+        grads = backward(tape, upstream, net)
 
         w = net.layers[0].w
         o_pre = inputs[:, :, 0]
@@ -188,7 +184,7 @@ class TestHardBackwardClosedForms:
         labels = self.rng.integers(0, 3, size=4)
         tape, _ = forward_record(net, inputs)
         _, upstream, _ = readout_and_loss(tape, labels)
-        grads = backward_lif(tape, upstream, net)
+        grads = backward(tape, upstream, net)
 
         leak = 0.5
         sd = [(np.abs(u - 1.0) <= 0.5).astype(float) for u in tape.u[0]]
@@ -229,7 +225,7 @@ class TestAssociationUpdateForms:
         labels = np.array([2])
         tape, _ = forward_record(net, inputs)
         _, upstream, _ = readout_and_loss(tape, labels)
-        grads = backward_aia(tape, upstream, net)
+        grads = backward(tape, upstream, net)
 
         sd = (np.abs(tape.u[0][0][0] - 1.0) <= 0.5).astype(float)
         dldu = upstream[0] * sd
@@ -315,14 +311,6 @@ class TestBackwardValidation:
         net = init_network([4, 3], model=model, timesteps=2, seed=41)
         tape, _ = forward_record(net, _binary_inputs(rng, 2, 4, 2))
         return net, tape
-
-    def test_model_tag_checked_by_wrappers(self):
-        net, tape = self._tape_and_upstream("lif")
-        upstream = np.zeros((2, 3))
-        for wrong in (backward_aia, backward_cached_aia, backward_plif):
-            with pytest.raises(ConfigError):
-                wrong(tape, upstream, net)
-        backward_lif(tape, upstream, net)
 
     def test_upstream_shape_checked(self):
         net, tape = self._tape_and_upstream()

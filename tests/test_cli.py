@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikekit import bptt, cli
-from spikekit.cli import load_config, main, thread_limit, validate_config
+from spikekit.cli import load_config, main, validate_config
 from spikekit.data import load_dataset_cache
 from spikekit.errors import ConfigError, TrainingDiverged
 from spikekit.network import init_network, save_checkpoint
@@ -94,27 +94,6 @@ class TestConfigValidation:
 
     def test_load_config_none_is_empty(self):
         assert load_config(None) == {}
-
-
-class TestThreadLimit:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(cli.ENV_THREADS, raising=False)
-        assert thread_limit() == 1
-
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "4")
-        assert thread_limit() == 4
-
-    @pytest.mark.parametrize("bad", ["abc", "0", "-3", "1.5"])
-    def test_invalid_values(self, monkeypatch, bad):
-        monkeypatch.setenv(cli.ENV_THREADS, bad)
-        with pytest.raises(ConfigError, match="AIA_THREADS"):
-            thread_limit()
-
-    def test_invalid_value_maps_to_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.ENV_THREADS, "zero")
-        assert main(["gradcheck"]) == 2
-        assert "AIA_THREADS" in capsys.readouterr().err
 
 
 class TestArgumentErrors:
@@ -280,6 +259,28 @@ class TestMalformedInputs:
             doc["layers"][0]["w"] = w.astype("<f8").tobytes().hex()
         err = self._eval_checkpoint(tmp_path, capsys, corrupt)
         assert "layer0.w contains non-finite values" in err
+
+    def test_checkpoint_non_finite_threshold(self, tmp_path, capsys):
+        def corrupt(doc):
+            doc["layers"][0]["v_th"] = float("nan")
+        err = self._eval_checkpoint(tmp_path, capsys, corrupt)
+        assert "layer0: v_th must be finite" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("network", "v_th", float("nan")),
+        ("network", "v_th", float("inf")),
+        ("network", "surrogate_width", float("nan")),
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", 10 ** 400),  # a JSON integer too large for a float
+    ])
+    def test_config_non_finite_number(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(json.dumps(TINY))
+        doc[section][key] = value
+        rc = main(["train", "--config", _write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config key {section}.{key} must be a finite number" in err
 
     def test_non_utf8_event_csv(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_bytes(b"t,x,y,p\n1,2,3,1\n\xff\xfe,1,1,0\n")

@@ -7,11 +7,6 @@ from spikekit.neurons import (
     MODELS,
     NeuronParams,
     NeuronState,
-    aia_step,
-    cached_aia_step,
-    if_step,
-    lif_step,
-    plif_step,
     sigmoid,
     sigmoid_prime,
     step,
@@ -50,6 +45,12 @@ class TestNeuronParams:
         with pytest.raises(ConfigError):
             NeuronParams(surrogate_width=0.0)
 
+    @pytest.mark.parametrize("field", ["v_th", "surrogate_width", "plif_raw"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            NeuronParams(model="plif", **{field: value})
+
     def test_effective_leak(self):
         assert NeuronParams(model="lif", leak=0.3).effective_leak() == 0.3
         assert NeuronParams(model="if", leak=0.3).effective_leak() == 1.0
@@ -65,11 +66,11 @@ class TestLifStep:
     def test_hand_computed_sequence(self):
         p = NeuronParams(model="lif", v_th=1.0, leak=0.5)
         s = NeuronState.zeros(3)
-        s = lif_step(s, np.array([0.4, 1.0, 1.6]), p)
+        s = step(s, np.array([0.4, 1.0, 1.6]), p)
         npt.assert_array_equal(s.u, [0.4, 1.0, 1.6])
         npt.assert_array_equal(s.o, [0.0, 1.0, 1.0])
         # Fired neurons reset: their previous potential does not carry over.
-        s = lif_step(s, np.array([0.5, 0.5, 0.5]), p)
+        s = step(s, np.array([0.5, 0.5, 0.5]), p)
         npt.assert_array_equal(s.u, [0.7, 0.5, 0.5])
         npt.assert_array_equal(s.o, [0.0, 0.0, 0.0])
 
@@ -80,7 +81,7 @@ class TestLifStep:
             u = rng.normal(size=7)
             o = (rng.random(7) < 0.5).astype(float)
             x = rng.normal(size=7)
-            got = lif_step(NeuronState(u=u, o=o), x, p)
+            got = step(NeuronState(u=u, o=o), x, p)
             expect_u = 0.5 * u * (1.0 - o) + x
             npt.assert_array_equal(got.u, expect_u)
             npt.assert_array_equal(got.o, (expect_u >= 1.0).astype(float))
@@ -90,19 +91,19 @@ class TestLifStep:
         p = NeuronParams()
         s = NeuronState.zeros((4, 5))
         for _ in range(30):
-            s = lif_step(s, rng.normal(size=(4, 5)), p)
+            s = step(s, rng.normal(size=(4, 5)), p)
             assert np.all((s.o == 0.0) | (s.o == 1.0))
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(NumericError):
-            lif_step(NeuronState.zeros(2), np.array([1.0, np.nan]), NeuronParams())
+            step(NeuronState.zeros(2), np.array([1.0, np.nan]), NeuronParams())
 
 
 class TestModelVariants:
     def test_if_ignores_configured_leak(self):
         p = NeuronParams(model="if", leak=1.0)
         s = NeuronState(u=np.array([0.8]), o=np.array([0.0]))
-        s = if_step(s, np.array([0.1]), p)
+        s = step(s, np.array([0.1]), p)
         npt.assert_array_equal(s.u, [0.9])
 
     def test_if_equals_lif_with_unit_leak(self):
@@ -112,8 +113,8 @@ class TestModelVariants:
         for _ in range(100):
             state = NeuronState(u=rng.normal(size=6), o=(rng.random(6) < 0.5).astype(float))
             x = rng.normal(size=6)
-            a = if_step(state, x, p_if)
-            b = lif_step(state, x, p_lif)
+            a = step(state, x, p_if)
+            b = step(state, x, p_lif)
             assert a.u.tobytes() == b.u.tobytes()
             assert a.o.tobytes() == b.o.tobytes()
 
@@ -121,7 +122,7 @@ class TestModelVariants:
         raw = -0.4
         p = NeuronParams(model="plif", plif_raw=raw)
         u = np.array([0.9])
-        got = plif_step(NeuronState(u=u, o=np.array([0.0])), np.array([0.0]), p)
+        got = step(NeuronState(u=u, o=np.array([0.0])), np.array([0.0]), p)
         npt.assert_allclose(got.u, float(sigmoid(raw)) * 0.9, rtol=1e-15)
 
     def test_aia_forward_identical_to_lif(self):
@@ -131,15 +132,15 @@ class TestModelVariants:
         for _ in range(100):
             state = NeuronState(u=rng.normal(size=5), o=(rng.random(5) < 0.5).astype(float))
             x = rng.normal(size=5)
-            a = aia_step(state, x, p_aia)
-            b = lif_step(state, x, p)
+            a = step(state, x, p_aia)
+            b = step(state, x, p)
             assert a.u.tobytes() == b.u.tobytes()
             assert a.o.tobytes() == b.o.tobytes()
 
     def test_cached_scales_drive_per_neuron(self):
         p = NeuronParams(model="cached-aia")
         beta = np.array([2.0, 0.5])
-        got = cached_aia_step(NeuronState.zeros(2), np.array([0.6, 0.6]), p, beta)
+        got = step(NeuronState.zeros(2), np.array([0.6, 0.6]), p, beta)
         npt.assert_array_equal(got.u, [1.2, 0.3])
         npt.assert_array_equal(got.o, [1.0, 0.0])
 
@@ -151,14 +152,13 @@ class TestModelVariants:
         for _ in range(100):
             state = NeuronState(u=rng.normal(size=(3, 8)), o=(rng.random((3, 8)) < 0.5).astype(float))
             x = rng.normal(size=(3, 8))
-            a = cached_aia_step(state, x, p, beta)
-            b = lif_step(state, x, p_lif)
+            a = step(state, x, p, beta)
+            b = step(state, x, p_lif)
             assert a.u.tobytes() == b.u.tobytes()
 
     def test_cached_beta_shape_checked(self):
         with pytest.raises(DimensionError):
-            cached_aia_step(NeuronState.zeros(3), np.zeros(3), NeuronParams(model="cached-aia"),
-                            np.ones(4))
+            step(NeuronState.zeros(3), np.zeros(3), NeuronParams(model="cached-aia"), np.ones(4))
 
 
 class TestDispatch:

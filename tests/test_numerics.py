@@ -53,56 +53,6 @@ class TestMatmul:
             numerics.matmul(np.zeros(3), np.zeros((3, 2)))
 
 
-class TestElementwise:
-    def test_same_shape(self):
-        npt.assert_array_equal(numerics.add([1.0, 2.0], [3.0, 4.0]), [4.0, 6.0])
-        npt.assert_array_equal(numerics.sub([1.0, 2.0], [3.0, 4.0]), [-2.0, -2.0])
-        npt.assert_array_equal(numerics.mul([1.0, 2.0], [3.0, 4.0]), [3.0, 8.0])
-
-    def test_scalar_operand(self):
-        npt.assert_array_equal(numerics.add([1.0, 2.0], 1.0), [2.0, 3.0])
-        npt.assert_array_equal(numerics.mul(2.0, [1.0, 2.0]), [2.0, 4.0])
-
-    def test_no_general_broadcasting(self):
-        # (2, 3) against (3,) would broadcast in numpy; here it is an error.
-        with pytest.raises(DimensionError):
-            numerics.add(np.zeros((2, 3)), np.zeros(3))
-
-    def test_scale(self):
-        npt.assert_array_equal(numerics.scale([1.0, -2.0], -0.5), [-0.5, 1.0])
-
-
-class TestHeaviside:
-    def test_at_threshold_fires(self):
-        npt.assert_array_equal(numerics.heaviside_ge(np.array([0.999, 1.0, 1.001]), 1.0),
-                               [0.0, 1.0, 1.0])
-
-    def test_output_is_exactly_binary(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            u = rng.normal(0.0, 3.0, size=rng.integers(1, 40))
-            out = numerics.heaviside_ge(u, 1.0)
-            assert np.all((out == 0.0) | (out == 1.0))
-
-    def test_array_threshold(self):
-        out = numerics.heaviside_ge(np.array([0.5, 0.5]), np.array([0.4, 0.6]))
-        npt.assert_array_equal(out, [1.0, 0.0])
-
-
-class TestReductions:
-    def test_values(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert numerics.reduce_sum(a) == 10.0
-        assert numerics.reduce_mean(a) == 2.5
-        npt.assert_array_equal(numerics.reduce_sum(a, axis=0), [4.0, 6.0])
-        assert numerics.argmax(np.array([3.0, 7.0, 7.0])) == 1
-
-    def test_empty_rejected(self):
-        for fn in (numerics.reduce_sum, numerics.reduce_mean, numerics.argmax):
-            with pytest.raises(EmptyInputError):
-                fn(np.zeros((0,)))
-
-
 class TestHistogram:
     def test_counts_match_manual_binning(self):
         rng = np.random.default_rng(5)
@@ -122,6 +72,10 @@ class TestHistogram:
         values = rng.normal(size=333)
         edges = np.linspace(values.min(), values.max(), 9)
         assert numerics.histogram(values, edges).sum() == values.size
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInputError):
+            numerics.histogram(np.zeros((0,)), np.array([0.0, 1.0]))
 
     def test_edges_must_increase(self):
         with pytest.raises(DimensionError):

@@ -42,6 +42,12 @@ class TestTrainConfig:
         assert cfg.adam_beta2 == 0.999
         assert cfg.adam_eps == 1e-8
 
+    @pytest.mark.parametrize("key", ["learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rates_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(epochs=1, batch_size=1, seed=0, **{key: value})
+
     def test_validation(self):
         good = dict(epochs=1, batch_size=1, seed=0)
         with pytest.raises(ConfigError):
@@ -168,6 +174,14 @@ class TestTrainLoop:
             train(net, train_ds, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert info.value.parameter == "layer0.w"
         assert "layer0.w" in str(info.value)
+
+    def test_non_finite_plif_leak_is_divergence(self):
+        train_ds, _ = _toy()
+        net = _toy_net("plif")
+        net.layers[1].plif_raw[...] = np.nan
+        with pytest.raises(TrainingDiverged) as info:
+            train(net, train_ds, TrainConfig(epochs=1, batch_size=4, seed=0, model="plif"))
+        assert info.value.parameter == "layer1.plif_raw"
 
     def test_nan_loss_with_finite_parameters(self, monkeypatch):
         train_ds, _ = _toy()
