@@ -13,10 +13,9 @@ Run from the repository root:
 
 import numpy as np
 
-from spikekit.bptt import forward_record
 from spikekit.data import gen_poisson_patterns
 from spikekit.network import init_network, merge_beta
-from spikekit.training import TrainConfig, train
+from spikekit.training import TrainConfig, evaluate, train
 
 SEED = 7
 WIDTHS = [64, 32, 4]
@@ -38,8 +37,8 @@ def main():
         print(f"layer {i} gains in [{lo:.4f}, {hi:.4f}]")
 
     merged = merge_beta(trained)
-    _, plain = forward_record(trained, test_ds.data)
-    _, folded = forward_record(merged, test_ds.data)
+    plain = evaluate(trained, test_ds).readout
+    folded = evaluate(merged, test_ds).readout
     deviation = float(np.max(np.abs(plain - folded)))
     print(f"\nmax readout deviation after folding: {deviation:.3e}")
 

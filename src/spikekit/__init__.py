@@ -58,7 +58,6 @@ from .training import (
     RunMetrics,
     TrainConfig,
     evaluate,
-    spike_count_report,
     train,
     weight_shift_report,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "save_checkpoint",
     "save_dataset_cache",
     "softmax",
-    "spike_count_report",
     "step",
     "surrogate_spike_derivative",
     "train",

@@ -369,12 +369,12 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     inputs = numerics.as_dense(inputs)
 
     def loss_at() -> float:
-        tape, _ = forward_record(work, inputs, smoothed=True)
-        loss, _, _ = readout_and_loss(tape, labels)
+        _, readout = forward_record(work, inputs, smoothed=True)
+        loss, _, _ = readout_and_loss(readout, labels)
         return loss
 
-    tape, _ = forward_record(work, inputs, smoothed=True)
-    _, upstream, _ = readout_and_loss(tape, labels)
+    tape, readout = forward_record(work, inputs, smoothed=True)
+    _, upstream, _ = readout_and_loss(readout, labels)
     grads = _backward(tape, upstream, work, smoothed=True)
     analytic_by_name = dict(grads.items())
 

@@ -38,7 +38,6 @@ from .training import (
     TrainConfig,
     covering_bin_edges,
     evaluate,
-    spike_count_report,
     train,
     weight_shift_report,
     write_metrics_csv,
@@ -60,7 +59,7 @@ def _chk_int(path, value, lo=None, hi=None):
     return value
 
 
-def _chk_number(path, value, lo=None, hi=None, lo_strict=False):
+def _chk_number(path, value, lo=None, hi=None, lo_strict=False, hi_strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {path} must be a number")
     try:
@@ -72,8 +71,9 @@ def _chk_number(path, value, lo=None, hi=None, lo_strict=False):
     if lo is not None and (value <= lo if lo_strict else value < lo):
         op = ">" if lo_strict else ">="
         raise ConfigError(f"config key {path} must be {op} {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"config key {path} must be <= {hi}, got {value}")
+    if hi is not None and (value >= hi if hi_strict else value > hi):
+        op = "<" if hi_strict else "<="
+        raise ConfigError(f"config key {path} must be {op} {hi}, got {value}")
     return value
 
 
@@ -113,7 +113,7 @@ def _chk_network(path, value):
         raise ConfigError(f"config key {path} must be an object")
     return _apply_schema(value, {
         "hidden": ([32], _chk_int_list),
-        "v_th": (1.0, lambda p, v: _chk_number(p, v)),
+        "v_th": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
         "leak": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
         "surrogate_width": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
     }, path)
@@ -126,8 +126,8 @@ def _chk_train(path, value):
         "epochs": (20, lambda p, v: _chk_int(p, v, lo=1)),
         "batch_size": (20, lambda p, v: _chk_int(p, v, lo=1)),
         "learning_rate": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0)),
-        "adam_beta1": (0.9, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
-        "adam_beta2": (0.999, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
+        "adam_beta1": (0.9, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
+        "adam_beta2": (0.999, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
         "adam_eps": (1e-8, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
     }, path)
 
@@ -345,6 +345,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_train(spec: RunSpec) -> int:
     cfg = spec.effective_config()
+    train_cfg = _train_config(cfg)
     train_ds, test_ds = _build_datasets(cfg)
     widths = [train_ds.neurons] + cfg["network"]["hidden"] + [train_ds.class_count]
     net = init_network(
@@ -360,7 +361,7 @@ def cmd_train(spec: RunSpec) -> int:
     _echo_config(cfg, run_dir)
     print(f"run directory: {run_dir}")
 
-    trained, metrics = train(net, train_ds, _train_config(cfg), test_ds)
+    trained, metrics = train(net, train_ds, train_cfg, test_ds)
     save_checkpoint(trained, run_dir / "checkpoint.json", seed=cfg["seed"])
     write_metrics_csv(metrics, run_dir / "metrics.csv")
     write_metrics_json(metrics, run_dir / "metrics.json")
@@ -380,14 +381,11 @@ def cmd_eval(spec: RunSpec) -> int:
     net, _ = load_checkpoint(cfg["checkpoint"])
     dataset = _eval_split(cfg)
 
-    if spec.merge_beta:
-        merged = merge_beta(net)
-        _, plain_readout = bptt.forward_record(net, dataset.data)
-        _, merged_readout = bptt.forward_record(merged, dataset.data)
-        deviation = float(np.max(np.abs(plain_readout - merged_readout)))
-        net = merged
-
     result = evaluate(net, dataset)
+    if spec.merge_beta:
+        plain_readout = result.readout
+        result = evaluate(merge_beta(net), dataset)
+        deviation = float(np.max(np.abs(plain_readout - result.readout)))
     print(f"loss {result.loss:.6f}")
     print(f"accuracy {result.accuracy:.4f}")
     for i, count in enumerate(result.spike_counts):
@@ -429,8 +427,8 @@ def cmd_analyze(spec: RunSpec) -> int:
 
     edges = covering_bin_edges(net_a, net_b)
     deltas = weight_shift_report(net_a, net_b, edges)
-    counts_a = spike_count_report(net_a, dataset)
-    counts_b = spike_count_report(net_b, dataset)
+    counts_a = evaluate(net_a, dataset).spike_counts
+    counts_b = evaluate(net_b, dataset).spike_counts
 
     run_dir = _make_run_dir(spec.out_dir, "analyze")
     _echo_config(cfg, run_dir)

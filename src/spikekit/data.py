@@ -49,6 +49,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.data.ndim != 3:
             raise DataError(f"dataset tensor must be 3-d, got shape {self.data.shape}")
+        if self.data.shape[0] == 0:
+            raise DataError("dataset holds no samples")
         if self.labels.shape != (self.data.shape[0],):
             raise DataError(
                 f"{self.labels.shape[0] if self.labels.ndim == 1 else self.labels.shape} "
@@ -76,10 +78,6 @@ class Dataset:
     @property
     def timesteps(self) -> int:
         return self.data.shape[2]
-
-    @property
-    def samples(self) -> list:
-        return [(self.data[i], int(self.labels[i])) for i in range(len(self))]
 
 
 def gen_poisson_patterns(class_count, neurons, timesteps, rate_lo, rate_hi,

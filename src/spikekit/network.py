@@ -90,9 +90,6 @@ class Network:
                 f"output layer width {prev} does not match class count {self.class_count}"
             )
 
-    def layer_widths(self) -> list[int]:
-        return [self.input_width] + [layer.out_width for layer in self.layers]
-
     def copy(self) -> "Network":
         return Network(
             input_width=self.input_width,
@@ -198,15 +195,14 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def readout_and_loss(tape, labels):
+def readout_and_loss(readout, labels):
     """Cross-entropy on the output firing rate.
 
-    Takes the recorded tape's readout (per-sample firing rate per class) and
-    integer labels; returns ``(loss, dL/d-readout, predictions)`` where the
-    loss is averaged over the batch and predictions break rate ties toward
-    the lower class index.
+    Takes the readout (a (batch, classes) array of per-sample firing rates)
+    and integer labels; returns ``(loss, dL/d-readout, predictions)`` where
+    the loss is averaged over the batch and predictions break rate ties
+    toward the lower class index.
     """
-    readout = tape.readout
     labels = np.asarray(labels, dtype=np.int64)
     batch, class_count = readout.shape
     if labels.shape != (batch,):

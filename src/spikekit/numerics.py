@@ -19,15 +19,10 @@ from .errors import DimensionError, EmptyInputError, NumericError
 DTYPE = np.float64
 
 
-def as_dense(values, shape=None) -> np.ndarray:
-    """Coerce ``values`` to a float64 C-order array, optionally reshaped."""
+def as_dense(values) -> np.ndarray:
+    """Coerce ``values`` to a float64 C-order array."""
     # asarray keeps scalars 0-d; ascontiguousarray would pad them to (1,).
-    a = np.asarray(values, dtype=DTYPE, order="C")
-    if shape is not None:
-        if a.size != int(np.prod(shape)):
-            raise DimensionError(f"cannot view {a.size} values as shape {tuple(shape)}")
-        a = a.reshape(shape)
-    return a
+    return np.asarray(values, dtype=DTYPE, order="C")
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:

@@ -132,16 +132,31 @@ class EvalResult:
     loss: float
     accuracy: float
     spike_counts: list
+    readout: np.ndarray  # (samples, classes) output firing rates
 
 
 def evaluate(net: Network, dataset: Dataset) -> EvalResult:
-    """Forward the whole set once; loss, accuracy, and per-layer spike totals."""
+    """Loss, accuracy, per-layer spike totals and readout of the whole set.
+
+    The training forward runs on chunks of ``ceil(GEMM_ROWS / timesteps)``
+    samples, so memory holds one chunk's tape whatever the set's size.
+    """
     _check_dataset(net, dataset, "dataset")
-    tape, _ = bptt.forward_record(net, dataset.data)
-    loss, _, predictions = readout_and_loss(tape, dataset.labels)
+    chunk = -(-bptt.GEMM_ROWS // net.timesteps)
+    readouts = []
+    counts = [0] * len(net.layers)
+    for start in range(0, len(dataset), chunk):
+        # A C-ordered slice: forward_record's time-major copy of it is freed
+        # after the layer-0 GEMM, where a gathered chunk would live on in the tape.
+        tape, readout = bptt.forward_record(net, dataset.data[start:start + chunk])
+        readouts.append(readout)
+        counts = [c + int(o.sum()) for c, o in zip(counts, tape.o)]
+        del tape  # freed before the next chunk's tape is made
+    readout = np.concatenate(readouts)
+    loss, _, predictions = readout_and_loss(readout, dataset.labels)
     accuracy = float(np.mean(predictions == dataset.labels))
-    counts = [int(sum(float(o.sum()) for o in layer_o)) for layer_o in tape.o]
-    return EvalResult(loss=float(loss), accuracy=accuracy, spike_counts=counts)
+    return EvalResult(loss=float(loss), accuracy=accuracy, spike_counts=counts,
+                      readout=readout)
 
 
 def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
@@ -155,8 +170,8 @@ def _train_step(net: Network, opt: Adam, batch: np.ndarray, labels: np.ndarray):
     are freed before the next batch's forward and before any evaluation.
     """
     try:
-        tape, _ = bptt.forward_record(net, batch)
-        loss, upstream, predictions = readout_and_loss(tape, labels)
+        tape, readout = bptt.forward_record(net, batch)
+        loss, upstream, predictions = readout_and_loss(readout, labels)
     except (NumericError, ConfigError):
         # Blown-up parameters surface as non-finite drive mid-forward, or as
         # a non-finite plif leak parameter.
@@ -173,7 +188,8 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Datase
     The input network is left untouched. Train loss/accuracy are the
     running values observed on each batch before its update; test metrics
     come from :func:`evaluate` on the epoch-end parameters, so a later
-    ``evaluate`` of the saved network reproduces the final row exactly.
+    ``evaluate`` of the saved network reproduces the final row exactly,
+    spike counts included (of the train set when there is no test set).
     """
     _check_dataset(net, dataset, "train dataset")
     if test_dataset is not None:
@@ -218,13 +234,10 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Datase
             metrics.test_accuracy.append(result.accuracy)
         metrics.wall_clock_s.append(time.perf_counter() - started)
 
-    metrics.spike_counts = evaluate(net, test_dataset if test_dataset is not None else dataset).spike_counts
+    if test_dataset is None:
+        result = evaluate(net, dataset)
+    metrics.spike_counts = result.spike_counts
     return net, metrics
-
-
-def spike_count_report(net: Network, dataset: Dataset) -> list:
-    """Total spikes emitted per layer over the whole evaluation set."""
-    return evaluate(net, dataset).spike_counts
 
 
 def weight_shift_report(net_a: Network, net_b: Network, bin_edges) -> np.ndarray:

@@ -143,7 +143,7 @@ class TestHardBackwardClosedForms:
     def test_lif_weight_gradient(self):
         net, inputs, labels = self._net_and_data("lif")
         tape, _ = forward_record(net, inputs)
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
         o_pre, _, dv = _single_step_pieces(net, inputs, labels)
         npt.assert_allclose(grads.d_w[0], dv.T @ o_pre, rtol=1e-13, atol=1e-16)
@@ -151,7 +151,7 @@ class TestHardBackwardClosedForms:
     def test_aia_weight_gradient_carries_drive_factor(self):
         net, inputs, labels = self._net_and_data("aia")
         tape, _ = forward_record(net, inputs)
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
         o_pre, x, dv = _single_step_pieces(net, inputs, labels)
         npt.assert_allclose(grads.d_w[0], (dv * x).T @ o_pre, rtol=1e-13, atol=1e-16)
@@ -161,7 +161,7 @@ class TestHardBackwardClosedForms:
         beta = self.rng.uniform(0.5, 1.5, size=3)
         net.layers[0].beta[:] = beta
         tape, _ = forward_record(net, inputs)
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
 
         w = net.layers[0].w
@@ -183,7 +183,7 @@ class TestHardBackwardClosedForms:
         inputs = _binary_inputs(self.rng, 4, 4, 2)
         labels = self.rng.integers(0, 3, size=4)
         tape, _ = forward_record(net, inputs)
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
 
         leak = 0.5
@@ -224,7 +224,7 @@ class TestAssociationUpdateForms:
         inputs = _binary_inputs(rng, 1, 6, 1)
         labels = np.array([2])
         tape, _ = forward_record(net, inputs)
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
 
         sd = (np.abs(tape.u[0][0][0] - 1.0) <= 0.5).astype(float)
@@ -248,7 +248,7 @@ class TestSilentSynapses:
         inputs[:, silent, :] = 0.0
         labels = rng.integers(0, 4, size=6)
         tape, _ = forward_record(net, inputs)
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
         column = grads.d_w[0][:, silent]
         assert np.all(column == 0.0)
@@ -263,7 +263,7 @@ class TestSilentSynapses:
         labels = rng.integers(0, 3, size=5)
         tape, _ = forward_record(net, inputs)
         assert all(np.all(o[:, 2] == 0.0) for o in tape.o[0])
-        _, upstream, _ = readout_and_loss(tape, labels)
+        _, upstream, _ = readout_and_loss(tape.readout, labels)
         grads = backward(tape, upstream, net)
         assert np.all(grads.d_w[1][:, 2] == 0.0)
 

@@ -146,7 +146,7 @@ def _check_against_oracle(net, batch, seed):
     inputs = (rng.random((batch, net.input_width, net.timesteps)) < 0.5).astype(np.float64)
     labels = rng.integers(0, net.class_count, size=batch)
     tape, _ = bptt.forward_record(net, inputs)
-    _, upstream, _ = readout_and_loss(tape, labels)
+    _, upstream, _ = readout_and_loss(tape.readout, labels)
     engine = dict(bptt.backward(tape, upstream, net).items())
     reference, ref_spikes = _naive_backward(net, inputs, upstream)
 

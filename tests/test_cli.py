@@ -282,6 +282,23 @@ class TestMalformedInputs:
         assert rc == 2
         assert f"config key {section}.{key} must be a finite number" in err
 
+    @pytest.mark.parametrize("section, key, value, bound", [
+        ("train", "adam_beta1", 1.0, "< 1.0"),
+        ("train", "adam_beta2", 1.0, "< 1.0"),
+        ("network", "v_th", -1.0, "> 0.0"),
+        ("network", "v_th", 0.0, "> 0.0"),
+    ])
+    def test_config_out_of_range_leaves_no_run_dir(self, tmp_path, capsys, section, key,
+                                                   value, bound):
+        doc = json.loads(json.dumps(TINY))
+        doc[section][key] = value
+        out = tmp_path / "runs"
+        rc = main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config key {section}.{key} must be {bound}, got {value}" in err
+        assert not out.exists()
+
     def test_non_utf8_event_csv(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_bytes(b"t,x,y,p\n1,2,3,1\n\xff\xfe,1,1,0\n")
         manifest = tmp_path / "manifest.json"

@@ -102,13 +102,9 @@ class TestDatasetInvariants:
             Dataset(data=np.zeros((1, 2, 2)), labels=np.zeros(1, dtype=int),
                     class_count=1, split="holdout")
 
-    def test_samples_view(self):
-        ds = gen_poisson_patterns(2, 4, 3, 0.1, 0.9, n_per_class=2, seed=1)
-        samples = ds.samples
-        assert len(samples) == len(ds) == 4
-        tensor, label = samples[3]
-        npt.assert_array_equal(tensor, ds.data[3])
-        assert label == 1
+    def test_rejects_zero_samples(self):
+        with pytest.raises(DataError, match="no samples"):
+            Dataset(data=np.zeros((0, 3, 4)), labels=np.zeros(0, dtype=int), class_count=2)
 
 
 class TestLoadEventsCsv:

@@ -15,7 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
                                "gain 2.2 on drive      ..|..|......|..|"]),
     ("02_event_binning.py", ["8 events",
                              "the two t~400 events in the same cell produced one spike"]),
-], ids=["01_neuron_dynamics", "02_event_binning"])
+    ("03_gradient_check.py", ["overall: pass (tolerance 0.001)"]),
+    ("04_train_compare.py", ["cached-aia           8148     1142     9290"]),
+    ("05_merge_gains.py", ["max readout deviation after folding: 0.000e+00"]),
+], ids=["01_neuron_dynamics", "02_event_binning", "03_gradient_check", "04_train_compare",
+        "05_merge_gains"])
 def test_demo_runs(demo, expected):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

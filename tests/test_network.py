@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -87,10 +86,6 @@ class TestNetworkAssembly:
         with pytest.raises(ConfigError):
             Network(input_width=4, timesteps=0, class_count=2, layers=[self._layer(2, 4)])
 
-    def test_layer_widths(self):
-        net = init_network([9, 5, 3], model="lif", timesteps=2, seed=0)
-        assert net.layer_widths() == [9, 5, 3]
-
     def test_copy_is_deep_for_parameters(self):
         net = init_network([5, 4, 2], model="cached-aia", timesteps=2, seed=0)
         dup = net.copy()
@@ -108,8 +103,7 @@ class TestNetworkAssembly:
 
 class TestReadoutLoss:
     def test_uniform_rates_give_log_class_count(self):
-        tape = SimpleNamespace(readout=np.full((3, 4), 0.25))
-        loss, grad, _ = readout_and_loss(tape, np.array([0, 1, 3]))
+        loss, grad, _ = readout_and_loss(np.full((3, 4), 0.25), np.array([0, 1, 3]))
         npt.assert_allclose(loss, math.log(4.0), rtol=1e-14)
         # Uniform probabilities: gradient is (1/C - onehot) / batch.
         expect = np.full((3, 4), 0.25)
@@ -120,7 +114,7 @@ class TestReadoutLoss:
         rng = np.random.default_rng(7)
         readout = rng.random((6, 5))
         labels = rng.integers(0, 5, size=6)
-        _, grad, _ = readout_and_loss(SimpleNamespace(readout=readout), labels)
+        _, grad, _ = readout_and_loss(readout, labels)
         probs = softmax(readout)
         onehot = np.zeros_like(probs)
         onehot[np.arange(6), labels] = 1.0
@@ -129,23 +123,22 @@ class TestReadoutLoss:
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(8)
         readout = rng.random((4, 3))
-        _, grad, _ = readout_and_loss(SimpleNamespace(readout=readout),
-                                      rng.integers(0, 3, size=4))
+        _, grad, _ = readout_and_loss(readout, rng.integers(0, 3, size=4))
         npt.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
 
     def test_prediction_ties_break_low(self):
-        tape = SimpleNamespace(readout=np.array([[0.2, 0.5, 0.5], [0.7, 0.7, 0.1]]))
-        _, _, predictions = readout_and_loss(tape, np.array([1, 0]))
+        readout = np.array([[0.2, 0.5, 0.5], [0.7, 0.7, 0.1]])
+        _, _, predictions = readout_and_loss(readout, np.array([1, 0]))
         npt.assert_array_equal(predictions, [1, 0])
 
     def test_label_validation(self):
-        tape = SimpleNamespace(readout=np.zeros((2, 3)))
+        readout = np.zeros((2, 3))
         with pytest.raises(DataError):
-            readout_and_loss(tape, np.array([0, 3]))
+            readout_and_loss(readout, np.array([0, 3]))
         with pytest.raises(DataError):
-            readout_and_loss(tape, np.array([-1, 0]))
+            readout_and_loss(readout, np.array([-1, 0]))
         with pytest.raises(DimensionError):
-            readout_and_loss(tape, np.array([0, 1, 2]))
+            readout_and_loss(readout, np.array([0, 1, 2]))
 
 
 class TestSoftmax:
@@ -226,7 +219,8 @@ class TestCheckpoint:
         save_checkpoint(net, path, seed=14)
         loaded, seed = load_checkpoint(path)
         assert seed == 14
-        assert loaded.layer_widths() == net.layer_widths()
+        assert loaded.input_width == net.input_width
+        assert [la.w.shape for la in loaded.layers] == [la.w.shape for la in net.layers]
         assert loaded.timesteps == net.timesteps
         for la, lb in zip(net.layers, loaded.layers):
             assert la.w.tobytes() == lb.w.tobytes()

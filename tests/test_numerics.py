@@ -12,15 +12,6 @@ class TestAsDense:
         assert a.shape == ()
         assert a.dtype == np.float64
 
-    def test_reshape(self):
-        a = numerics.as_dense([1, 2, 3, 4, 5, 6], shape=(2, 3))
-        assert a.shape == (2, 3)
-        npt.assert_array_equal(a, [[1, 2, 3], [4, 5, 6]])
-
-    def test_reshape_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            numerics.as_dense([1, 2, 3], shape=(2, 2))
-
     def test_contiguous_output(self):
         strided = np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]
         assert numerics.as_dense(strided).flags["C_CONTIGUOUS"]

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from spikekit import training
-from spikekit.data import gen_poisson_patterns
+from spikekit.data import Dataset, gen_poisson_patterns
 from spikekit.errors import ConfigError, DimensionError, StateError, TrainingDiverged
 from spikekit.network import init_network
 from spikekit.training import (
@@ -14,7 +14,6 @@ from spikekit.training import (
     TrainConfig,
     covering_bin_edges,
     evaluate,
-    spike_count_report,
     train,
     weight_shift_report,
     write_metrics_csv,
@@ -166,6 +165,19 @@ class TestTrainLoop:
         assert result.accuracy == metrics.test_accuracy[-1]
         assert result.spike_counts == metrics.spike_counts
 
+    def test_test_set_evaluated_once_per_epoch(self, monkeypatch):
+        calls = []
+
+        def counted(net, dataset):
+            calls.append(dataset)
+            return evaluate(net, dataset)
+
+        monkeypatch.setattr(training, "evaluate", counted)
+        train_ds, test_ds = _toy()
+        train(_toy_net(), train_ds, TrainConfig(epochs=3, batch_size=4, seed=7), test_ds)
+        assert len(calls) == 3
+        assert all(ds is test_ds for ds in calls)
+
     def test_divergence_names_first_bad_parameter(self):
         train_ds, _ = _toy()
         net = _toy_net()
@@ -186,8 +198,8 @@ class TestTrainLoop:
     def test_nan_loss_with_finite_parameters(self, monkeypatch):
         train_ds, _ = _toy()
 
-        def poisoned(tape, labels):
-            return float("nan"), np.zeros_like(tape.readout), np.zeros(len(labels), dtype=int)
+        def poisoned(readout, labels):
+            return float("nan"), np.zeros_like(readout), np.zeros(len(labels), dtype=int)
 
         monkeypatch.setattr(training, "readout_and_loss", poisoned)
         with pytest.raises(TrainingDiverged) as info:
@@ -239,7 +251,52 @@ class TestEvaluate:
         result = evaluate(net, train_ds)
         for count, width in zip(result.spike_counts, [6, 2]):
             assert 0 <= count <= len(train_ds) * width * train_ds.timesteps
-        assert spike_count_report(net, train_ds) == result.spike_counts
+
+    @pytest.mark.parametrize("model", ["lif", "if", "plif", "aia", "cached-aia"])
+    def test_chunks_equal_one_whole_set_forward(self, model):
+        # Two full chunks and a remainder of three samples.
+        timesteps = 8
+        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        rng = np.random.default_rng(21)
+        n = 2 * chunk + 3
+        ds = Dataset((rng.random((n, 6, timesteps)) < 0.4).astype(np.float64),
+                     rng.integers(0, 3, size=n), class_count=3)
+        net = init_network([6, 5, 3], model=model, timesteps=timesteps, seed=22, v_th=0.5)
+        for layer in net.layers:
+            if layer.beta is not None:
+                layer.beta[:] = rng.uniform(0.5, 1.5, size=layer.beta.shape)
+            if layer.plif_raw is not None:
+                layer.plif_raw[...] = 0.4
+        tape, readout = training.bptt.forward_record(net, ds.data)
+        loss, _, _ = training.readout_and_loss(readout, ds.labels)
+
+        result = evaluate(net, ds)
+        assert result.readout.shape == (n, 3)
+        npt.assert_array_equal(result.readout, readout)
+        assert result.spike_counts == [int(o.sum()) for o in tape.o]
+        assert all(count > 0 for count in result.spike_counts)
+        assert result.loss == loss
+
+    def test_memory_bounded_by_one_chunk(self):
+        # Five chunks: a whole-set tape would be five times one chunk's.
+        timesteps = 64
+        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        kw = dict(class_count=2, neurons=16, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
+                  seed=9)
+        ds = gen_poisson_patterns(n_per_class=5 * chunk // 2, split="test", **kw)
+        net = init_network([16, 64, 64, 2], model="lif", timesteps=timesteps, seed=10)
+        tape, _ = training.bptt.forward_record(net, ds.data[:chunk])
+        tape_bytes = sum(a.nbytes for series in (tape.x, tape.u, tape.o) for a in series)
+        del tape
+
+        tracemalloc.start()
+        try:
+            evaluate(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * tape_bytes, (
+            f"peak {peak / 1e6:.1f} MB, one chunk's tape {tape_bytes / 1e6:.1f} MB")
 
 
 class TestWeightShift:
