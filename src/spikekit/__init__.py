@@ -9,8 +9,6 @@ from .bptt import (
     BpttTape,
     GradcheckReport,
     GradientSet,
-    aia_update_from_drive,
-    aia_update_gated_sum,
     backward,
     forward_record,
     gradcheck,
@@ -88,8 +86,6 @@ __all__ = [
     "StateError",
     "TrainConfig",
     "TrainingDiverged",
-    "aia_update_from_drive",
-    "aia_update_gated_sum",
     "backward",
     "bin_events",
     "evaluate",

@@ -10,7 +10,8 @@ and accumulates gradients for every trainable array.
 
 The engine is layer-major. There are no recurrent weights, so a layer's
 drive for every timestep comes from one GEMM over the spikes of the layer
-below, and only the elementwise membrane recurrence runs step by step. The
+below, and one :func:`spikekit.neurons.scan` call then runs the elementwise
+membrane recurrence over the window, writing the tape's ``u`` and ``o``. The
 backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)`` steps,
 latest block first. Within a block it takes each layer from the top down:
 an elementwise reverse scan of dL/du, then one GEMM for the weight gradient
@@ -51,8 +52,8 @@ import numpy as np
 from . import numerics
 from .errors import DimensionError, StateError
 from .network import Network, readout_and_loss
-from .neurons import (MODEL_TABLE, NeuronState, sigmoid, sigmoid_prime, step,
-                      surrogate_spike_derivative)
+from .neurons import MODEL_TABLE, scan, sigmoid_prime, surrogate_spike_derivative
+from .neurons import step  # noqa: F401  (perfbench traces the one-step entry point here)
 
 # Rows (timesteps x batch) per backward GEMM: the time-block size is
 # ceil(GEMM_ROWS / batch) steps.
@@ -139,26 +140,6 @@ def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
     return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 
-def _scan(x: np.ndarray, layer, smoothed: bool):
-    """Run one layer's membrane recurrence over a ``(T, B, N)`` drive; returns ``(u, o)``."""
-    p = layer.params()
-    u = np.empty_like(x)
-    o = np.empty_like(x)
-    state = NeuronState.zeros(x.shape[1:])
-    if smoothed:
-        leak = p.effective_leak()
-        drive = MODEL_TABLE[p.model].smoothed_drive(x, layer.beta)
-    for t in range(len(x)):
-        if smoothed:
-            u_t = leak * state.u * (1.0 - state.o) + drive[t]
-            state = NeuronState(u=u_t, o=sigmoid((u_t - p.v_th) / p.surrogate_width))
-        else:
-            state = step(state, x[t], p, layer.beta)
-        u[t] = state.u
-        o[t] = state.o
-    return u, o
-
-
 def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
@@ -185,7 +166,7 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     for layer in net.layers:
         x = numerics.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
-        u, o = _scan(x, layer, smoothed)
+        u, o = scan(x, layer.params(), layer.beta, smoothed=smoothed)
         tape.x.append(x)
         tape.u.append(u)
         tape.o.append(o)
@@ -218,7 +199,8 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
     if carry is not None:
         du[-1] += through_time[-1] * carry
     for k in reversed(range(len(du) - 1)):
-        du[k] += through_time[k] * du[k + 1]
+        through_time[k] *= du[k + 1]
+        du[k] += through_time[k]
     return du
 
 
@@ -290,43 +272,6 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
 def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     """Hard-mode backward pass; each layer follows its model's table row."""
     return _backward(tape, upstream, net, smoothed=False)
-
-
-def aia_update_from_drive(w, o_pre, dldu) -> np.ndarray:
-    """Drive-form association update for one timestep of one sample.
-
-    Each entry is the neuron's total weighted drive times the potential
-    gradient, gated by the presynaptic spike:
-    ``(sum_k w[i, k] o_pre[k]) * dldu[i] * o_pre[j]``.
-    """
-    w = numerics.as_dense(w)
-    o_pre = numerics.as_dense(o_pre)
-    dldu = numerics.as_dense(dldu)
-    drive = w @ o_pre
-    return np.outer(drive * dldu, o_pre)
-
-
-def aia_update_gated_sum(w, o_pre, dldu) -> np.ndarray:
-    """Gated-sum association update, written as explicit per-synapse loops.
-
-    Independently accumulates, for each neuron, the presynaptically gated
-    sum of weighted leaky-rule terms ``o_pre[k] * w[i, k] * (dldu[i] *
-    o_pre[k])`` and distributes it to every active synapse. Kept loop-based
-    on purpose as a cross-check for :func:`aia_update_from_drive`.
-    """
-    w = numerics.as_dense(w)
-    o_pre = numerics.as_dense(o_pre)
-    dldu = numerics.as_dense(dldu)
-    out_n, in_n = w.shape
-    update = np.zeros((out_n, in_n))
-    for i in range(out_n):
-        gathered = 0.0
-        for k in range(in_n):
-            leaky_term = dldu[i] * o_pre[k]
-            gathered += o_pre[k] * w[i, k] * leaky_term
-        for j in range(in_n):
-            update[i, j] = o_pre[j] * gathered
-    return update
 
 
 @dataclass

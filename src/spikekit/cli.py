@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
@@ -227,31 +226,13 @@ def load_config(path) -> dict:
     return raw
 
 
-@dataclass
-class RunSpec:
-    """A parsed invocation: command, config source, and flag overrides."""
-
-    command: str
-    config_path: str | None = None
-    out_dir: str = "runs"
-    overrides: dict = field(default_factory=dict)
-    merge_beta: bool = False
-    checkpoint: str | None = None
-    checkpoint_a: str | None = None
-    checkpoint_b: str | None = None
-
-    def effective_config(self) -> dict:
-        raw = load_config(self.config_path)
-        merged = dict(raw)
-        merged.update(self.overrides)
-        cfg = validate_config(merged)
-        if self.checkpoint is not None:
-            cfg["checkpoint"] = self.checkpoint
-        if self.checkpoint_a is not None:
-            cfg["checkpoint_a"] = self.checkpoint_a
-        if self.checkpoint_b is not None:
-            cfg["checkpoint_b"] = self.checkpoint_b
-        return cfg
+def effective_config(args: argparse.Namespace) -> dict:
+    """The config file with the flags given on the command line laid over it."""
+    merged = load_config(args.config)
+    for key in ("seed", "model", "checkpoint", "checkpoint_a", "checkpoint_b"):
+        if vars(args).get(key) is not None:
+            merged[key] = vars(args)[key]
+    return validate_config(merged)
 
 
 def _make_run_dir(out_dir, command: str) -> Path:
@@ -339,12 +320,11 @@ def _train_config(cfg: dict) -> TrainConfig:
         seed=cfg["seed"],
         model=cfg["model"],
         timesteps=cfg["timesteps"],
-        dataset=cfg["dataset"],
     )
 
 
-def cmd_train(spec: RunSpec) -> int:
-    cfg = spec.effective_config()
+def cmd_train(args: argparse.Namespace) -> int:
+    cfg = effective_config(args)
     train_cfg = _train_config(cfg)
     train_ds, test_ds = _build_datasets(cfg)
     widths = [train_ds.neurons] + cfg["network"]["hidden"] + [train_ds.class_count]
@@ -357,7 +337,7 @@ def cmd_train(spec: RunSpec) -> int:
         leak=cfg["network"]["leak"],
         surrogate_width=cfg["network"]["surrogate_width"],
     )
-    run_dir = _make_run_dir(spec.out_dir, "train")
+    run_dir = _make_run_dir(args.out, "train")
     _echo_config(cfg, run_dir)
     print(f"run directory: {run_dir}")
 
@@ -374,15 +354,15 @@ def cmd_train(spec: RunSpec) -> int:
     return 0
 
 
-def cmd_eval(spec: RunSpec) -> int:
-    cfg = spec.effective_config()
+def cmd_eval(args: argparse.Namespace) -> int:
+    cfg = effective_config(args)
     if cfg["checkpoint"] is None:
         raise ConfigError("eval needs a checkpoint (--checkpoint or config key)")
     net, _ = load_checkpoint(cfg["checkpoint"])
     dataset = _eval_split(cfg)
 
     result = evaluate(net, dataset)
-    if spec.merge_beta:
+    if args.merge_beta:
         plain_readout = result.readout
         result = evaluate(merge_beta(net), dataset)
         deviation = float(np.max(np.abs(plain_readout - result.readout)))
@@ -390,13 +370,13 @@ def cmd_eval(spec: RunSpec) -> int:
     print(f"accuracy {result.accuracy:.4f}")
     for i, count in enumerate(result.spike_counts):
         print(f"layer {i} spikes {count}")
-    if spec.merge_beta:
+    if args.merge_beta:
         print(f"max readout deviation {deviation:.3e}")
     return 0
 
 
-def cmd_gradcheck(spec: RunSpec) -> int:
-    cfg = spec.effective_config()
+def cmd_gradcheck(args: argparse.Namespace) -> int:
+    cfg = effective_config(args)
     gc = cfg["gradcheck"]
     widths = [gc["input_width"]] + gc["hidden"] + [gc["class_count"]]
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(9,)))
@@ -417,8 +397,8 @@ def cmd_gradcheck(spec: RunSpec) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_analyze(spec: RunSpec) -> int:
-    cfg = spec.effective_config()
+def cmd_analyze(args: argparse.Namespace) -> int:
+    cfg = effective_config(args)
     if cfg["checkpoint_a"] is None or cfg["checkpoint_b"] is None:
         raise ConfigError("analyze needs checkpoint_a and checkpoint_b")
     net_a, _ = load_checkpoint(cfg["checkpoint_a"])
@@ -430,7 +410,7 @@ def cmd_analyze(spec: RunSpec) -> int:
     counts_a = evaluate(net_a, dataset).spike_counts
     counts_b = evaluate(net_b, dataset).spike_counts
 
-    run_dir = _make_run_dir(spec.out_dir, "analyze")
+    run_dir = _make_run_dir(args.out, "analyze")
     _echo_config(cfg, run_dir)
     write_weight_shift_csv(edges, deltas, run_dir / "weight_shift.csv")
     write_spike_counts_csv({"checkpoint_a": counts_a, "checkpoint_b": counts_b},
@@ -442,54 +422,36 @@ def cmd_analyze(spec: RunSpec) -> int:
     return 0
 
 
-def cmd_gen_data(spec: RunSpec) -> int:
-    cfg = spec.effective_config()
+def cmd_gen_data(args: argparse.Namespace) -> int:
+    cfg = effective_config(args)
     ds = cfg["dataset"]
-    run_dir = _make_run_dir(spec.out_dir, "gen-data")
+    run_dir = _make_run_dir(args.out, "gen-data")
     _echo_config(cfg, run_dir)
     print(f"run directory: {run_dir}")
 
     if ds["kind"] == "poisson":
         train_ds, test_ds = _build_datasets(cfg)
-        files = {}
-        params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
-                  "split": "train"}
-        save_dataset_cache(train_ds, run_dir / "train.cache", params)
-        files["train"] = "train.cache"
-        if test_ds is not None:
-            params = dict(params, split="test")
-            save_dataset_cache(test_ds, run_dir / "test.cache", params)
-            files["test"] = "test.cache"
-        manifest = {
-            "kind": "poisson",
-            "class_count": train_ds.class_count,
-            "train_samples": len(train_ds),
-            "test_samples": 0 if test_ds is None else len(test_ds),
-            "files": files,
-        }
-        with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"classes {train_ds.class_count}, train samples {len(train_ds)}, "
-              f"test samples {manifest['test_samples']}")
-        return 0
-
-    dataset, skipped = _events_dataset(cfg)
-    params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
-              "split": "train"}
-    save_dataset_cache(dataset, run_dir / "events.cache", params)
-    manifest = {
-        "kind": "events",
-        "class_count": dataset.class_count,
-        "labels": dataset.labels.tolist(),
-        "samples": len(dataset),
-        "skipped_empty": skipped,
-        "files": {"train": "events.cache"},
-    }
+        caches = {"train": (train_ds, "train.cache"), "test": (test_ds, "test.cache")}
+        test_samples = 0 if test_ds is None else len(test_ds)
+        manifest = {"train_samples": len(train_ds), "test_samples": test_samples}
+        summary = f"train samples {len(train_ds)}, test samples {test_samples}"
+    else:
+        train_ds, skipped = _events_dataset(cfg)
+        caches = {"train": (train_ds, "events.cache")}
+        manifest = {"labels": train_ds.labels.tolist(), "samples": len(train_ds),
+                    "skipped_empty": skipped}
+        summary = f"samples {len(train_ds)}, skipped {skipped} empty"
+    manifest.update(kind=ds["kind"], class_count=train_ds.class_count, files={})
+    for split, (dataset, name) in caches.items():
+        if dataset is not None:
+            params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
+                      "split": split}
+            save_dataset_cache(dataset, run_dir / name, params)
+            manifest["files"][split] = name
     with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"classes {dataset.class_count}, samples {len(dataset)}, skipped {skipped} empty")
+    print(f"classes {train_ds.class_count}, {summary}")
     return 0
 
 
@@ -511,9 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", metavar="PATH", default=None)
-        sp.add_argument("--out", metavar="DIR", default="runs")
         sp.add_argument("--seed", type=int, default=None, metavar="N")
-        sp.add_argument("--model", choices=MODELS, default=None)
+        if name in ("train", "analyze", "gen-data"):
+            sp.add_argument("--out", metavar="DIR", default="runs")
+        if name == "train":
+            sp.add_argument("--model", choices=MODELS, default=None)
         if name == "eval":
             sp.add_argument("--checkpoint", metavar="PATH", default=None)
             sp.add_argument("--merge-beta", action="store_true")
@@ -523,24 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.model is not None:
-        overrides["model"] = args.model
-    return RunSpec(
-        command=args.command,
-        config_path=args.config,
-        out_dir=args.out,
-        overrides=overrides,
-        merge_beta=getattr(args, "merge_beta", False),
-        checkpoint=getattr(args, "checkpoint", None),
-        checkpoint_a=getattr(args, "checkpoint_a", None),
-        checkpoint_b=getattr(args, "checkpoint_b", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -548,8 +494,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        spec = _spec_from_args(args)
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[args.command](args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,10 @@ input ``x``
 
 The `(1 - o)` factor implements the hard reset: a neuron that fired on the
 previous step carries no potential forward. Spike values are exactly 0.0 or
-1.0.
+1.0. :func:`scan` is the one place this update is written: it runs a
+neuron's whole ``(T, ...)`` window in one call, checking its input once, and
+its smoothed mode swaps the threshold for a logistic ramp (see
+:mod:`spikekit.bptt`). :func:`step` is its one-step case.
 
 :data:`MODEL_TABLE` holds one :class:`Model` row per tag, and the rows are
 all that tells the models apart:
@@ -157,21 +160,43 @@ class NeuronState:
         return NeuronState(u=np.zeros(shape, dtype=np.float64), o=np.zeros(shape, dtype=np.float64))
 
 
-def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
-    """One timestep of the model named by ``p.model``; ``beta`` is its gain, if it has one."""
+def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
+         smoothed: bool = False):
+    """Run the model named by ``p.model`` over a ``(T, ...)`` drive; returns ``(u, o)``.
+
+    ``u[t]`` and ``o[t]`` are the potential and output after step ``t``,
+    starting from ``state`` (rest, with no prior spike, when None);
+    ``beta`` is the model's gain, if it has one. Hard mode fires at
+    ``u >= v_th``. Smoothed mode integrates the row's smoothed drive and
+    emits ``logistic((u - v_th) / surrogate_width)``.
+    """
     model = MODEL_TABLE[p.model]
     x = numerics.as_dense(x)
     numerics.require_finite(x, "weighted input")
     if model.gain:
         if beta is None:
-            raise ConfigError(f"{p.model} step requires a beta vector")
+            raise ConfigError(f"{p.model} requires a beta vector")
         beta = numerics.as_dense(beta)
         if beta.shape != x.shape[-1:]:
             raise DimensionError(
                 f"beta shape {beta.shape} does not match neuron count of input shape {x.shape}"
             )
-    u = model.leak(p) * state.u * (1.0 - state.o) + model.drive(x, beta)
-    return NeuronState(u=u, o=(u >= p.v_th).astype(np.float64))
+    leak = model.leak(p)
+    drive = (model.smoothed_drive if smoothed else model.drive)(x, beta)
+    u = np.empty_like(x)
+    o = np.empty_like(x)
+    u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
+    for t in range(len(x)):
+        u[t] = leak * u_prev * (1.0 - o_prev) + drive[t]
+        o[t] = sigmoid((u[t] - p.v_th) / p.surrogate_width) if smoothed else u[t] >= p.v_th
+        u_prev, o_prev = u[t], o[t]
+    return u, o
+
+
+def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
+    """One timestep from ``state``: :func:`scan` over a window of one."""
+    u, o = scan(numerics.as_dense(x)[None], p, beta, state)
+    return NeuronState(u=u[0], o=o[0])
 
 
 def surrogate_spike_derivative(u, p: NeuronParams) -> np.ndarray:

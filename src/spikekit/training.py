@@ -33,7 +33,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     model: str = "lif"
     timesteps: int = 10
-    dataset: dict | None = None
 
     def __post_init__(self):
         if self.epochs < 1:

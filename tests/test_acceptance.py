@@ -13,16 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikekit.bptt import (
-    aia_update_from_drive,
-    aia_update_gated_sum,
-    backward,
-    forward_record,
-    gradcheck,
-)
+from spikekit.bptt import backward, forward_record, gradcheck
 from spikekit.cli import main as cli_main
 from spikekit.network import init_network, merge_beta
 from spikekit.neurons import MODELS, NeuronParams, NeuronState, step
+
+from aia_update_forms import aia_update_from_drive, aia_update_gated_sum
 
 TOY_MODELS = ("lif", "aia", "cached-aia")
 

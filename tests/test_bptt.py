@@ -2,16 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spikekit import bptt
-from spikekit.bptt import (
-    aia_update_from_drive,
-    aia_update_gated_sum,
-    backward,
-    forward_record,
-    gradcheck,
-)
-from spikekit.errors import DimensionError, StateError
+from spikekit import bptt, numerics
+from spikekit.bptt import backward, forward_record, gradcheck
+from spikekit.errors import DimensionError, NumericError, StateError
 from spikekit.network import init_network, readout_and_loss, softmax
+from spikekit.neurons import MODELS
+
+from aia_update_forms import aia_update_from_drive, aia_update_gated_sum
 
 
 def _binary_inputs(rng, batch, width, timesteps, p=0.5):
@@ -79,6 +76,39 @@ class TestForwardRecord:
         _, r1 = forward_record(net, inputs)
         _, r2 = forward_record(net, inputs)
         assert r1.tobytes() == r2.tobytes()
+
+
+class TestForwardChecks:
+    """Hard and smoothed forwards run one scan per layer with the same input checks."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_hard_forward_checks_finiteness_once_per_layer(self, model, monkeypatch):
+        checked = []
+        real = numerics.require_finite
+
+        def counting(a, what="array"):
+            checked.append(what)
+            return real(a, what)
+
+        monkeypatch.setattr(numerics, "require_finite", counting)
+        net = init_network([5, 4, 3], model=model, timesteps=4, seed=4)
+        forward_record(net, _binary_inputs(np.random.default_rng(5), 2, 5, 4))
+        assert checked == ["inputs"] + ["weighted input"] * len(net.layers)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_forward_rejects_a_non_finite_weight(self, smoothed):
+        net = init_network([5, 4, 3], model="lif", timesteps=4, seed=6)
+        net.layers[0].w[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            forward_record(net, np.ones((2, 5, 4)), smoothed=smoothed)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_forward_rejects_a_wrong_length_beta(self, smoothed):
+        net = init_network([5, 4, 3], model="cached-aia", timesteps=4, seed=7)
+        net.layers[0].beta = np.ones(5)
+        inputs = _binary_inputs(np.random.default_rng(8), 2, 5, 4)
+        with pytest.raises(DimensionError, match="beta shape"):
+            forward_record(net, inputs, smoothed=smoothed)
 
 
 class TestForwardEquivalences:

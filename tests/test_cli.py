@@ -123,6 +123,21 @@ class TestArgumentErrors:
         assert main(["train", "--merge-beta"]) == 2
         assert "unrecognized arguments: --merge-beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval", "--model", "aia"),
+        ("analyze", "--model", "aia"),
+        ("gradcheck", "--model", "aia"),
+        ("gen-data", "--model", "plif"),
+        ("eval", "--out", "runs"),
+        ("gradcheck", "--out", "runs"),
+    ])
+    def test_flag_is_registered_only_where_it_is_read(self, command, flag, value, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestTrainCommand:
     def test_writes_run_artifacts(self, tmp_path, capsys):
