@@ -1,8 +1,9 @@
 """Small spiking-network training engine with hand-rolled backprop through time.
 
 Five neuron models share one leaky integrate-and-fire forward family; they
-differ in how gradients reach the weights. Everything runs on dense
-float64 arrays, deterministically for a given seed.
+differ in how gradients reach the weights. Everything runs on dense numpy
+arrays, deterministically for a given seed: float64 for real values, one
+byte per binary spike.
 """
 
 from .bptt import (

@@ -3,7 +3,9 @@
 The forward pass unrolls the network over the simulation window and records
 a tape of three ``(timesteps, batch, neurons)`` arrays per layer: the
 weighted input ``x``, the post-update membrane potential ``u``, and the
-emitted spikes ``o``. The backward pass walks the tape in reverse,
+emitted spikes ``o`` (``bool`` in hard mode). Input and hidden spikes stay
+one byte each until a GEMM reads them: only the operand handed to BLAS is
+a float64 copy. The backward pass walks the tape in reverse,
 propagating the loss gradient through space (layer to layer, within one
 timestep) and through time (the leaky membrane recurrence of each layer),
 and accumulates gradients for every trainable array.
@@ -64,9 +66,12 @@ GEMM_ROWS = 1024
 class BpttTape:
     """Forward record consumed by the backward pass.
 
-    ``x[n]``, ``u[n]`` and ``o[n]`` are float64 arrays of shape
+    ``x[n]``, ``u[n]`` and ``o[n]`` are arrays of shape
     ``(timesteps, batch, neurons of layer n)``, so ``x[n][t]`` is layer
-    ``n``'s weighted input at step ``t``.
+    ``n``'s weighted input at step ``t``. ``x`` and ``u`` are float64;
+    ``o`` is ``bool`` in hard mode and float64 (spike probabilities) in
+    smoothed mode. ``inputs`` keeps the dtype it was given, such as a
+    ``uint8`` batch.
     """
 
     inputs: np.ndarray
@@ -88,11 +93,13 @@ class BpttTape:
         n_layers = len(net.layers)
         if len(self.x) != n_layers or len(self.u) != n_layers or len(self.o) != n_layers:
             raise StateError(f"tape holds {len(self.x)} layers, network has {n_layers}")
+        spikes = np.float64 if self.smoothed else np.bool_
         for n, layer in enumerate(net.layers):
             expected = (self.timesteps, self.batch_size, layer.out_width)
-            for name, series in (("x", self.x[n]), ("u", self.u[n]), ("o", self.o[n])):
-                if not isinstance(series, np.ndarray) or series.dtype != np.float64:
-                    raise StateError(f"tape {name}[{n}] must be a float64 array")
+            for name, series, dtype in (("x", self.x[n], np.float64), ("u", self.u[n], np.float64),
+                                        ("o", self.o[n], spikes)):
+                if not isinstance(series, np.ndarray) or series.dtype != dtype:
+                    raise StateError(f"tape {name}[{n}] must be a {np.dtype(dtype)} array")
                 if series.shape != expected:
                     raise StateError(
                         f"tape {name}[{n}] has shape {series.shape}, expected {expected}"
@@ -116,38 +123,46 @@ class GradientSet:
                 yield f"layer{i}.plif_raw", self.d_plif_raw[i]
 
 
-def time_major_batch(data, index) -> np.ndarray:
+def time_major_batch(data, index, dtype=None) -> np.ndarray:
     """Samples ``index`` of a (samples, width, timesteps) tensor, time-major in memory.
 
     The result has shape (batch, width, timesteps) but is a view of a
     (timesteps, batch, width) array, so the engine reads each timestep's
     input rows in place. A C-ordered batch costs it one transposed copy in
     the forward pass and one per backward block. The copy goes one sample
-    at a time, which keeps its reads within a cache-sized tile.
+    at a time, which keeps its reads within a cache-sized tile, and casts
+    to ``dtype`` (by default the data's own, so ``uint8`` spikes stay one
+    byte each) as it goes.
     """
     data = np.asarray(data)
-    out = np.empty((data.shape[2], len(index), data.shape[1]), dtype=numerics.DTYPE)
+    out = np.empty((data.shape[2], len(index), data.shape[1]), dtype=dtype or data.dtype)
     for k, i in enumerate(index):
         out[:, k, :] = data[i].T
     return out.transpose(1, 2, 0)
 
 
 def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Input spikes of steps ``[start, stop)`` as a ``(steps * batch, width)`` matrix."""
+    """Input spikes of steps ``[start, stop)`` as a ``(steps * batch, width)`` matrix.
+
+    A C-ordered block is cast to float64 in the same pass that makes it
+    time-major, so the GEMM takes it without a second copy.
+    """
     block = inputs[:, :, start:stop]
     if not block.transpose(2, 0, 1).flags.c_contiguous:
-        block = time_major_batch(block, range(len(block)))
+        block = time_major_batch(block, range(len(block)), numerics.DTYPE)
     return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 
 def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
-    ``inputs`` is a spike tensor of shape (batch, input_width, timesteps).
+    ``inputs`` is a spike tensor of shape (batch, input_width, timesteps),
+    of any real, integer or boolean dtype; it is cast to float64 one GEMM
+    operand at a time.
     All membrane potentials start at 0 with no prior spike. The readout is
     the output layer's per-class firing rate, averaged over the window.
     """
-    inputs = np.asarray(inputs, dtype=numerics.DTYPE)  # keeps a time-major batch's layout
+    inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
         raise DimensionError(f"inputs must be (batch, neurons, timesteps), got shape {inputs.shape}")
     batch, width, timesteps = inputs.shape

@@ -258,28 +258,20 @@ def _build_datasets(cfg: dict):
     """Returns (train dataset, test dataset or None) per the dataset section."""
     ds = cfg["dataset"]
     if ds["kind"] == "poisson":
-        common = dict(
-            class_count=ds["class_count"],
-            neurons=ds["neurons"],
-            timesteps=cfg["timesteps"],
-            rate_lo=ds["rate_lo"],
-            rate_hi=ds["rate_hi"],
-            seed=cfg["seed"],
-        )
-        train_ds = gen_poisson_patterns(
-            n_per_class=ds["train_per_class"], split="train", **common
-        )
-        test_ds = None
-        if ds["test_per_class"] > 0:
-            test_ds = gen_poisson_patterns(
-                n_per_class=ds["test_per_class"], split="test", **common
-            )
-        return train_ds, test_ds
+        test_ds = _poisson_split(cfg, "test") if ds["test_per_class"] > 0 else None
+        return _poisson_split(cfg, "train"), test_ds
 
     dataset, skipped = _events_dataset(cfg)
     if skipped:
         print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
     return dataset, None
+
+
+def _poisson_split(cfg: dict, split: str) -> Dataset:
+    ds = cfg["dataset"]
+    return gen_poisson_patterns(ds["class_count"], ds["neurons"], cfg["timesteps"],
+                                ds["rate_lo"], ds["rate_hi"], ds[f"{split}_per_class"],
+                                cfg["seed"], split=split)
 
 
 def _events_dataset(cfg: dict):
@@ -304,8 +296,11 @@ def _events_dataset(cfg: dict):
 
 
 def _eval_split(cfg: dict) -> Dataset:
-    train_ds, test_ds = _build_datasets(cfg)
-    return test_ds if test_ds is not None else train_ds
+    """The test split when the config has one, else the train split; only that one is built."""
+    ds = cfg["dataset"]
+    if ds["kind"] == "poisson" and ds["test_per_class"] > 0:
+        return _poisson_split(cfg, "test")
+    return _build_datasets(cfg)[0]
 
 
 def _train_config(cfg: dict) -> TrainConfig:

@@ -8,7 +8,9 @@ Three ways to get a binary spike tensor of shape (samples, neurons, T):
   (:func:`bin_events`),
 * reload a previously saved binary cache (:func:`load_dataset_cache`).
 
-Every path ends in a :class:`Dataset` whose entries are exactly 0 or 1.
+Every path ends in a :class:`Dataset` whose entries are exactly 0 or 1,
+held as ``uint8``: a spike takes one byte until the engine casts a batch
+of them to float64 for its GEMM.
 """
 
 from __future__ import annotations
@@ -37,15 +39,40 @@ _CACHE_VERSION = 1
 _SPLITS = ("train", "test")
 
 
+def _binary_uint8(data: np.ndarray) -> np.ndarray:
+    """``data`` as ``uint8``, after checking on its own dtype that it holds only 0 and 1.
+
+    Checking before the cast keeps an integer such as 256 from wrapping to
+    a valid 0; integer input costs a reduction or two, not a full-size
+    boolean temporary.
+    """
+    kind = data.dtype.kind
+    if kind == "f":
+        binary = np.all((data == 0.0) | (data == 1.0))
+    elif kind in "iu":
+        binary = data.max(initial=0) <= 1 and (kind == "u" or data.min(initial=0) >= 0)
+    else:
+        binary = kind == "b"
+    if not binary:
+        raise DataError(f"spike tensor entries must be exactly 0 or 1 (got {data.dtype} data)")
+    return data.astype(np.uint8, copy=False)
+
+
 @dataclass
 class Dataset:
+    """Spike tensor ``data`` of shape (samples, neurons, timesteps), held as ``uint8``.
+
+    Any real, integer or boolean array of 0s and 1s is accepted; anything
+    else raises :class:`DataError`.
+    """
+
     data: np.ndarray
     labels: np.ndarray
     class_count: int
     split: str = "train"
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(self.data)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.data.ndim != 3:
             raise DataError(f"dataset tensor must be 3-d, got shape {self.data.shape}")
@@ -65,8 +92,7 @@ class Dataset:
                 f"labels must lie in [0, {self.class_count}), found range "
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
-        if not np.all((self.data == 0.0) | (self.data == 1.0)):
-            raise DataError("spike tensor entries must be exactly 0 or 1")
+        self.data = _binary_uint8(self.data)
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -105,11 +131,10 @@ def gen_poisson_patterns(class_count, neurons, timesteps, rate_lo, rate_hi,
     draw_rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(1 if split == "train" else 2,))
     )
-    blocks = []
+    data = np.empty((class_count * n_per_class, neurons, timesteps), dtype=np.uint8)
     for c in range(class_count):
         uniforms = draw_rng.random((n_per_class, neurons, timesteps))
-        blocks.append((uniforms < templates[c][None, :, None]).astype(np.float64))
-    data = np.concatenate(blocks, axis=0)
+        data[c * n_per_class:(c + 1) * n_per_class] = uniforms < templates[c][None, :, None]
     labels = np.repeat(np.arange(class_count, dtype=np.int64), n_per_class)
     return Dataset(data=data, labels=labels, class_count=class_count, split=split)
 
@@ -222,7 +247,7 @@ def load_events_csv(manifest_path) -> list:
 
 
 def bin_events(stream, grid_w, grid_h, timesteps) -> np.ndarray:
-    """Bin an event stream into a (2 * grid_w * grid_h, timesteps) spike frame.
+    """Bin an event stream into a ``uint8`` (2 * grid_w * grid_h, timesteps) spike frame.
 
     ``stream`` is an ``(n, 4)`` integer array, or a sequence of
     ``(t, x, y, polarity)`` rows. The stream's time range [t_min, t_max] is
@@ -267,8 +292,8 @@ def bin_events(stream, grid_w, grid_h, timesteps) -> np.ndarray:
     else:
         time_bin = np.minimum(timesteps - 1, ((t - t_min) * timesteps) // span)
     neuron = polarity * (grid_w * grid_h) + (y // scale_y) * grid_w + (x // scale_x)
-    frame = np.zeros((2 * grid_w * grid_h, timesteps), dtype=np.float64)
-    frame[neuron, time_bin] = 1.0
+    frame = np.zeros((2 * grid_w * grid_h, timesteps), dtype=np.uint8)
+    frame[neuron, time_bin] = 1
     return frame
 
 
@@ -296,7 +321,7 @@ def save_dataset_cache(dataset: Dataset, path, params: dict) -> None:
         dataset.neurons,
         dataset.timesteps,
     )
-    body = dataset.labels.astype("<i8").tobytes() + dataset.data.astype(np.uint8).tobytes()
+    body = dataset.labels.astype("<i8").tobytes() + dataset.data.tobytes()
     path.write_bytes(header + body)
 
 
@@ -323,6 +348,6 @@ def load_dataset_cache(path, params: dict) -> Dataset:
     labels = np.frombuffer(blob, dtype="<i8", count=n, offset=header_size).copy()
     data = np.frombuffer(blob, dtype=np.uint8, count=n * neurons * timesteps,
                          offset=header_size + n * 8)
-    data = data.reshape(n, neurons, timesteps).astype(np.float64)
+    data = data.reshape(n, neurons, timesteps).copy()  # writable, and not tied to ``blob``
     return Dataset(data=data, labels=labels, class_count=class_count,
                    split=_SPLITS[split_idx])

@@ -7,11 +7,11 @@ input ``x``
     o' = 1 if u' >= v_th else 0
 
 The `(1 - o)` factor implements the hard reset: a neuron that fired on the
-previous step carries no potential forward. Spike values are exactly 0.0 or
-1.0. :func:`scan` is the one place this update is written: it runs a
-neuron's whole ``(T, ...)`` window in one call, checking its input once, and
-its smoothed mode swaps the threshold for a logistic ramp (see
-:mod:`spikekit.bptt`). :func:`step` is its one-step case.
+previous step carries no potential forward. Hard-mode spikes are ``bool``
+arrays, one byte per neuron and step. :func:`scan` is the one place this
+update is written: it runs a neuron's whole ``(T, ...)`` window in one call,
+checking its input once, and its smoothed mode swaps the threshold for a
+logistic ramp (see :mod:`spikekit.bptt`). :func:`step` is its one-step case.
 
 :data:`MODEL_TABLE` holds one :class:`Model` row per tag, and the rows are
 all that tells the models apart:
@@ -167,8 +167,9 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     ``u[t]`` and ``o[t]`` are the potential and output after step ``t``,
     starting from ``state`` (rest, with no prior spike, when None);
     ``beta`` is the model's gain, if it has one. Hard mode fires at
-    ``u >= v_th``. Smoothed mode integrates the row's smoothed drive and
-    emits ``logistic((u - v_th) / surrogate_width)``.
+    ``u >= v_th`` and returns ``o`` as ``bool``. Smoothed mode integrates
+    the row's smoothed drive and emits the float64
+    ``logistic((u - v_th) / surrogate_width)``.
     """
     model = MODEL_TABLE[p.model]
     x = numerics.as_dense(x)
@@ -184,7 +185,7 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     leak = model.leak(p)
     drive = (model.smoothed_drive if smoothed else model.drive)(x, beta)
     u = np.empty_like(x)
-    o = np.empty_like(x)
+    o = np.empty_like(x) if smoothed else np.empty(x.shape, dtype=bool)
     u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
     for t in range(len(x)):
         u[t] = leak * u_prev * (1.0 - o_prev) + drive[t]

@@ -1,7 +1,9 @@
 """Dense-array substrate used by the rest of the engine.
 
 All real-valued quantities (potentials, weighted inputs, weights, cache
-gains, gradients) are float64 numpy arrays. The functions here are thin
+gains, gradients) are float64 numpy arrays. Binary spikes are not: they are
+``uint8`` in datasets and ``bool`` on the tape, and :func:`matmul` casts
+such an operand to a float64 copy for BLAS. The functions here are thin
 contract-enforcing wrappers: shapes are checked up front and mismatches
 raise :class:`DimensionError` naming both shapes, and a histogram of an
 empty array raises :class:`EmptyInputError`.
@@ -26,7 +28,8 @@ def as_dense(values) -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    # Integer and boolean arrays are finite by construction.
+    if a.dtype.kind not in "biu" and not np.all(np.isfinite(a)):
         raise NumericError(f"{what} contains non-finite values")
     return a
 

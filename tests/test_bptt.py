@@ -24,18 +24,45 @@ class TestForwardRecord:
         npt.assert_array_equal(readout, manual)
         assert readout.shape == (3, 3)
 
-    def test_records_every_layer_and_timestep(self):
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_records_every_layer_and_timestep(self, smoothed):
         rng = np.random.default_rng(1)
         net = init_network([4, 6, 2], model="lif", timesteps=5, seed=2)
-        tape, _ = forward_record(net, _binary_inputs(rng, 2, 4, 5))
+        tape, _ = forward_record(net, _binary_inputs(rng, 2, 4, 5), smoothed=smoothed)
         assert len(tape.x) == 2
+        spikes = np.float64 if smoothed else np.bool_
         for n, width in enumerate([6, 2]):
-            for series in (tape.x[n], tape.u[n], tape.o[n]):
+            for series, dtype in ((tape.x[n], np.float64), (tape.u[n], np.float64),
+                                  (tape.o[n], spikes)):
                 assert isinstance(series, np.ndarray)
                 assert series.shape == (5, 2, width)
-                assert series.dtype == np.float64
+                assert series.dtype == dtype
                 assert len(series) == 5
                 assert all(entry.shape == (2, width) for entry in series)
+            if not smoothed:
+                assert tape.o[n].nbytes == 5 * 2 * width  # one byte per spike
+
+    def test_uint8_batch_matches_float64_batch(self):
+        # A uint8 dataset gives a uint8 time-major batch, and the forward it
+        # feeds is bit-identical to the float64 batch's.
+        rng = np.random.default_rng(11)
+        data = (rng.random((9, 5, 6)) < 0.5).astype(np.uint8)
+        index = [4, 0, 7]
+        batch = bptt.time_major_batch(data, index)
+        assert batch.dtype == np.uint8
+        assert batch.transpose(2, 0, 1).flags.c_contiguous
+        npt.assert_array_equal(batch, data[index])
+        net = init_network([5, 4, 3], model="plif", timesteps=6, seed=12)
+        tape8, readout8 = forward_record(net, batch)
+        tape64, readout64 = forward_record(net, data[index].astype(np.float64))
+        assert tape8.inputs.dtype == np.uint8
+        assert readout8.tobytes() == readout64.tobytes()
+        for a, b in zip(tape8.u + tape8.o, tape64.u + tape64.o):
+            assert a.tobytes() == b.tobytes()
+        g8 = backward(tape8, np.ones((3, 3)), net)
+        g64 = backward(tape64, np.ones((3, 3)), net)
+        for (_, a), (_, b) in zip(g8.items(), g64.items()):
+            assert a.tobytes() == b.tobytes()
 
     def test_tape_rows_are_the_per_step_recurrence(self):
         # x[t] is the drive of step t and u follows u[t] = leak u[t-1] (1 - o[t-1]) + x[t].

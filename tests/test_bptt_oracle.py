@@ -3,8 +3,8 @@
 The reference shares no code with the engine beyond the network's arrays.
 It runs its own forward pass and then walks the gradient back with explicit
 loops over sample, timestep, neuron and synapse, one scalar at a time, in
-the spirit of :func:`spikekit.bptt.aia_update_gated_sum`. It follows the
-hard-mode rules in the :mod:`spikekit.bptt` docstring:
+the spirit of ``aia_update_gated_sum`` in ``tests/aia_update_forms.py``.
+It follows the hard-mode rules in the :mod:`spikekit.bptt` docstring:
 
 * readout = mean over time of the output layer's spikes;
 * dL/du[t] = dL/do[t] * surrogate(u[t]) + dL/du[t+1] * leak * (1 - o[t]),

@@ -34,6 +34,7 @@ class TestPoissonGeneration:
     def test_shapes_and_grouped_labels(self):
         ds = gen_poisson_patterns(3, 10, 5, 0.1, 0.9, n_per_class=4, seed=0)
         assert ds.data.shape == (12, 10, 5)
+        assert ds.data.dtype == np.uint8
         npt.assert_array_equal(ds.labels, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
         assert ds.class_count == 3
         assert ds.split == "train"
@@ -88,6 +89,32 @@ class TestDatasetInvariants:
         data[0, 0, 0] = 0.5
         with pytest.raises(DataError):
             Dataset(data=data, labels=np.zeros(2, dtype=int), class_count=2)
+
+    # 256 would wrap to a valid 0 if it were cast to uint8 before the check.
+    @pytest.mark.parametrize("value, dtype", [
+        (0.5, np.float64), (np.nan, np.float64), (-1.0, np.float64), (np.inf, np.float32),
+        (-1, np.int64), (2, np.int64), (256, np.int64), (256, np.uint16), (2, np.uint8),
+    ])
+    def test_rejects_non_binary_value_of_any_dtype(self, value, dtype):
+        data = np.ones((2, 3, 4), dtype=dtype)
+        data[1, 2, 3] = value
+        with pytest.raises(DataError, match="exactly 0 or 1"):
+            Dataset(data=data, labels=np.zeros(2, dtype=int), class_count=2)
+
+    def test_rejects_non_numeric_data(self):
+        with pytest.raises(DataError, match="exactly 0 or 1"):
+            Dataset(data=np.full((1, 2, 2), "1"), labels=np.zeros(1, dtype=int), class_count=1)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float32, np.float64])
+    def test_binary_data_of_any_dtype_is_held_as_uint8(self, dtype):
+        bits = (np.random.default_rng(4).random((3, 5, 2)) < 0.5)
+        ds = Dataset(data=bits.astype(dtype), labels=np.zeros(3, dtype=int), class_count=1)
+        assert ds.data.dtype == np.uint8
+        assert ds.data.tobytes() == bits.astype(np.uint8).tobytes()
+
+    def test_uint8_data_is_not_copied(self):
+        data = np.zeros((2, 3, 4), dtype=np.uint8)
+        assert Dataset(data=data, labels=np.zeros(2, dtype=int), class_count=1).data is data
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(DataError):
@@ -338,7 +365,8 @@ class TestBinEvents:
         events = np.stack([rng.integers(0, 999, 200), rng.integers(0, 64, 200),
                            rng.integers(0, 48, 200), rng.integers(0, 2, 200)], axis=1)
         frame = bin_events(events, 8, 8, 10)
-        assert np.all((frame == 0.0) | (frame == 1.0))
+        assert frame.dtype == np.uint8
+        assert np.all((frame == 0) | (frame == 1))
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptySampleError):
@@ -439,3 +467,22 @@ class TestDatasetCache:
         save_dataset_cache(ds, tmp_path / "a.cache", {"k": 1})
         save_dataset_cache(ds, tmp_path / "b.cache", {"k": 1})
         assert (tmp_path / "a.cache").read_bytes() == (tmp_path / "b.cache").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5)),
+           class_count=st.integers(1, 4), split=st.sampled_from(["train", "test"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_is_bit_exact_for_uint8_data(self, shape, class_count, split, seed):
+        rng = np.random.default_rng(seed)
+        ds = Dataset((rng.random(shape) < 0.5).astype(np.uint8),
+                     rng.integers(0, class_count, size=shape[0]), class_count, split=split)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.cache"
+            save_dataset_cache(ds, path, {"seed": seed})
+            blob = path.read_bytes()
+            back = load_dataset_cache(path, {"seed": seed})
+        assert back.data.dtype == np.uint8 and back.data.flags.writeable
+        assert back.data.shape == shape and back.data.tobytes() == ds.data.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert (back.class_count, back.split) == (class_count, split)
+        assert blob.endswith(ds.data.tobytes())  # the body is the raw uint8 spikes

@@ -30,7 +30,8 @@ def test_scan_is_bitwise_chained_steps(model):
     for t in range(T):
         state = step(state, x[t], p, beta)
         assert u[t].tobytes() == state.u.tobytes()
-        assert o[t].tobytes() == state.o.tobytes()
+        assert o[t].dtype == state.o.dtype == np.bool_
+        npt.assert_array_equal(o[t], state.o)
 
 
 @pytest.mark.parametrize("model", MODELS)
