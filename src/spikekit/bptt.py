@@ -123,19 +123,18 @@ class GradientSet:
                 yield f"layer{i}.plif_raw", self.d_plif_raw[i]
 
 
-def time_major_batch(data, index, dtype=None) -> np.ndarray:
+def time_major_batch(data, index) -> np.ndarray:
     """Samples ``index`` of a (samples, width, timesteps) tensor, time-major in memory.
 
     The result has shape (batch, width, timesteps) but is a view of a
-    (timesteps, batch, width) array, so the engine reads each timestep's
-    input rows in place. A C-ordered batch costs it one transposed copy in
-    the forward pass and one per backward block. The copy goes one sample
-    at a time, which keeps its reads within a cache-sized tile, and casts
-    to ``dtype`` (by default the data's own, so ``uint8`` spikes stay one
-    byte each) as it goes.
+    (timesteps, batch, width) array of the data's own dtype, so ``uint8``
+    spikes stay one byte each and the engine reads each timestep's input
+    rows in place. A C-ordered batch costs it one transposed copy in the
+    forward pass and one per backward block. The copy goes one sample at a
+    time, which keeps its reads within a cache-sized tile.
     """
     data = np.asarray(data)
-    out = np.empty((data.shape[2], len(index), data.shape[1]), dtype=dtype or data.dtype)
+    out = np.empty((data.shape[2], len(index), data.shape[1]), dtype=data.dtype)
     for k, i in enumerate(index):
         out[:, k, :] = data[i].T
     return out.transpose(1, 2, 0)
@@ -144,12 +143,12 @@ def time_major_batch(data, index, dtype=None) -> np.ndarray:
 def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Input spikes of steps ``[start, stop)`` as a ``(steps * batch, width)`` matrix.
 
-    A C-ordered block is cast to float64 in the same pass that makes it
-    time-major, so the GEMM takes it without a second copy.
+    The matrix keeps the inputs' dtype; :func:`spikekit.numerics.matmul`
+    makes the float64 copy that BLAS reads.
     """
     block = inputs[:, :, start:stop]
     if not block.transpose(2, 0, 1).flags.c_contiguous:
-        block = time_major_batch(block, range(len(block)), numerics.DTYPE)
+        block = time_major_batch(block, range(len(block)))
     return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 

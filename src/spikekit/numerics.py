@@ -40,15 +40,21 @@ def matmul(a, b) -> np.ndarray:
     Summation order is fixed by the backing BLAS kernel, so repeated calls
     on identical inputs produce bit-identical results. Operands keep their
     memory order: np.matmul hands a transposed view such as ``w.T`` to BLAS
-    as a transpose flag instead of copying it.
+    as a transpose flag instead of copying it. A binary (``uint8`` or
+    ``bool``) operand is cast to a float64 copy that lives for this call.
     """
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    return np.matmul(a, b)
+    # The result is allocated before the float64 copies, so that freeing a
+    # copy returns memory above the result instead of leaving a hole below
+    # it. A hole there made a chunked evaluate grow and trim the heap, and
+    # page-fault it back in, on every chunk.
+    out = np.empty((a.shape[0], b.shape[1]), dtype=DTYPE)
+    return np.matmul(a.astype(DTYPE, copy=False), b.astype(DTYPE, copy=False), out=out)
 
 
 def _check_nonempty(a: np.ndarray, op: str) -> None:

@@ -24,23 +24,24 @@ class TestForwardRecord:
         npt.assert_array_equal(readout, manual)
         assert readout.shape == (3, 3)
 
-    @pytest.mark.parametrize("smoothed", [False, True])
-    def test_records_every_layer_and_timestep(self, smoothed):
+    def test_records_every_layer_and_timestep(self):
         rng = np.random.default_rng(1)
         net = init_network([4, 6, 2], model="lif", timesteps=5, seed=2)
-        tape, _ = forward_record(net, _binary_inputs(rng, 2, 4, 5), smoothed=smoothed)
-        assert len(tape.x) == 2
-        spikes = np.float64 if smoothed else np.bool_
-        for n, width in enumerate([6, 2]):
-            for series, dtype in ((tape.x[n], np.float64), (tape.u[n], np.float64),
-                                  (tape.o[n], spikes)):
-                assert isinstance(series, np.ndarray)
-                assert series.shape == (5, 2, width)
-                assert series.dtype == dtype
-                assert len(series) == 5
-                assert all(entry.shape == (2, width) for entry in series)
-            if not smoothed:
-                assert tape.o[n].nbytes == 5 * 2 * width  # one byte per spike
+        inputs = _binary_inputs(rng, 2, 4, 5)
+        # Hard-mode spikes are bool; smoothed-mode spikes are probabilities.
+        for smoothed, spikes in ((False, np.bool_), (True, np.float64)):
+            tape, _ = forward_record(net, inputs, smoothed=smoothed)
+            assert len(tape.x) == 2
+            for n, width in enumerate([6, 2]):
+                for series, dtype in ((tape.x[n], np.float64), (tape.u[n], np.float64),
+                                      (tape.o[n], spikes)):
+                    assert isinstance(series, np.ndarray)
+                    assert series.shape == (5, 2, width)
+                    assert series.dtype == dtype
+                    assert len(series) == 5
+                    assert all(entry.shape == (2, width) for entry in series)
+                if not smoothed:
+                    assert tape.o[n].nbytes == 5 * 2 * width  # one byte per spike
 
     def test_uint8_batch_matches_float64_batch(self):
         # A uint8 dataset gives a uint8 time-major batch, and the forward it

@@ -35,6 +35,19 @@ class TestMatmul:
         for _ in range(5):
             assert numerics.matmul(a, b).tobytes() == first.tobytes()
 
+    def test_binary_operands_match_their_float64_copies(self):
+        # uint8 and bool spikes, also as a transposed view, give the float64 product's bytes.
+        rng = np.random.default_rng(5)
+        spikes = rng.random((40, 23)) < 0.3
+        w = rng.normal(size=(7, 23))
+        want = np.matmul(spikes.astype(np.float64), w.T)
+        for a in (spikes, spikes.astype(np.uint8)):
+            got = numerics.matmul(a, w.T)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        g = rng.normal(size=(40, 5))
+        assert (numerics.matmul(g.T, spikes).tobytes()
+                == np.matmul(g.T, spikes.astype(np.float64)).tobytes())
+
     def test_inner_dim_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
             numerics.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
@@ -79,3 +92,4 @@ def test_require_finite():
         numerics.require_finite(np.array([1.0, np.nan]), "potential")
     with pytest.raises(NumericError):
         numerics.require_finite(np.array([np.inf]))
+    numerics.require_finite(np.array([0, 1], dtype=np.uint8))  # integers are finite
