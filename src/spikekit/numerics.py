@@ -49,10 +49,10 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    # The result is allocated before the float64 copies, so that freeing a
-    # copy returns memory above the result instead of leaving a hole below
-    # it. A hole there made a chunked evaluate grow and trim the heap, and
-    # page-fault it back in, on every chunk.
+    # The result is allocated before the float64 copies, so freeing a copy
+    # returns memory above the result rather than leaving a hole below it;
+    # with such holes a chunked evaluate grows the heap past glibc's trim
+    # threshold and page-faults it back in on every chunk.
     out = np.empty((a.shape[0], b.shape[1]), dtype=DTYPE)
     return np.matmul(a.astype(DTYPE, copy=False), b.astype(DTYPE, copy=False), out=out)
 
