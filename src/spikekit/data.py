@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,9 @@ log = logging.getLogger(__name__)
 EVENT_HEADER = "t,x,y,polarity"
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _STRIP_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # whitespace to str.strip(), not to int()
+# A line both parsers read alike: four ASCII integer fields that fit int64
+# (18 digits do), polarity 0 or 1. Any other line is odd.
+_ODD_LINE = re.compile(r"^(?![0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[01]$).*$", re.MULTILINE)
 
 _CACHE_MAGIC = b"SKCACHE"
 _CACHE_VERSION = 1
@@ -149,11 +153,16 @@ def _first_invalid_row(events: np.ndarray) -> int | None:
     return int(np.argmax((events < 0).any(axis=1) | (events[:, 3] > 1)))
 
 
+def _loadtxt(body: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+
+
 def _parse_fast(text: str) -> np.ndarray | None:
-    """All lines as int64 columns in one parse, or None if any line needs the slow rules."""
+    """All lines as int64 columns in one parse, or None if the file needs the odd-line path."""
     # numpy's (2.4) integer parser reads non-ASCII letters as digits and can
     # segfault on astral ones, and it skips \x1c-\x1f around a field where
-    # int() does not; such text takes the per-line rules.
+    # int() does not; such text goes to _parse_odd_lines, which hands loadtxt
+    # only lines of the plain form.
     if not text.isascii() or any(c in text for c in _STRIP_ONLY_SPACE):
         return None
     first, _, rest = text.partition("\n")
@@ -162,8 +171,7 @@ def _parse_fast(text: str) -> np.ndarray | None:
         # Any warning, such as "input contained no data", falls back too.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            events = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                                comments=None, ndmin=2)
+            events = _loadtxt(body)
     except (ValueError, Warning):
         return None
     if events.shape[1] != 4 or _first_invalid_row(events) is not None:
@@ -171,11 +179,11 @@ def _parse_fast(text: str) -> np.ndarray | None:
     return events
 
 
-def _parse_lines(text: str) -> tuple:
-    """The per-line rules: returns (int64 columns, number of lines dropped)."""
-    rows = []
+def _parse_lines(lines) -> tuple:
+    """The per-line rules: returns ({line index: row} of kept lines, number of lines dropped)."""
+    kept = {}
     dropped = 0
-    for raw in text.split("\n"):
+    for k, raw in enumerate(lines):
         line = raw.strip()
         if not line or line == EVENT_HEADER:
             continue
@@ -187,8 +195,33 @@ def _parse_lines(text: str) -> tuple:
         if t < 0 or x < 0 or y < 0 or polarity not in (0, 1) or max(t, x, y) > _INT64_MAX:
             dropped += 1
         else:
-            rows.append((t, x, y, polarity))
-    return np.array(rows, dtype=np.int64).reshape(-1, 4), dropped
+            kept[k] = (t, x, y, polarity)
+    return kept, dropped
+
+
+def _parse_odd_lines(text: str) -> tuple:
+    """Events in file order and the number of lines dropped, for a text
+    :func:`_parse_fast` refused.
+
+    Only the odd lines, those not of the plain form, take the per-line
+    rules; all other lines go through one ``np.loadtxt``, and the kept odd
+    rows are put back at their file positions.
+    """
+    odd = list(_ODD_LINE.finditer(text))
+    kept, dropped = _parse_lines(m[0] for m in odd)
+    pieces, plain_before, plain_lines, start = [], [], 0, 0
+    for m in odd:
+        piece = text[start:m.start()]  # whole plain lines, each ending in "\n"
+        pieces.append(piece)
+        plain_lines += piece.count("\n")
+        plain_before.append(plain_lines)
+        start = m.end() + 1
+    pieces.append(text[start:])
+    body = "".join(pieces)
+    events = _loadtxt(body) if body else np.empty((0, 4), dtype=np.int64)
+    if kept:
+        events = np.insert(events, [plain_before[k] for k in kept], list(kept.values()), axis=0)
+    return events, dropped
 
 
 def load_events_csv(manifest_path) -> list:
@@ -196,11 +229,15 @@ def load_events_csv(manifest_path) -> list:
 
     Returns one ``(events, label)`` pair per entry, where ``events`` is an
     ``(n, 4)`` int64 array of ``t, x, y, polarity`` rows, stably sorted by
-    ``t``. Paths are resolved relative to the manifest. Each file is parsed
-    in one vectorized pass; only a file that pass cannot take whole goes
-    through the per-line rules, where lines that do not parse as
-    "t,x,y,polarity" with valid ranges and values that fit int64 are
-    dropped and counted. A file whose malformed lines exceed 1% of its
+    ``t``. Paths are resolved relative to the manifest; an entry needs a
+    string ``path`` and a non-negative integer ``label``. Each file is
+    parsed in one vectorized pass. In a file that pass cannot take whole,
+    one regex pass finds the odd lines, those that are not four ASCII digit
+    fields of at most 18 digits with polarity 0 or 1: only they take the
+    per-line rules, and one more ``np.loadtxt`` reads the rest, so numpy's
+    parser never sees non-ASCII text. Under those rules, lines that do not
+    parse as "t,x,y,polarity" with valid ranges and values that fit int64
+    are dropped and counted. A file whose malformed lines exceed 1% of its
     event lines is rejected. An empty file yields a ``(0, 4)`` array, left
     for the binning stage to reject.
     """
@@ -214,11 +251,14 @@ def load_events_csv(manifest_path) -> list:
 
     out = []
     for i, entry in enumerate(entries):
+        where = f"manifest {manifest_path} entry {i}"
         if not isinstance(entry, dict) or "path" not in entry or "label" not in entry:
-            raise DataError(f"manifest entry {i} must be an object with path and label")
+            raise DataError(f"{where} must be an object with path and label")
         label = entry["label"]
         if not isinstance(label, int) or isinstance(label, bool) or label < 0:
-            raise DataError(f"manifest entry {i} label must be a non-negative integer")
+            raise DataError(f"{where} label must be a non-negative integer")
+        if not isinstance(entry["path"], str):
+            raise DataError(f"{where} path must be a string")
         file_path = Path(entry["path"])
         if not file_path.is_absolute():
             file_path = manifest_path.parent / file_path
@@ -234,7 +274,7 @@ def load_events_csv(manifest_path) -> list:
             ) from None
         events, dropped = _parse_fast(text), 0
         if events is None:
-            events, dropped = _parse_lines(text)
+            events, dropped = _parse_odd_lines(text)
         considered = len(events) + dropped
         if considered and dropped / considered > 0.01:
             raise DataError(
@@ -242,7 +282,10 @@ def load_events_csv(manifest_path) -> list:
             )
         if dropped:
             log.warning("%s: dropped %d malformed event line(s)", file_path, dropped)
-        out.append((events[np.argsort(events[:, 0], kind="stable")], label))
+        t = events[:, 0]
+        if np.any(t[1:] < t[:-1]):  # a sorted stream is its own stable sort
+            events = events[np.argsort(t, kind="stable")]
+        out.append((events, label))
     return out
 
 

@@ -325,6 +325,22 @@ class TestMalformedInputs:
         assert rc == 2
         assert "bad.csv" in err and "not UTF-8" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("path", 5), ("path", ["x"]), ("path", None),
+        ("label", True), ("label", 1.5), ("label", "0"), ("label", -1),
+    ])
+    def test_bad_manifest_entry(self, tmp_path, capsys, key, value):
+        entry = {"path": "x.csv", "label": 0, key: value}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([entry]))
+        doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
+        rc = main(["gen-data", "--config", _write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "gen")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"manifest {manifest} entry 0 {key} must be" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b'{"seed": 1, "model": "\xff"}')

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikekit import data
 from spikekit.data import (
     EVENT_HEADER,
     Dataset,
@@ -179,6 +180,28 @@ class TestLoadEventsCsv:
         with pytest.raises(DataError):
             load_events_csv(p)
 
+    @pytest.mark.parametrize("entry, field", [
+        ({"path": 5, "label": 0}, "path"),
+        ({"path": ["x"], "label": 0}, "path"),
+        ({"path": None, "label": 0}, "path"),
+        ({"path": "x.csv", "label": True}, "label"),
+        ({"path": "x.csv", "label": 1.5}, "label"),
+        ({"path": "x.csv", "label": "0"}, "label"),
+        ({"path": "x.csv", "label": -1}, "label"),
+    ])
+    def test_bad_manifest_entry_names_file_entry_and_field(self, tmp_path, entry, field):
+        (tmp_path / "x.csv").write_text("1,2,3,0\n")
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps([{"path": "x.csv", "label": 0}, entry]))
+        with pytest.raises(DataError, match=f"manifest {re.escape(str(p))} entry 1 {field} "):
+            load_events_csv(p)
+
+    def test_entry_without_path_names_the_manifest(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps([{"label": 0}]))
+        with pytest.raises(DataError, match=f"manifest {re.escape(str(p))} entry 0 must be"):
+            load_events_csv(p)
+
     def test_missing_event_file_is_io_error(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"path": "nowhere.csv", "label": 0}]))
@@ -209,6 +232,43 @@ class TestLoadEventsCsv:
         assert len(records) == 201
         assert tuple(records[-1]) == (top, top, top, 1)
         assert any("dropped 2 malformed" in rec.getMessage() for rec in caplog.records)
+
+    def _load_one(self, tmp_path, text):
+        (tmp_path / "s.csv").write_text(text)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"path": "s.csv", "label": 0}]))
+        (records, _), = load_events_csv(manifest)
+        return records
+
+    def test_odd_lines_keep_their_file_positions(self, tmp_path):
+        # The mid-file header sends the file past the whole-file parse; the
+        # int()-valid odd lines are then read by the per-line rules and must
+        # land back among the plain t=500 lines in file order.
+        lines = ["700,8,8,0", "500,0,0,0", "+500,1,1,0", EVENT_HEADER, "500,9,9,0",
+                 " 500,2,2,1\x0c", "0000000000000000500,3,3,1", "500,4,4,0",
+                 "1000000000000000000,7,7,1"]
+        records = self._load_one(tmp_path, "\n".join(lines) + "\n")
+        assert records[:, 0].tolist() == [500] * 6 + [700, 10**18]
+        assert records[:, 1].tolist() == [0, 1, 9, 2, 3, 4, 8, 7]
+        assert records[:, 3].tolist() == [0, 0, 0, 1, 1, 0, 0, 1]
+
+    def test_per_line_rules_see_only_odd_lines(self, tmp_path, monkeypatch):
+        seen = []
+        parse_lines = data._parse_lines
+
+        def spy(lines):
+            lines = list(lines)
+            seen.extend(lines)
+            return parse_lines(lines)
+
+        monkeypatch.setattr(data, "_parse_lines", spy)
+        odd = [EVENT_HEADER, "17,1,abc,0", "+40,2,2,1", "  ", "\u0663,3,3,0"]
+        lines = [f"{i},{i % 7},{i % 5},{i % 2}" for i in range(300)]
+        for k, line in enumerate(odd):
+            lines.insert(k * 60, line)
+        records = self._load_one(tmp_path, "\n".join(lines))
+        assert seen == odd
+        assert len(records) == 302  # 300 plain rows, "+40" and the Arabic-Indic 3
 
 
 def _reference_parse(path):
@@ -246,6 +306,7 @@ _ODD_LINES = st.one_of(
     _ROW.map(lambda r: "{},{},{},{}\x1f".format(*r)),
     _ROW.map(lambda r: "{},\u0663,{},{}".format(r[0], *r[2:])),
     _ROW.map(lambda r: "{},\u01fe,{},{}".format(r[0], *r[2:])),
+    _ROW.map(lambda r: "{},\U0001D7CE,{},{}".format(r[0], *r[2:])),
     _ROW.map(lambda r: "{},{},{}".format(*r)),
     _ROW.map(lambda r: "{},{},{},{},0".format(*r)),
     _ROW.map(lambda r: "{},{},abc,{}".format(*r)),
