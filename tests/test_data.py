@@ -180,26 +180,21 @@ class TestLoadEventsCsv:
         with pytest.raises(DataError):
             load_events_csv(p)
 
-    @pytest.mark.parametrize("entry, field", [
-        ({"path": 5, "label": 0}, "path"),
-        ({"path": ["x"], "label": 0}, "path"),
-        ({"path": None, "label": 0}, "path"),
-        ({"path": "x.csv", "label": True}, "label"),
-        ({"path": "x.csv", "label": 1.5}, "label"),
-        ({"path": "x.csv", "label": "0"}, "label"),
-        ({"path": "x.csv", "label": -1}, "label"),
+    @pytest.mark.parametrize("entry, says", [
+        ({"path": 5, "label": 0}, "path must be a string"),
+        ({"path": ["x"], "label": 0}, "path must be a string"),
+        ({"path": None, "label": 0}, "path must be a string"),
+        ({"path": "x.csv", "label": True}, "label must be a non-negative integer"),
+        ({"path": "x.csv", "label": 1.5}, "label must be a non-negative integer"),
+        ({"path": "x.csv", "label": "0"}, "label must be a non-negative integer"),
+        ({"path": "x.csv", "label": -1}, "label must be a non-negative integer"),
+        ({"label": 0}, "must be an object with path and label"),
     ])
-    def test_bad_manifest_entry_names_file_entry_and_field(self, tmp_path, entry, field):
+    def test_bad_manifest_entry_names_file_entry_and_field(self, tmp_path, entry, says):
         (tmp_path / "x.csv").write_text("1,2,3,0\n")
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"path": "x.csv", "label": 0}, entry]))
-        with pytest.raises(DataError, match=f"manifest {re.escape(str(p))} entry 1 {field} "):
-            load_events_csv(p)
-
-    def test_entry_without_path_names_the_manifest(self, tmp_path):
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps([{"label": 0}]))
-        with pytest.raises(DataError, match=f"manifest {re.escape(str(p))} entry 0 must be"):
+        with pytest.raises(DataError, match=re.escape(f"manifest {p} entry 1 {says}")):
             load_events_csv(p)
 
     def test_missing_event_file_is_io_error(self, tmp_path):
