@@ -229,7 +229,7 @@ class TestLoadEventsCsv:
         assert any("dropped 2 malformed" in rec.getMessage() for rec in caplog.records)
 
     def _load_one(self, tmp_path, text):
-        (tmp_path / "s.csv").write_text(text)
+        (tmp_path / "s.csv").write_text(text, encoding="utf-8")
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([{"path": "s.csv", "label": 0}]))
         (records, _), = load_events_csv(manifest)
