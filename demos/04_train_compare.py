@@ -35,9 +35,9 @@ def main():
           f"{WIDTHS[0]} inputs, {TIMESTEPS} timesteps\n")
 
     results = {}
+    cfg = TrainConfig(epochs=15, batch_size=20, seed=SEED)
     for model in ("lif", "aia", "cached-aia"):
         net = init_network(WIDTHS, model=model, timesteps=TIMESTEPS, seed=SEED)
-        cfg = TrainConfig(epochs=15, batch_size=20, seed=SEED, model=model)
         _, metrics = train(net, train_ds, cfg, test_ds)
         results[model] = metrics
         reached = next(

@@ -29,7 +29,7 @@ def main():
     test_ds = gen_poisson_patterns(n_per_class=15, split="test", **common)
 
     net = init_network(WIDTHS, model="cached-aia", timesteps=TIMESTEPS, seed=SEED)
-    cfg = TrainConfig(epochs=15, batch_size=20, seed=SEED, model="cached-aia")
+    cfg = TrainConfig(epochs=15, batch_size=20, seed=SEED)
     trained, metrics = train(net, train_ds, cfg, test_ds)
     print(f"trained cached-aia: test accuracy {metrics.test_accuracy[-1]:.4f}")
     for i, layer in enumerate(trained.layers):

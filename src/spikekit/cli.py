@@ -7,6 +7,10 @@ override file values; the merged effective config is echoed into the run
 directory. Each invocation that writes artifacts gets a fresh timestamped
 subdirectory under --out, never reusing an existing one.
 
+Every command validates its config, then loads every input (checkpoints,
+datasets, the network), and only then makes its run directory, so a
+command that exits 2 leaves none behind.
+
 Exit codes: 0 success, 1 check failure, 2 usage/config/data error,
 3 training divergence.
 """
@@ -24,6 +28,7 @@ import numpy as np
 
 from . import bptt
 from .data import (
+    MAX_CLASS_COUNT,
     Dataset,
     bin_events,
     gen_poisson_patterns,
@@ -92,48 +97,35 @@ def _chk_int_list(path, value, lo=1):
     return list(value)
 
 
-def _apply_schema(section: dict, schema: dict, prefix: str) -> dict:
+def _apply_schema(section, schema: dict, prefix: str) -> dict:
+    """Check ``section`` against ``schema``, whose entries are nested schemas
+    or ``(default, checker)`` pairs.
+
+    Only a ``None`` default may stay ``None``; every other value, defaults
+    included, goes through its checker, so absent sections come back fully
+    filled in.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {prefix} must be an object")
     for key in section:
         if key not in schema:
             dotted = f"{prefix}.{key}" if prefix else key
             raise ConfigError(f"unknown config key {dotted!r}")
     out = {}
-    for key, (default, check) in schema.items():
+    for key, spec in schema.items():
         dotted = f"{prefix}.{key}" if prefix else key
+        if isinstance(spec, dict):
+            out[key] = _apply_schema(section.get(key, {}), spec, dotted)
+            continue
+        default, check = spec
         value = section.get(key, default)
-        # Defaults go through the checker too, so absent sections come back
-        # fully filled in rather than as bare {}.
-        out[key] = value if value is None else check(dotted, value)
+        out[key] = None if value is None and default is None else check(dotted, value)
     return out
-
-
-def _chk_network(path, value):
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {path} must be an object")
-    return _apply_schema(value, {
-        "hidden": ([32], _chk_int_list),
-        "v_th": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
-        "leak": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
-        "surrogate_width": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
-    }, path)
-
-
-def _chk_train(path, value):
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {path} must be an object")
-    return _apply_schema(value, {
-        "epochs": (20, lambda p, v: _chk_int(p, v, lo=1)),
-        "batch_size": (20, lambda p, v: _chk_int(p, v, lo=1)),
-        "learning_rate": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0)),
-        "adam_beta1": (0.9, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
-        "adam_beta2": (0.999, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
-        "adam_eps": (1e-8, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
-    }, path)
 
 
 _POISSON_SCHEMA = {
     "kind": ("poisson", lambda p, v: _chk_str(p, v, options=("poisson", "events"))),
-    "class_count": (4, lambda p, v: _chk_int(p, v, lo=1)),
+    "class_count": (4, lambda p, v: _chk_int(p, v, lo=1, hi=MAX_CLASS_COUNT)),
     "neurons": (64, lambda p, v: _chk_int(p, v, lo=1)),
     "rate_lo": (0.05, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
     "rate_hi": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
@@ -146,26 +138,44 @@ _EVENTS_SCHEMA = {
     "manifest": (None, _chk_str),
     "grid_width": (8, lambda p, v: _chk_int(p, v, lo=1)),
     "grid_height": (8, lambda p, v: _chk_int(p, v, lo=1)),
-    "class_count": (0, lambda p, v: _chk_int(p, v, lo=0)),
+    "class_count": (0, lambda p, v: _chk_int(p, v, lo=0, hi=MAX_CLASS_COUNT)),
 }
 
 
 def _chk_dataset(path, value):
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {path} must be an object")
-    kind = value.get("kind", "poisson")
+    kind = value.get("kind", "poisson") if isinstance(value, dict) else "poisson"
     _chk_str(f"{path}.kind", kind, options=("poisson", "events"))
-    schema = _POISSON_SCHEMA if kind == "poisson" else _EVENTS_SCHEMA
-    out = _apply_schema(value, schema, path)
+    out = _apply_schema(value, _POISSON_SCHEMA if kind == "poisson" else _EVENTS_SCHEMA, path)
     if kind == "events" and out["manifest"] is None:
         raise ConfigError(f"config key {path}.manifest is required for events datasets")
     return out
 
 
-def _chk_gradcheck(path, value):
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {path} must be an object")
-    return _apply_schema(value, {
+# The network and train sections' keys are init_network's and TrainConfig's
+# keyword names; the commands pass them straight through.
+_TOP_SCHEMA = {
+    "seed": (0, lambda p, v: _chk_int(p, v, lo=0)),
+    "model": ("lif", lambda p, v: _chk_str(p, v, options=MODELS)),
+    "timesteps": (10, lambda p, v: _chk_int(p, v, lo=1)),
+    "checkpoint": (None, _chk_str),
+    "checkpoint_a": (None, _chk_str),
+    "checkpoint_b": (None, _chk_str),
+    "network": {
+        "hidden": ([32], _chk_int_list),
+        "v_th": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
+        "leak": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
+        "surrogate_width": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
+    },
+    "train": {
+        "epochs": (20, lambda p, v: _chk_int(p, v, lo=1)),
+        "batch_size": (20, lambda p, v: _chk_int(p, v, lo=1)),
+        "learning_rate": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0)),
+        "adam_beta1": (0.9, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
+        "adam_beta2": (0.999, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
+        "adam_eps": (1e-8, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
+    },
+    "dataset": ({}, _chk_dataset),
+    "gradcheck": {
         "batch": (2, lambda p, v: _chk_int(p, v, lo=1)),
         "input_width": (4, lambda p, v: _chk_int(p, v, lo=1)),
         "hidden": ([6], _chk_int_list),
@@ -173,26 +183,7 @@ def _chk_gradcheck(path, value):
         "timesteps": (3, lambda p, v: _chk_int(p, v, lo=1)),
         "tolerance": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
         "step_size": (1e-4, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
-    }, path)
-
-
-def _chk_optional_str(path, value):
-    if value is None:
-        return None
-    return _chk_str(path, value)
-
-
-_TOP_SCHEMA = {
-    "seed": (0, lambda p, v: _chk_int(p, v, lo=0)),
-    "model": ("lif", lambda p, v: _chk_str(p, v, options=MODELS)),
-    "timesteps": (10, lambda p, v: _chk_int(p, v, lo=1)),
-    "checkpoint": (None, _chk_optional_str),
-    "checkpoint_a": (None, _chk_optional_str),
-    "checkpoint_b": (None, _chk_optional_str),
-    "network": ({}, _chk_network),
-    "train": ({}, _chk_train),
-    "dataset": ({}, _chk_dataset),
-    "gradcheck": ({}, _chk_gradcheck),
+    },
 }
 
 
@@ -235,48 +226,37 @@ def effective_config(args: argparse.Namespace) -> dict:
     return validate_config(merged)
 
 
-def _make_run_dir(out_dir, command: str) -> Path:
-    base = Path(out_dir)
+def _open_run_dir(args: argparse.Namespace, cfg: dict) -> Path:
+    """A fresh ``<stamp>-<command>`` directory under --out holding the effective config."""
+    base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
-    candidate = base / f"{stamp}-{command}"
+    run_dir = base / f"{stamp}-{args.command}"
     suffix = 1
-    while candidate.exists():
-        candidate = base / f"{stamp}-{command}-{suffix}"
+    while run_dir.exists():
+        run_dir = base / f"{stamp}-{args.command}-{suffix}"
         suffix += 1
-    candidate.mkdir()
-    return candidate
-
-
-def _echo_config(cfg: dict, run_dir: Path) -> None:
+    run_dir.mkdir()
     with open(run_dir / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print(f"run directory: {run_dir}")
+    return run_dir
 
 
-def _build_datasets(cfg: dict):
-    """Returns (train dataset, test dataset or None) per the dataset section."""
+def _datasets(cfg: dict, splits=("train", "test")):
+    """Returns ({split: Dataset}, empty samples skipped) for those of ``splits`` the config holds.
+
+    A Poisson config holds a test split when ``test_per_class`` > 0; an
+    events manifest is loaded, binned and stacked as one train split.
+    """
     ds = cfg["dataset"]
     if ds["kind"] == "poisson":
-        test_ds = _poisson_split(cfg, "test") if ds["test_per_class"] > 0 else None
-        return _poisson_split(cfg, "train"), test_ds
+        return {split: gen_poisson_patterns(ds["class_count"], ds["neurons"], cfg["timesteps"],
+                                            ds["rate_lo"], ds["rate_hi"],
+                                            ds[f"{split}_per_class"], cfg["seed"], split=split)
+                for split in splits if ds[f"{split}_per_class"] > 0}, 0
 
-    dataset, skipped = _events_dataset(cfg)
-    if skipped:
-        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
-    return dataset, None
-
-
-def _poisson_split(cfg: dict, split: str) -> Dataset:
-    ds = cfg["dataset"]
-    return gen_poisson_patterns(ds["class_count"], ds["neurons"], cfg["timesteps"],
-                                ds["rate_lo"], ds["rate_hi"], ds[f"{split}_per_class"],
-                                cfg["seed"], split=split)
-
-
-def _events_dataset(cfg: dict):
-    """Load, bin and stack the events manifest; returns (dataset, empty samples skipped)."""
-    ds = cfg["dataset"]
     frames = []
     labels = []
     skipped = 0
@@ -290,53 +270,34 @@ def _events_dataset(cfg: dict):
     if not frames:
         raise DataError(f"no usable samples in {ds['manifest']} ({skipped} empty)")
     class_count = ds["class_count"] or max(labels) + 1
-    dataset = Dataset(np.stack(frames), np.asarray(labels, dtype=np.int64),
-                      class_count, split="train")
-    return dataset, skipped
+    return {"train": Dataset(np.stack(frames), np.asarray(labels, dtype=np.int64),
+                             class_count, split="train")}, skipped
 
 
 def _eval_split(cfg: dict) -> Dataset:
     """The test split when the config has one, else the train split; only that one is built."""
     ds = cfg["dataset"]
-    if ds["kind"] == "poisson" and ds["test_per_class"] > 0:
-        return _poisson_split(cfg, "test")
-    return _build_datasets(cfg)[0]
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    tr = cfg["train"]
-    return TrainConfig(
-        epochs=tr["epochs"],
-        batch_size=tr["batch_size"],
-        learning_rate=tr["learning_rate"],
-        adam_beta1=tr["adam_beta1"],
-        adam_beta2=tr["adam_beta2"],
-        adam_eps=tr["adam_eps"],
-        seed=cfg["seed"],
-        model=cfg["model"],
-        timesteps=cfg["timesteps"],
-    )
+    split = "test" if ds["kind"] == "poisson" and ds["test_per_class"] > 0 else "train"
+    datasets, skipped = _datasets(cfg, (split,))
+    if skipped:
+        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
+    return datasets[split]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
-    train_cfg = _train_config(cfg)
-    train_ds, test_ds = _build_datasets(cfg)
-    widths = [train_ds.neurons] + cfg["network"]["hidden"] + [train_ds.class_count]
-    net = init_network(
-        widths,
-        model=cfg["model"],
-        timesteps=cfg["timesteps"],
-        seed=cfg["seed"],
-        v_th=cfg["network"]["v_th"],
-        leak=cfg["network"]["leak"],
-        surrogate_width=cfg["network"]["surrogate_width"],
-    )
-    run_dir = _make_run_dir(args.out, "train")
-    _echo_config(cfg, run_dir)
-    print(f"run directory: {run_dir}")
+    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
+    datasets, skipped = _datasets(cfg)
+    if skipped:
+        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
+    train_ds = datasets["train"]
+    layer_cfg = dict(cfg["network"])
+    widths = [train_ds.neurons, *layer_cfg.pop("hidden"), train_ds.class_count]
+    net = init_network(widths, model=cfg["model"], timesteps=cfg["timesteps"],
+                       seed=cfg["seed"], **layer_cfg)
+    run_dir = _open_run_dir(args, cfg)
 
-    trained, metrics = train(net, train_ds, train_cfg, test_ds)
+    trained, metrics = train(net, train_ds, train_cfg, datasets.get("test"))
     save_checkpoint(trained, run_dir / "checkpoint.json", seed=cfg["seed"])
     write_metrics_csv(metrics, run_dir / "metrics.csv")
     write_metrics_json(metrics, run_dir / "metrics.json")
@@ -400,17 +361,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     net_b, _ = load_checkpoint(cfg["checkpoint_b"])
     dataset = _eval_split(cfg)
 
+    # Computed before the run directory exists: a checkpoint that does not
+    # fit the dataset is an input error too.
     edges = covering_bin_edges(net_a, net_b)
     deltas = weight_shift_report(net_a, net_b, edges)
     counts_a = evaluate(net_a, dataset).spike_counts
     counts_b = evaluate(net_b, dataset).spike_counts
 
-    run_dir = _make_run_dir(args.out, "analyze")
-    _echo_config(cfg, run_dir)
+    run_dir = _open_run_dir(args, cfg)
     write_weight_shift_csv(edges, deltas, run_dir / "weight_shift.csv")
     write_spike_counts_csv({"checkpoint_a": counts_a, "checkpoint_b": counts_b},
                            run_dir / "spike_counts.csv")
-    print(f"run directory: {run_dir}")
     print(f"weight-shift deltas sum {float(np.sum(deltas)):.3e}")
     print(f"spikes checkpoint_a {counts_a}")
     print(f"spikes checkpoint_b {counts_b}")
@@ -420,29 +381,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     ds = cfg["dataset"]
-    run_dir = _make_run_dir(args.out, "gen-data")
-    _echo_config(cfg, run_dir)
-    print(f"run directory: {run_dir}")
+    datasets, skipped = _datasets(cfg)
+    run_dir = _open_run_dir(args, cfg)
 
+    train_ds = datasets["train"]
     if ds["kind"] == "poisson":
-        train_ds, test_ds = _build_datasets(cfg)
-        caches = {"train": (train_ds, "train.cache"), "test": (test_ds, "test.cache")}
-        test_samples = 0 if test_ds is None else len(test_ds)
+        test_samples = len(datasets["test"]) if "test" in datasets else 0
         manifest = {"train_samples": len(train_ds), "test_samples": test_samples}
         summary = f"train samples {len(train_ds)}, test samples {test_samples}"
     else:
-        train_ds, skipped = _events_dataset(cfg)
-        caches = {"train": (train_ds, "events.cache")}
         manifest = {"labels": train_ds.labels.tolist(), "samples": len(train_ds),
                     "skipped_empty": skipped}
         summary = f"samples {len(train_ds)}, skipped {skipped} empty"
     manifest.update(kind=ds["kind"], class_count=train_ds.class_count, files={})
-    for split, (dataset, name) in caches.items():
-        if dataset is not None:
-            params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
-                      "split": split}
-            save_dataset_cache(dataset, run_dir / name, params)
-            manifest["files"][split] = name
+    for split, dataset in datasets.items():
+        name = "events.cache" if ds["kind"] == "events" else f"{split}.cache"
+        params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
+                  "split": split}
+        save_dataset_cache(dataset, run_dir / name, params)
+        manifest["files"][split] = name
     with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

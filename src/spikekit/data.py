@@ -40,6 +40,9 @@ _ODD_LINE = re.compile(r"^(?![0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[01]$).*$", re.
 
 _CACHE_MAGIC = b"SKCACHE"
 _CACHE_VERSION = 1
+# The largest class count the cache header's uint32 field holds; a label
+# must lie below it.
+MAX_CLASS_COUNT = 2**32 - 1
 _SPLITS = ("train", "test")
 
 
@@ -230,16 +233,16 @@ def load_events_csv(manifest_path) -> list:
     Returns one ``(events, label)`` pair per entry, where ``events`` is an
     ``(n, 4)`` int64 array of ``t, x, y, polarity`` rows, stably sorted by
     ``t``. Paths are resolved relative to the manifest; an entry needs a
-    string ``path`` and a non-negative integer ``label``. Each file is
-    parsed in one vectorized pass. In a file that pass cannot take whole,
-    one regex pass finds the odd lines, those that are not four ASCII digit
-    fields of at most 18 digits with polarity 0 or 1: only they take the
-    per-line rules, and one more ``np.loadtxt`` reads the rest, so numpy's
-    parser never sees non-ASCII text. Under those rules, lines that do not
-    parse as "t,x,y,polarity" with valid ranges and values that fit int64
-    are dropped and counted. A file whose malformed lines exceed 1% of its
-    event lines is rejected. An empty file yields a ``(0, 4)`` array, left
-    for the binning stage to reject.
+    string ``path`` and an integer ``label`` in [0, ``MAX_CLASS_COUNT``).
+    Each file is parsed in one vectorized pass. In a file that pass cannot
+    take whole, one regex pass finds the odd lines, those that are not four
+    ASCII digit fields of at most 18 digits with polarity 0 or 1: only they
+    take the per-line rules, and one more ``np.loadtxt`` reads the rest, so
+    numpy's parser never sees non-ASCII text. Under those rules, lines that
+    do not parse as "t,x,y,polarity" with valid ranges and values that fit
+    int64 are dropped and counted. A file whose malformed lines exceed 1% of
+    its event lines is rejected. An empty file yields a ``(0, 4)`` array,
+    left for the binning stage to reject.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -255,8 +258,11 @@ def load_events_csv(manifest_path) -> list:
         if not isinstance(entry, dict) or "path" not in entry or "label" not in entry:
             raise DataError(f"{where} must be an object with path and label")
         label = entry["label"]
-        if not isinstance(label, int) or isinstance(label, bool) or label < 0:
-            raise DataError(f"{where} label must be a non-negative integer")
+        if (isinstance(label, bool) or not isinstance(label, int)
+                or not 0 <= label < MAX_CLASS_COUNT):
+            raise DataError(
+                f"{where} label must be a non-negative integer below {MAX_CLASS_COUNT}"
+            )
         if not isinstance(entry["path"], str):
             raise DataError(f"{where} path must be a string")
         file_path = Path(entry["path"])

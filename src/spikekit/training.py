@@ -24,6 +24,13 @@ from .neurons import MODELS
 
 @dataclass
 class TrainConfig:
+    """Adam and batching settings for :func:`train`.
+
+    ``model`` and ``timesteps`` are checked but not read: the network
+    carries both. They stay only because ``perfbench/workloads.py`` passes
+    them.
+    """
+
     epochs: int
     batch_size: int
     seed: int

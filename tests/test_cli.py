@@ -9,6 +9,7 @@ from spikekit.cli import load_config, main, validate_config
 from spikekit.data import load_dataset_cache
 from spikekit.errors import ConfigError, TrainingDiverged
 from spikekit.network import init_network, save_checkpoint
+from test_public_api import _entry_points
 
 EVENTS_MANIFEST = Path(__file__).parent / "data" / "events" / "manifest.json"
 
@@ -82,6 +83,24 @@ class TestConfigValidation:
     def test_events_dataset_requires_manifest(self):
         with pytest.raises(ConfigError, match="manifest"):
             validate_config({"dataset": {"kind": "events"}})
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "poisson"}, {"kind": "events", "manifest": "m.json"},
+    ])
+    def test_class_count_must_fit_the_cache_header(self, dataset):
+        with pytest.raises(ConfigError, match=r"dataset\.class_count must be <= 4294967295, "
+                                              r"got 4294967296"):
+            validate_config({"dataset": {**dataset, "class_count": 2**32}})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": None}, "config key seed must be an integer"),
+        ({"train": {"epochs": None}}, "config key train.epochs must be an integer"),
+        ({"network": None}, "config key network must be an object"),
+        ({"dataset": None}, "config key dataset must be an object"),
+    ])
+    def test_null_is_rejected_where_the_default_is_not_null(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(doc)
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -324,10 +343,12 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 2
         assert "bad.csv" in err and "not UTF-8" in err
+        assert not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("path", 5), ("path", ["x"]), ("path", None),
         ("label", True), ("label", 1.5), ("label", "0"), ("label", -1),
+        ("label", 10**30), ("label", 2**32 - 1),
     ])
     def test_bad_manifest_entry(self, tmp_path, capsys, key, value):
         entry = {"path": "x.csv", "label": 0, key: value}
@@ -340,6 +361,17 @@ class TestMalformedInputs:
         assert rc == 2
         assert f"manifest {manifest} entry 0 {key} must be" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+
+    def test_events_class_count_too_large_leaves_no_run_dir(self, tmp_path, capsys):
+        doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST),
+                                           "class_count": 2**32}}
+        out = tmp_path / "gen"
+        rc = main(["gen-data", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config key dataset.class_count must be <= 4294967295" in err
+        assert not out.exists()
 
     def test_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -447,3 +479,27 @@ class TestGenDataCommand:
         assert manifest["class_count"] == 2
         assert manifest["skipped_empty"] == 1
         assert (run_dir / "events.cache").is_file()
+
+
+def test_every_traced_cli_name_is_called(tmp_path, monkeypatch, capsys):
+    """perfbench's tracer wraps these names on ``cli`` itself; a command that
+    reached the function some other way would hide its time from the trace."""
+    names = [attr for owner, attr in _entry_points() if owner == "cli" and attr != "main"]
+    calls = set()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.add(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    run_dir = _train_tiny(tmp_path)
+    assert main(["eval", "--config", _write_config(tmp_path, TINY),
+                 "--checkpoint", str(run_dir / "checkpoint.json")]) == 0
+    events = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST)}}
+    assert main(["gen-data", "--config", _write_config(tmp_path, events, "events.json"),
+                 "--out", str(tmp_path / "gen")]) == 0
+    capsys.readouterr()
+    assert names and calls == set(names)
