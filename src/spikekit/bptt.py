@@ -2,10 +2,14 @@
 
 The forward pass unrolls the network over the simulation window and records
 a tape of three ``(timesteps, batch, neurons)`` arrays per layer: the
-weighted input ``x``, the post-update membrane potential ``u``, and the
-emitted spikes ``o`` (``bool`` in hard mode). Input and hidden spikes stay
-one byte each until a GEMM reads them: only the operand handed to BLAS is
-a float64 copy. The backward pass walks the tape in reverse,
+weighted input ``x``, what the backward reads of the post-update membrane
+potential ``u``, and the emitted spikes ``o`` (``bool`` in hard mode). The
+hard backward reads ``u`` only through the surrogate window
+``|u - v_th| <= a/2``, so a hard-mode layer keeps that ``bool`` mask instead
+of ``u``, unless its model row is marked ``hard_reads_u`` (``plif``): 10
+bytes per neuron and step rather than 17. Input and hidden spikes stay one
+byte each until a GEMM reads them: only the operand handed to BLAS is a
+float64 copy. The backward pass walks the tape in reverse,
 propagating the loss gradient through space (layer to layer, within one
 timestep) and through time (the leaky membrane recurrence of each layer),
 and accumulates gradients for every trainable array.
@@ -13,7 +17,7 @@ and accumulates gradients for every trainable array.
 The engine is layer-major. There are no recurrent weights, so a layer's
 drive for every timestep comes from one GEMM over the spikes of the layer
 below, and one :func:`spikekit.neurons.scan` call then runs the elementwise
-membrane recurrence over the window, writing the tape's ``u`` and ``o``. The
+membrane recurrence over the window, giving the layer's ``u`` and ``o``. The
 backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)`` steps,
 latest block first. Within a block it takes each layer from the top down:
 an elementwise reverse scan of dL/du, then one GEMM for the weight gradient
@@ -47,6 +51,7 @@ share this machinery:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +59,7 @@ import numpy as np
 from . import numerics
 from .errors import DimensionError, StateError
 from .network import Network, readout_and_loss
-from .neurons import MODEL_TABLE, scan, sigmoid_prime, surrogate_spike_derivative
+from .neurons import MODEL_TABLE, NeuronParams, scan, sigmoid_prime, surrogate_window
 from .neurons import step  # noqa: F401  (perfbench traces the one-step entry point here)
 
 # Rows (timesteps x batch) per backward GEMM: the time-block size is
@@ -66,20 +71,29 @@ GEMM_ROWS = 1024
 class BpttTape:
     """Forward record consumed by the backward pass.
 
-    ``x[n]``, ``u[n]`` and ``o[n]`` are arrays of shape
+    ``x[n]``, ``membrane[n]`` and ``o[n]`` are arrays of shape
     ``(timesteps, batch, neurons of layer n)``, so ``x[n][t]`` is layer
-    ``n``'s weighted input at step ``t``. ``x`` and ``u`` are float64;
-    ``o`` is ``bool`` in hard mode and float64 (spike probabilities) in
-    smoothed mode. ``inputs`` keeps the dtype it was given, such as a
-    ``uint8`` batch.
+    ``n``'s weighted input at step ``t``. ``x`` is float64; ``o`` is
+    ``bool`` in hard mode and float64 (spike probabilities) in smoothed
+    mode. ``membrane[n]`` is the float64 potential ``u`` in smoothed mode
+    and for a ``hard_reads_u`` model, and otherwise the ``bool`` surrogate
+    window of ``u`` (:func:`spikekit.neurons.surrogate_window`).
+    ``inputs`` keeps the dtype it was given, such as a ``uint8`` batch.
+
+    ``u[n]`` is layer ``n``'s float64 potential either way: the held array,
+    or one re-run of :func:`spikekit.neurons.scan` over ``x[n]`` with the
+    layer's neuron parameters and ``beta`` as they were at forward time
+    (``neurons``, kept by hard-mode tapes only). Each access derives only
+    layer ``n`` and nothing is cached.
     """
 
     inputs: np.ndarray
     x: list[np.ndarray]
-    u: list[np.ndarray]
+    membrane: list[np.ndarray]
     o: list[np.ndarray]
     readout: np.ndarray
     smoothed: bool = False
+    neurons: list[tuple[NeuronParams, np.ndarray | None]] | None = None
 
     @property
     def timesteps(self) -> int:
@@ -89,14 +103,21 @@ class BpttTape:
     def batch_size(self) -> int:
         return self.inputs.shape[0]
 
+    @property
+    def u(self) -> "_Potentials":
+        return _Potentials(self)
+
     def validate(self, net: Network) -> None:
         n_layers = len(net.layers)
-        if len(self.x) != n_layers or len(self.u) != n_layers or len(self.o) != n_layers:
+        if any(len(series) != n_layers for series in (self.x, self.membrane, self.o)):
             raise StateError(f"tape holds {len(self.x)} layers, network has {n_layers}")
         spikes = np.float64 if self.smoothed else np.bool_
         for n, layer in enumerate(net.layers):
             expected = (self.timesteps, self.batch_size, layer.out_width)
-            for name, series, dtype in (("x", self.x[n], np.float64), ("u", self.u[n], np.float64),
+            holds_u = self.smoothed or MODEL_TABLE[layer.neuron.model].hard_reads_u
+            for name, series, dtype in (("x", self.x[n], np.float64),
+                                        ("membrane", self.membrane[n],
+                                         np.float64 if holds_u else np.bool_),
                                         ("o", self.o[n], spikes)):
                 if not isinstance(series, np.ndarray) or series.dtype != dtype:
                     raise StateError(f"tape {name}[{n}] must be a {np.dtype(dtype)} array")
@@ -104,6 +125,23 @@ class BpttTape:
                     raise StateError(
                         f"tape {name}[{n}] has shape {series.shape}, expected {expected}"
                     )
+
+
+class _Potentials(Sequence):
+    """``BpttTape.u``: each layer's float64 potential, held or re-derived on access."""
+
+    def __init__(self, tape: BpttTape):
+        self._tape = tape
+
+    def __len__(self) -> int:
+        return len(self._tape.membrane)
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        held = self._tape.membrane[n]
+        if held.dtype != np.bool_:
+            return held
+        p, beta = self._tape.neurons[n]
+        return scan(self._tape.x[n], p, beta)[0]
 
 
 @dataclass
@@ -160,6 +198,8 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     operand at a time.
     All membrane potentials start at 0 with no prior spike. The readout is
     the output layer's per-class firing rate, averaged over the window.
+    In hard mode each layer's ``u`` becomes its surrogate-window mask in
+    place, unless its model's hard backward reads ``u`` itself.
     """
     inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
@@ -175,14 +215,20 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         )
     numerics.require_finite(inputs, "inputs")
 
-    tape = BpttTape(inputs=inputs, x=[], u=[], o=[], readout=None, smoothed=smoothed)
+    tape = BpttTape(inputs=inputs, x=[], membrane=[], o=[], readout=None, smoothed=smoothed,
+                    neurons=None if smoothed else [])
     pre = _time_major(inputs, 0, timesteps)
     for layer in net.layers:
         x = numerics.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
-        u, o = scan(x, layer.params(), layer.beta, smoothed=smoothed)
+        p = layer.params()
+        u, o = scan(x, p, layer.beta, smoothed=smoothed)
+        if not smoothed:
+            tape.neurons.append((p, None if layer.beta is None else layer.beta.copy()))
+            if not MODEL_TABLE[p.model].hard_reads_u:
+                u = surrogate_window(u, p, overwrite=True)
         tape.x.append(x)
-        tape.u.append(u)
+        tape.membrane.append(u)
         tape.o.append(o)
         pre = o.reshape(-1, layer.out_width)
 
@@ -195,7 +241,8 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
 
     ``do`` is dL/do for the block (or one (batch, neurons) slice broadcast
     over it) and ``carry`` is dL/du at the step after the block, or None at
-    the end of the window.
+    the end of the window. ``u`` is the block of the tape's ``membrane``:
+    the potential, or in hard mode possibly its surrogate-window mask.
     """
     leak = p.effective_leak()
     if smoothed:
@@ -204,8 +251,10 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
         spike_deriv = o * (1.0 - o) / p.surrogate_width
         through_time = leak * (1.0 - o) - leak * u * spike_deriv
     else:
-        # The reset gate is a constant in hard mode.
-        spike_deriv = surrogate_spike_derivative(u, p)
+        # The reset gate is a constant in hard mode, and the rectangular
+        # surrogate is the window mask divided by its width.
+        window = u if u.dtype == np.bool_ else surrogate_window(u, p)
+        spike_deriv = window / p.surrogate_width
         through_time = 1.0 - o
         through_time *= leak
     du = spike_deriv
@@ -246,13 +295,14 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
         for n in reversed(range(n_layers)):
             layer, p = net.layers[n], params[n]
             x = tape.x[n][steps]
-            du = _block_du(do, tape.u[n][steps], tape.o[n][steps], p, smoothed, du_carry[n])
+            du = _block_du(do, tape.membrane[n][steps], tape.o[n][steps], p, smoothed,
+                           du_carry[n])
             du_carry[n] = du[0]
 
             if leak_acc[n] is not None:
                 first = max(start, 1)
                 prev = slice(first - 1, stop - 1)
-                carried = tape.u[n][prev] * (1.0 - tape.o[n][prev])
+                carried = tape.membrane[n][prev] * (1.0 - tape.o[n][prev])
                 leak_acc[n] += float(np.sum(du[first - start:] * carried))
 
             model = MODEL_TABLE[p.model]

@@ -89,12 +89,22 @@ def _chk_str(path, value, options=None):
     return value
 
 
-def _chk_int_list(path, value, lo=1):
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= lo for v in value
-    ):
-        raise ConfigError(f"config key {path} must be a list of integers >= {lo}")
-    return list(value)
+# Every size key is bounded by name. MAX_SIZE is the dataset cache header's
+# uint32 field, far inside numpy's dimension limit; an event grid of
+# MAX_GRID_SIDE on each side has 2 * 2**30 neurons, inside MAX_SIZE. Sizes
+# under these bounds can still ask numpy for more memory than there is.
+MAX_SIZE = MAX_CLASS_COUNT
+MAX_GRID_SIDE = 2**15
+
+
+def _size(lo=1, hi=MAX_SIZE):
+    return lambda p, v: _chk_int(p, v, lo=lo, hi=hi)
+
+
+def _chk_sizes(path, value):
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {path} must be a list of integers >= 1")
+    return [_chk_int(f"{path}[{i}]", v, lo=1, hi=MAX_SIZE) for i, v in enumerate(value)]
 
 
 def _apply_schema(section, schema: dict, prefix: str) -> dict:
@@ -126,18 +136,18 @@ def _apply_schema(section, schema: dict, prefix: str) -> dict:
 _POISSON_SCHEMA = {
     "kind": ("poisson", lambda p, v: _chk_str(p, v, options=("poisson", "events"))),
     "class_count": (4, lambda p, v: _chk_int(p, v, lo=1, hi=MAX_CLASS_COUNT)),
-    "neurons": (64, lambda p, v: _chk_int(p, v, lo=1)),
+    "neurons": (64, _size()),
     "rate_lo": (0.05, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
     "rate_hi": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
-    "train_per_class": (50, lambda p, v: _chk_int(p, v, lo=1)),
-    "test_per_class": (25, lambda p, v: _chk_int(p, v, lo=0)),
+    "train_per_class": (50, _size()),
+    "test_per_class": (25, _size(lo=0)),
 }
 
 _EVENTS_SCHEMA = {
     "kind": ("events", lambda p, v: _chk_str(p, v, options=("poisson", "events"))),
     "manifest": (None, _chk_str),
-    "grid_width": (8, lambda p, v: _chk_int(p, v, lo=1)),
-    "grid_height": (8, lambda p, v: _chk_int(p, v, lo=1)),
+    "grid_width": (8, _size(hi=MAX_GRID_SIDE)),
+    "grid_height": (8, _size(hi=MAX_GRID_SIDE)),
     "class_count": (0, lambda p, v: _chk_int(p, v, lo=0, hi=MAX_CLASS_COUNT)),
 }
 
@@ -156,19 +166,19 @@ def _chk_dataset(path, value):
 _TOP_SCHEMA = {
     "seed": (0, lambda p, v: _chk_int(p, v, lo=0)),
     "model": ("lif", lambda p, v: _chk_str(p, v, options=MODELS)),
-    "timesteps": (10, lambda p, v: _chk_int(p, v, lo=1)),
+    "timesteps": (10, _size()),
     "checkpoint": (None, _chk_str),
     "checkpoint_a": (None, _chk_str),
     "checkpoint_b": (None, _chk_str),
     "network": {
-        "hidden": ([32], _chk_int_list),
+        "hidden": ([32], _chk_sizes),
         "v_th": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
         "leak": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
         "surrogate_width": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
     },
     "train": {
         "epochs": (20, lambda p, v: _chk_int(p, v, lo=1)),
-        "batch_size": (20, lambda p, v: _chk_int(p, v, lo=1)),
+        "batch_size": (20, _size()),
         "learning_rate": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0)),
         "adam_beta1": (0.9, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
         "adam_beta2": (0.999, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
@@ -176,11 +186,11 @@ _TOP_SCHEMA = {
     },
     "dataset": ({}, _chk_dataset),
     "gradcheck": {
-        "batch": (2, lambda p, v: _chk_int(p, v, lo=1)),
-        "input_width": (4, lambda p, v: _chk_int(p, v, lo=1)),
-        "hidden": ([6], _chk_int_list),
-        "class_count": (3, lambda p, v: _chk_int(p, v, lo=2)),
-        "timesteps": (3, lambda p, v: _chk_int(p, v, lo=1)),
+        "batch": (2, _size()),
+        "input_width": (4, _size()),
+        "hidden": ([6], _chk_sizes),
+        "class_count": (3, _size(lo=2)),
+        "timesteps": (3, _size()),
         "tolerance": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
         "step_size": (1e-4, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
     },
@@ -269,7 +279,13 @@ def _datasets(cfg: dict, splits=("train", "test")):
             skipped += 1
     if not frames:
         raise DataError(f"no usable samples in {ds['manifest']} ({skipped} empty)")
-    class_count = ds["class_count"] or max(labels) + 1
+    largest = max(labels)
+    class_count = ds["class_count"] or largest + 1
+    if class_count <= largest:
+        raise ConfigError(
+            f"config key dataset.class_count is {class_count}, but manifest {ds['manifest']} "
+            f"has label {largest}; it must be at least {largest + 1}"
+        )
     return {"train": Dataset(np.stack(frames), np.asarray(labels, dtype=np.int64),
                              class_count, split="train")}, skipped
 

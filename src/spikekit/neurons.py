@@ -94,6 +94,8 @@ class Model:
     which the weight gradient forms, or is None for a factor of 1.
     ``hard_spatial_bare`` keeps that factor off the hard-mode gradient sent
     to the layer below. ``gain`` marks a model that needs ``beta``.
+    ``hard_reads_u`` marks a model whose hard backward reads the potential
+    itself, not only its surrogate window (``plif``'s leak gradient).
     """
 
     leak: Callable = _configured_leak
@@ -102,12 +104,13 @@ class Model:
     site: Callable | None = None
     hard_spatial_bare: bool = False
     gain: bool = False
+    hard_reads_u: bool = False
 
 
 MODEL_TABLE = {
     "lif": Model(),
     "if": Model(leak=lambda p: 1.0),
-    "plif": Model(leak=lambda p: float(sigmoid(p.plif_raw))),
+    "plif": Model(leak=lambda p: float(sigmoid(p.plif_raw)), hard_reads_u=True),
     "aia": Model(smoothed_drive=lambda x, beta: 0.5 * x * x, site=_x, hard_spatial_bare=True),
     "cached-aia": Model(drive=_beta_x, smoothed_drive=_beta_x, site=_beta, gain=True),
 }
@@ -200,12 +203,21 @@ def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
     return NeuronState(u=u[0], o=o[0])
 
 
+def surrogate_window(u, p: NeuronParams, overwrite: bool = False) -> np.ndarray:
+    """The ``bool`` mask ``|u - v_th| <= surrogate_width / 2``.
+
+    It marks where the rectangular surrogate lets a spiking gradient
+    through. With ``overwrite`` the float64 array ``u`` is used as scratch
+    and left holding ``|u - v_th|``.
+    """
+    out = u if overwrite else None
+    return np.abs(np.subtract(u, p.v_th, out=out), out=out) <= p.surrogate_width / 2.0
+
+
 def surrogate_spike_derivative(u, p: NeuronParams) -> np.ndarray:
     """Rectangular surrogate for the spike derivative.
 
     A window of width ``a = surrogate_width`` centered at the threshold with
     height 1/a, so the window integrates to one for any width.
     """
-    u = numerics.as_dense(u)
-    a = p.surrogate_width
-    return (np.abs(u - p.v_th) <= a / 2.0).astype(np.float64) / a
+    return surrogate_window(numerics.as_dense(u), p) / p.surrogate_width

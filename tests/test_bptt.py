@@ -6,7 +6,7 @@ from spikekit import bptt, numerics
 from spikekit.bptt import backward, forward_record, gradcheck
 from spikekit.errors import DimensionError, NumericError, StateError
 from spikekit.network import init_network, readout_and_loss, softmax
-from spikekit.neurons import MODELS
+from spikekit.neurons import MODELS, scan
 
 from aia_update_forms import aia_update_from_drive, aia_update_gated_sum
 
@@ -58,7 +58,7 @@ class TestForwardRecord:
         tape64, readout64 = forward_record(net, data[index].astype(np.float64))
         assert tape8.inputs.dtype == np.uint8
         assert readout8.tobytes() == readout64.tobytes()
-        for a, b in zip(tape8.u + tape8.o, tape64.u + tape64.o):
+        for a, b in zip(tape8.x + tape8.membrane + tape8.o, tape64.x + tape64.membrane + tape64.o):
             assert a.tobytes() == b.tobytes()
         g8 = backward(tape8, np.ones((3, 3)), net)
         g64 = backward(tape64, np.ones((3, 3)), net)
@@ -104,6 +104,77 @@ class TestForwardRecord:
         _, r1 = forward_record(net, inputs)
         _, r2 = forward_record(net, inputs)
         assert r1.tobytes() == r2.tobytes()
+
+
+def _net_off_init(model, rng, seed):
+    """A 5-6-3 net whose ``beta`` and ``plif_raw`` have moved from their initial values."""
+    net = init_network([5, 6, 3], model=model, timesteps=7, seed=seed, v_th=0.5)
+    for layer in net.layers:
+        if layer.beta is not None:
+            layer.beta[:] = rng.uniform(0.5, 1.5, size=layer.beta.shape)
+        if layer.plif_raw is not None:
+            layer.plif_raw[...] = 0.4
+    return net
+
+
+class TestTapeLayout:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_held_bytes_per_neuron_step(self, model):
+        # Hard mode holds float64 x, bool o and, unless the backward reads u
+        # itself, u's bool surrogate window; smoothed mode holds three float64s.
+        rng = np.random.default_rng(50)
+        net = _net_off_init(model, rng, seed=51)
+        inputs = _binary_inputs(rng, 4, 5, 7)
+        for smoothed, per_cell in ((False, 17 if model == "plif" else 10), (True, 24)):
+            tape, _ = forward_record(net, inputs, smoothed=smoothed)
+            assert (tape.neurons is None) == smoothed
+            for n, width in enumerate([6, 3]):
+                held = sum(series[n].nbytes for series in (tape.x, tape.membrane, tape.o))
+                assert held == per_cell * 7 * 4 * width
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_potentials_are_the_scanned_ones(self, model, monkeypatch):
+        rng = np.random.default_rng(52)
+        net = _net_off_init(model, rng, seed=53)
+        scanned = []
+
+        def recording(x, p, beta=None, state=None, smoothed=False):
+            u, o = scan(x, p, beta, state, smoothed)
+            scanned.append(u.copy())
+            return u, o
+
+        monkeypatch.setattr(bptt, "scan", recording)
+        tape, _ = forward_record(net, _binary_inputs(rng, 4, 5, 7))
+        monkeypatch.undo()
+        # A parameter update after the forward does not change what the tape reads.
+        for layer in net.layers:
+            if layer.beta is not None:
+                layer.beta *= 2.0
+            if layer.plif_raw is not None:
+                layer.plif_raw[...] = -1.0
+        assert len(tape.u) == len(scanned) == 2
+        for n, u in enumerate(scanned):
+            assert tape.u[n].dtype == np.float64
+            assert tape.u[n].tobytes() == u.tobytes()
+            p = net.layers[n].neuron
+            window = np.abs(u - p.v_th) <= p.surrogate_width / 2.0
+            assert np.any(window) and not np.all(window)
+            if model == "plif":
+                assert tape.u[n] is tape.membrane[n]
+            else:
+                npt.assert_array_equal(tape.membrane[n], window)
+
+    def test_window_gives_the_surrogate_derivative_bitwise(self):
+        rng = np.random.default_rng(54)
+        net = _net_off_init("lif", rng, seed=55)
+        tape, _ = forward_record(net, _binary_inputs(rng, 4, 5, 7))
+        p = net.layers[0].params()
+        do = rng.standard_normal((7, 4, 6))
+        carry = rng.standard_normal((4, 6))
+        from_window = bptt._block_du(do, tape.membrane[0], tape.o[0], p, False, carry)
+        from_u = bptt._block_du(do, tape.u[0], tape.o[0], p, False, carry)
+        assert np.any(from_window != 0.0)
+        assert from_window.tobytes() == from_u.tobytes()
 
 
 class TestForwardChecks:
@@ -383,8 +454,14 @@ class TestBackwardValidation:
 
     def test_wrong_width_tape_entry_rejected(self):
         net, tape = self._tape_and_upstream()
-        tape.u[0] = np.zeros((2, 2, 4))  # (T, B, N) with one neuron too many
-        with pytest.raises(StateError, match=r"u\[0\]"):
+        tape.membrane[0] = np.zeros((2, 2, 4), dtype=bool)  # (T, B, N) with one neuron too many
+        with pytest.raises(StateError, match=r"membrane\[0\]"):
+            backward(tape, np.zeros((2, 3)), net)
+
+    def test_potential_where_a_window_belongs_rejected(self):
+        net, tape = self._tape_and_upstream()
+        tape.membrane[0] = tape.u[0]  # the float64 potential of a lif layer
+        with pytest.raises(StateError, match=r"membrane\[0\] must be a bool array"):
             backward(tape, np.zeros((2, 3)), net)
 
     def test_per_timestep_list_tape_rejected(self):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"dataset\.class_count must be <= 4294967295, "
                                               r"got 4294967296"):
             validate_config({"dataset": {**dataset, "class_count": 2**32}})
+
+    @pytest.mark.parametrize("path, bound", [
+        ("network.hidden[1]", cli.MAX_SIZE),
+        ("timesteps", cli.MAX_SIZE),
+        ("dataset.neurons", cli.MAX_SIZE),
+        ("dataset.train_per_class", cli.MAX_SIZE),
+        ("dataset.test_per_class", cli.MAX_SIZE),
+        ("dataset.grid_width", cli.MAX_GRID_SIDE),
+        ("dataset.grid_height", cli.MAX_GRID_SIDE),
+        ("train.batch_size", cli.MAX_SIZE),
+        ("gradcheck.batch", cli.MAX_SIZE),
+        ("gradcheck.input_width", cli.MAX_SIZE),
+        ("gradcheck.hidden[0]", cli.MAX_SIZE),
+        ("gradcheck.class_count", cli.MAX_SIZE),
+        ("gradcheck.timesteps", cli.MAX_SIZE),
+    ])
+    def test_size_keys_are_bounded_by_name(self, path, bound):
+        # Validation only: nothing here asks numpy for the memory these sizes need.
+        def doc(value):
+            section, _, key = path.rpartition(".")
+            name, _, index = key.partition("[")
+            leaf = {name: [3] * int(index[:-1]) + [value]} if index else {name: value}
+            if name.startswith("grid"):
+                leaf.update(kind="events", manifest="m.json")
+            return {section: leaf} if section else leaf
+
+        validate_config(doc(bound))
+        for value in (bound + 1, 2**63):
+            with pytest.raises(ConfigError, match=rf"config key {re.escape(path)} must be "
+                                                  rf"<= {bound}, got {value}$"):
+                validate_config(doc(value))
 
     @pytest.mark.parametrize("doc, message", [
         ({"seed": None}, "config key seed must be an integer"),
@@ -371,6 +403,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 2
         assert "config key dataset.class_count must be <= 4294967295" in err
+        assert not out.exists()
+
+    def test_events_class_count_below_a_manifest_label_names_both(self, tmp_path, capsys):
+        doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST),
+                                           "class_count": 1}}
+        out = tmp_path / "gen"
+        rc = main(["gen-data", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config key dataset.class_count is 1" in err
+        assert f"manifest {EVENTS_MANIFEST} has label 1" in err
         assert not out.exists()
 
     def test_non_utf8_config(self, tmp_path, capsys):

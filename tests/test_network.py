@@ -1,9 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikekit.errors import ConfigError, DataError, DimensionError
 from spikekit.network import (
@@ -16,7 +21,7 @@ from spikekit.network import (
     save_checkpoint,
     softmax,
 )
-from spikekit.neurons import NeuronParams
+from spikekit.neurons import MODELS, NeuronParams
 from spikekit.bptt import forward_record
 
 
@@ -235,6 +240,28 @@ class TestCheckpoint:
                 assert lb.plif_raw is None
             else:
                 assert la.plif_raw.tobytes() == lb.plif_raw.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(MODELS),
+           widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_round_trip_is_bit_exact_for_random_parameters(self, model, widths, seed, data):
+        # Any finite float64 survives: subnormals, -0.0 and the extremes included.
+        net = init_network(widths, model=model, timesteps=3, seed=0)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        for _, array in net.parameter_items():
+            array[...] = data.draw(hnp.arrays(np.float64, array.shape, elements=finite))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.json"
+            save_checkpoint(net, path, seed=seed)
+            loaded, loaded_seed = load_checkpoint(path)
+        assert loaded_seed == seed
+        assert [la.neuron for la in loaded.layers] == [la.neuron for la in net.layers]
+        saved = list(net.parameter_items())
+        assert [name for name, _ in loaded.parameter_items()] == [name for name, _ in saved]
+        for (_, a), (_, b) in zip(saved, loaded.parameter_items()):
+            assert (b.dtype, b.shape) == (a.dtype, a.shape)
+            assert a.tobytes() == b.tobytes()
 
     def test_awkward_float_values_survive(self, tmp_path):
         # Values that lose digits through repr round get preserved via the

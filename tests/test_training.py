@@ -23,6 +23,11 @@ from spikekit.training import (
 )
 
 
+def _held_bytes(tape) -> int:
+    """Bytes the tape holds; ``tape.u`` is derived on access, not held."""
+    return sum(a.nbytes for series in (tape.x, tape.membrane, tape.o) for a in series)
+
+
 def _toy():
     kw = dict(class_count=2, neurons=8, timesteps=3, rate_lo=0.1, rate_hi=0.9, seed=2)
     return (gen_poisson_patterns(n_per_class=6, split="train", **kw),
@@ -215,7 +220,7 @@ class TestTrainLoop:
         net = init_network([4, 32, 32, 2], model="lif", timesteps=128, seed=6)
         cfg = TrainConfig(epochs=1, batch_size=64, seed=0, timesteps=128)
         tape, _ = training.bptt.forward_record(net, data.data[:64])
-        tape_bytes = sum(a.nbytes for series in (tape.x, tape.u, tape.o) for a in series)
+        tape_bytes = _held_bytes(tape)
         del tape
 
         tracemalloc.start()
@@ -286,7 +291,7 @@ class TestEvaluate:
         ds = gen_poisson_patterns(n_per_class=5 * chunk // 2, split="test", **kw)
         net = init_network([16, 64, 64, 2], model="lif", timesteps=timesteps, seed=10)
         tape, _ = training.bptt.forward_record(net, ds.data[:chunk])
-        tape_bytes = sum(a.nbytes for series in (tape.x, tape.u, tape.o) for a in series)
+        tape_bytes = _held_bytes(tape)
         del tape
 
         tracemalloc.start()
