@@ -49,7 +49,6 @@ from .neurons import (
     NeuronParams,
     NeuronState,
     step,
-    surrogate_spike_derivative,
 )
 from .training import (
     Adam,
@@ -103,7 +102,6 @@ __all__ = [
     "save_dataset_cache",
     "softmax",
     "step",
-    "surrogate_spike_derivative",
     "train",
     "weight_shift_report",
 ]

@@ -8,8 +8,9 @@ hard backward reads ``u`` only through the surrogate window
 ``|u - v_th| <= a/2``, so a hard-mode layer keeps that ``bool`` mask instead
 of ``u``, unless its model row is marked ``hard_reads_u`` (``plif``): 10
 bytes per neuron and step rather than 17. Input and hidden spikes stay one
-byte each until a GEMM reads them: only the operand handed to BLAS is a
-float64 copy. The backward pass walks the tape in reverse,
+byte each until a GEMM reads them, and :func:`spikekit.numerics.matmul`
+casts a tall spike operand to float64 ``GEMM_ROWS`` rows at a time. The
+backward pass walks the tape in reverse,
 propagating the loss gradient through space (layer to layer, within one
 timestep) and through time (the leaky membrane recurrence of each layer),
 and accumulates gradients for every trainable array.
@@ -17,7 +18,11 @@ and accumulates gradients for every trainable array.
 The engine is layer-major. There are no recurrent weights, so a layer's
 drive for every timestep comes from one GEMM over the spikes of the layer
 below, and one :func:`spikekit.neurons.scan` call then runs the elementwise
-membrane recurrence over the window, giving the layer's ``u`` and ``o``. The
+membrane recurrence over the window, giving the layer's ``o`` and ``u`` or,
+for a layer that keeps only the window mask, that mask: such a scan holds
+``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps at a time. So,
+beyond the tape it keeps, the forward's working memory scales with
+``GEMM_ROWS``, not with timesteps x batch. The
 backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)`` steps,
 latest block first. Within a block it takes each layer from the top down:
 an elementwise reverse scan of dL/du, then one GEMM for the weight gradient
@@ -63,8 +68,8 @@ from .neurons import MODEL_TABLE, NeuronParams, scan, sigmoid_prime, surrogate_w
 from .neurons import step  # noqa: F401  (perfbench traces the one-step entry point here)
 
 # Rows (timesteps x batch) per backward GEMM: the time-block size is
-# ceil(GEMM_ROWS / batch) steps.
-GEMM_ROWS = 1024
+# ceil(GEMM_ROWS / batch) steps. One constant with the forward's blocks.
+GEMM_ROWS = numerics.GEMM_ROWS
 
 
 @dataclass
@@ -194,12 +199,13 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
     ``inputs`` is a spike tensor of shape (batch, input_width, timesteps),
-    of any real, integer or boolean dtype; it is cast to float64 one GEMM
-    operand at a time.
+    of any real, integer or boolean dtype; :func:`spikekit.numerics.matmul`
+    casts it to float64 as each GEMM reads it, in row blocks once it is tall.
     All membrane potentials start at 0 with no prior spike. The readout is
     the output layer's per-class firing rate, averaged over the window.
-    In hard mode each layer's ``u`` becomes its surrogate-window mask in
-    place, unless its model's hard backward reads ``u`` itself.
+    In hard mode a layer's scan writes its surrogate-window mask straight
+    into the tape, block by block, and never holds the whole ``u``, unless
+    its model's hard backward reads ``u`` itself.
     """
     inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
@@ -222,13 +228,12 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         x = numerics.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
         p = layer.params()
-        u, o = scan(x, p, layer.beta, smoothed=smoothed)
+        window = not smoothed and not MODEL_TABLE[p.model].hard_reads_u
+        membrane, o = scan(x, p, layer.beta, smoothed=smoothed, window=window)
         if not smoothed:
             tape.neurons.append((p, None if layer.beta is None else layer.beta.copy()))
-            if not MODEL_TABLE[p.model].hard_reads_u:
-                u = surrogate_window(u, p, overwrite=True)
         tape.x.append(x)
-        tape.membrane.append(u)
+        tape.membrane.append(membrane)
         tape.o.append(o)
         pre = o.reshape(-1, layer.out_width)
 
@@ -298,6 +303,7 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
             du = _block_du(do, tape.membrane[n][steps], tape.o[n][steps], p, smoothed,
                            du_carry[n])
             du_carry[n] = du[0]
+            do = None  # consumed: freed before this layer's GEMMs make their own arrays
 
             if leak_acc[n] is not None:
                 first = max(start, 1)

@@ -164,7 +164,7 @@ class NeuronState:
 
 
 def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
-         smoothed: bool = False):
+         smoothed: bool = False, window: bool = False):
     """Run the model named by ``p.model`` over a ``(T, ...)`` drive; returns ``(u, o)``.
 
     ``u[t]`` and ``o[t]`` are the potential and output after step ``t``,
@@ -173,6 +173,13 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     ``u >= v_th`` and returns ``o`` as ``bool``. Smoothed mode integrates
     the row's smoothed drive and emits the float64
     ``logistic((u - v_th) / surrogate_width)``.
+
+    With ``window``, the first array returned is ``u``'s ``bool``
+    :func:`surrogate_window` in place of ``u``. The window then runs in
+    blocks of ``ceil(GEMM_ROWS / batch)`` steps, each block's drive formed
+    on its own: the potential lives only in one reused buffer of a block's
+    steps, and each block's mask and spikes go straight into the returned
+    arrays.
     """
     model = MODEL_TABLE[p.model]
     x = numerics.as_dense(x)
@@ -186,15 +193,33 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
                 f"beta shape {beta.shape} does not match neuron count of input shape {x.shape}"
             )
     leak = model.leak(p)
-    drive = (model.smoothed_drive if smoothed else model.drive)(x, beta)
-    u = np.empty_like(x)
+    drive = model.smoothed_drive if smoothed else model.drive
+    block = max(len(x), 1)
+    if window:
+        block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1))
+    u = np.empty_like(x[:block])
+    held = u
     o = np.empty_like(x) if smoothed else np.empty(x.shape, dtype=bool)
     u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
-    for t in range(len(x)):
-        u[t] = leak * u_prev * (1.0 - o_prev) + drive[t]
-        o[t] = sigmoid((u[t] - p.v_th) / p.surrogate_width) if smoothed else u[t] >= p.v_th
-        u_prev, o_prev = u[t], o[t]
-    return u, o
+    for start in range(0, len(x), block):
+        d = drive(x[start:start + block], beta)
+        stop = start + len(d)
+        base = start if window else 0  # u's row for step t is t - base
+        for t in range(start, stop):
+            u[t - base] = leak * u_prev * (1.0 - o_prev) + d[t - start]
+            u_prev = u[t - base]
+            o[t] = sigmoid((u_prev - p.v_th) / p.surrogate_width) if smoothed else u_prev >= p.v_th
+            o_prev = o[t]
+        del d  # a gain model's drive block is its own array: freed before the next
+        if window:
+            if stop < len(x):
+                u_prev = u_prev.copy()  # the next block reads it; the buffer becomes scratch
+            if held is u:
+                # Made once the first block's step temporaries are freed, so a
+                # one-block window peaks no higher than holding the whole u.
+                held = np.empty(x.shape, dtype=bool)
+            surrogate_window(u[:stop - start], p, out=held[start:stop])
+    return held, o
 
 
 def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
@@ -203,21 +228,15 @@ def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
     return NeuronState(u=u[0], o=o[0])
 
 
-def surrogate_window(u, p: NeuronParams, overwrite: bool = False) -> np.ndarray:
+def surrogate_window(u, p: NeuronParams, out: np.ndarray | None = None) -> np.ndarray:
     """The ``bool`` mask ``|u - v_th| <= surrogate_width / 2``.
 
     It marks where the rectangular surrogate lets a spiking gradient
-    through. With ``overwrite`` the float64 array ``u`` is used as scratch
-    and left holding ``|u - v_th|``.
+    through; the surrogate derivative is this mask divided by
+    ``surrogate_width``. Given a ``bool`` array ``out``, the mask is written
+    there and the float64 array ``u`` is used as scratch, left holding
+    ``|u - v_th|``.
     """
-    out = u if overwrite else None
-    return np.abs(np.subtract(u, p.v_th, out=out), out=out) <= p.surrogate_width / 2.0
-
-
-def surrogate_spike_derivative(u, p: NeuronParams) -> np.ndarray:
-    """Rectangular surrogate for the spike derivative.
-
-    A window of width ``a = surrogate_width`` centered at the threshold with
-    height 1/a, so the window integrates to one for any width.
-    """
-    return surrogate_window(numerics.as_dense(u), p) / p.surrogate_width
+    scratch = None if out is None else u
+    return np.less_equal(np.abs(np.subtract(u, p.v_th, out=scratch), out=scratch),
+                         p.surrogate_width / 2.0, out=out)

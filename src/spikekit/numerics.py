@@ -3,8 +3,8 @@
 All real-valued quantities (potentials, weighted inputs, weights, cache
 gains, gradients) are float64 numpy arrays. Binary spikes are not: they are
 ``uint8`` in datasets and ``bool`` on the tape, and :func:`matmul` casts
-such an operand to a float64 copy for BLAS. The functions here are thin
-contract-enforcing wrappers: shapes are checked up front and mismatches
+such an operand to float64 for BLAS, a block of rows at a time when it is
+tall. The functions here are thin contract-enforcing wrappers: shapes are checked up front and mismatches
 raise :class:`DimensionError` naming both shapes, and a histogram of an
 empty array raises :class:`EmptyInputError`.
 
@@ -19,6 +19,20 @@ import numpy as np
 from .errors import DimensionError, EmptyInputError, NumericError
 
 DTYPE = np.float64
+
+# Rows per GEMM piece. The engine's scratch memory scales with this, not
+# with timesteps x batch: :func:`matmul` casts a tall binary operand this
+# many rows at a time, and :func:`spikekit.neurons.scan` and the backward
+# work in blocks of ceil(GEMM_ROWS / batch) steps. It is also a correctness
+# rule. On OpenBLAS 0.3.31 (Haswell), with the engine's transposed weights
+# ``w.T`` as right operand, pieces of 1024 rows (the remainder folded into
+# the last) reproduced the single GEMM bit for bit on every shape tried
+# (K=1..700, N=1..256), while pieces of 128 to 512 rows changed narrow
+# products (N <= 4) and time-step pieces changed more. So no GEMM is cut into
+# pieces of fewer than GEMM_ROWS rows, and none by time step. With a
+# C-ordered right operand even 1024-row pieces changed some narrow products
+# (K=24..128, N=2..33), so such a GEMM is never cut.
+GEMM_ROWS = 1024
 
 
 def as_dense(values) -> np.ndarray:
@@ -40,8 +54,16 @@ def matmul(a, b) -> np.ndarray:
     Summation order is fixed by the backing BLAS kernel, so repeated calls
     on identical inputs produce bit-identical results. Operands keep their
     memory order: np.matmul hands a transposed view such as ``w.T`` to BLAS
-    as a transpose flag instead of copying it. A binary (``uint8`` or
-    ``bool``) operand is cast to a float64 copy that lives for this call.
+    as a transpose flag instead of copying it.
+
+    A binary (``uint8`` or ``bool``) operand is cast to float64 for BLAS. A
+    binary ``a`` of at least ``2 * GEMM_ROWS`` rows times a Fortran-ordered
+    ``b`` (a transposed view such as ``w.T``) is cast ``GEMM_ROWS`` rows at a
+    time, the remainder joining the last block, and each block's product
+    goes straight into its rows of the result. So the cast never holds more
+    than ``2 * GEMM_ROWS - 1`` rows, and no piece is cut where cutting was
+    seen to change the result (see ``GEMM_ROWS``). Other operands, and
+    ``b``, are cast whole, for the length of the call.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -54,7 +76,13 @@ def matmul(a, b) -> np.ndarray:
     # with such holes a chunked evaluate grows the heap past glibc's trim
     # threshold and page-faults it back in on every chunk.
     out = np.empty((a.shape[0], b.shape[1]), dtype=DTYPE)
-    return np.matmul(a.astype(DTYPE, copy=False), b.astype(DTYPE, copy=False), out=out)
+    b = b.astype(DTYPE, copy=False)
+    if a.dtype.kind not in "bu" or len(a) < 2 * GEMM_ROWS or not b.flags.f_contiguous:
+        return np.matmul(a.astype(DTYPE, copy=False), b, out=out)
+    edges = [*range(0, len(a) // GEMM_ROWS * GEMM_ROWS, GEMM_ROWS), len(a)]
+    for start, stop in zip(edges, edges[1:]):
+        np.matmul(a[start:stop].astype(DTYPE), b, out=out[start:stop])
+    return out
 
 
 def _check_nonempty(a: np.ndarray, op: str) -> None:

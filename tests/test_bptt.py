@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from spikekit import bptt, numerics
-from spikekit.bptt import backward, forward_record, gradcheck
+from spikekit.bptt import BpttTape, backward, forward_record, gradcheck
 from spikekit.errors import DimensionError, NumericError, StateError
 from spikekit.network import init_network, readout_and_loss, softmax
-from spikekit.neurons import MODELS, scan
+from spikekit.neurons import MODEL_TABLE, MODELS, NeuronState, scan, step, surrogate_window
 
 from aia_update_forms import aia_update_from_drive, aia_update_gated_sum
 
@@ -106,9 +108,9 @@ class TestForwardRecord:
         assert r1.tobytes() == r2.tobytes()
 
 
-def _net_off_init(model, rng, seed):
-    """A 5-6-3 net whose ``beta`` and ``plif_raw`` have moved from their initial values."""
-    net = init_network([5, 6, 3], model=model, timesteps=7, seed=seed, v_th=0.5)
+def _net_off_init(model, rng, seed, widths=(5, 6, 3), timesteps=7):
+    """A net whose ``beta`` and ``plif_raw`` have moved from their initial values."""
+    net = init_network(list(widths), model=model, timesteps=timesteps, seed=seed, v_th=0.5)
     for layer in net.layers:
         if layer.beta is not None:
             layer.beta[:] = rng.uniform(0.5, 1.5, size=layer.beta.shape)
@@ -133,36 +135,41 @@ class TestTapeLayout:
                 assert held == per_cell * 7 * 4 * width
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_potentials_are_the_scanned_ones(self, model, monkeypatch):
+    def test_potentials_are_the_scanned_ones(self, model):
+        # Batch 3 over 700 steps spans three scan blocks of ceil(GEMM_ROWS / 3)
+        # steps, the last one short; the tape must still be the chained steps.
+        batch, timesteps = 3, 700
+        assert timesteps > 2 * -(-bptt.GEMM_ROWS // batch)
         rng = np.random.default_rng(52)
-        net = _net_off_init(model, rng, seed=53)
-        scanned = []
-
-        def recording(x, p, beta=None, state=None, smoothed=False):
-            u, o = scan(x, p, beta, state, smoothed)
-            scanned.append(u.copy())
-            return u, o
-
-        monkeypatch.setattr(bptt, "scan", recording)
-        tape, _ = forward_record(net, _binary_inputs(rng, 4, 5, 7))
-        monkeypatch.undo()
+        net = _net_off_init(model, rng, seed=53, timesteps=timesteps)
+        tape, _ = forward_record(net, _binary_inputs(rng, batch, 5, timesteps))
+        chained = []
+        for n, layer in enumerate(net.layers):
+            state = NeuronState.zeros((batch, layer.out_width))
+            us, os = [], []
+            for t in range(timesteps):
+                state = step(state, tape.x[n][t], layer.params(), layer.beta)
+                us.append(state.u)
+                os.append(state.o)
+            chained.append((layer.params(), np.stack(us), np.stack(os)))
         # A parameter update after the forward does not change what the tape reads.
         for layer in net.layers:
             if layer.beta is not None:
                 layer.beta *= 2.0
             if layer.plif_raw is not None:
                 layer.plif_raw[...] = -1.0
-        assert len(tape.u) == len(scanned) == 2
-        for n, u in enumerate(scanned):
+        assert len(tape.u) == len(chained) == 2
+        for n, (p, u, o) in enumerate(chained):
             assert tape.u[n].dtype == np.float64
             assert tape.u[n].tobytes() == u.tobytes()
-            p = net.layers[n].neuron
+            assert tape.o[n].tobytes() == o.tobytes()
             window = np.abs(u - p.v_th) <= p.surrogate_width / 2.0
             assert np.any(window) and not np.all(window)
             if model == "plif":
                 assert tape.u[n] is tape.membrane[n]
             else:
-                npt.assert_array_equal(tape.membrane[n], window)
+                assert tape.membrane[n].dtype == np.bool_
+                assert tape.membrane[n].tobytes() == window.tobytes()
 
     def test_window_gives_the_surrogate_derivative_bitwise(self):
         rng = np.random.default_rng(54)
@@ -175,6 +182,73 @@ class TestTapeLayout:
         from_u = bptt._block_du(do, tape.u[0], tape.o[0], p, False, carry)
         assert np.any(from_window != 0.0)
         assert from_window.tobytes() == from_u.tobytes()
+
+
+def _reference_tape(net, inputs, smoothed):
+    """The tape from one float64 ``np.matmul`` per layer and a whole-window scan."""
+    batch, width, timesteps = inputs.shape
+    tape = BpttTape(inputs=inputs, x=[], membrane=[], o=[], readout=None, smoothed=smoothed)
+    pre = inputs.transpose(2, 0, 1).reshape(-1, width).astype(np.float64)
+    for layer in net.layers:
+        x = np.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
+        p = layer.params()
+        u, o = scan(x, p, layer.beta, smoothed=smoothed)
+        holds_u = smoothed or MODEL_TABLE[p.model].hard_reads_u
+        tape.x.append(x)
+        tape.membrane.append(u if holds_u else surrogate_window(u, p))
+        tape.o.append(o)
+        pre = o.reshape(-1, layer.out_width).astype(np.float64)
+    tape.readout = np.sum(tape.o[-1], axis=0) / float(timesteps)
+    return tape
+
+
+class TestBlockedForward:
+    """Past 2 * GEMM_ROWS rows the forward casts in row blocks and scans in time blocks."""
+
+    WIDTHS, BATCH, TIMESTEPS = (40, 24, 4), 32, 140
+
+    def _case(self, model, seed):
+        assert self.BATCH * self.TIMESTEPS >= 2 * bptt.GEMM_ROWS
+        rng = np.random.default_rng(seed)
+        net = _net_off_init(model, rng, seed=seed, widths=self.WIDTHS, timesteps=self.TIMESTEPS)
+        data = (rng.random((self.BATCH, self.WIDTHS[0], self.TIMESTEPS)) < 0.3).astype(np.uint8)
+        return net, data, rng.integers(0, self.WIDTHS[-1], size=self.BATCH)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_bit_equal_to_single_gemm_reference(self, model, smoothed):
+        net, data, labels = self._case(model, seed=60)
+        inputs = bptt.time_major_batch(data, range(self.BATCH))
+        tape, readout = forward_record(net, inputs, smoothed=smoothed)
+        ref = _reference_tape(net, inputs, smoothed)
+        for n in range(len(net.layers)):
+            assert 0.0 < np.mean(ref.o[n]) < 1.0
+            for got, want in ((tape.x[n], ref.x[n]), (tape.membrane[n], ref.membrane[n]),
+                              (tape.o[n], ref.o[n])):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert readout.tobytes() == ref.readout.tobytes()
+        _, upstream, _ = readout_and_loss(readout, labels)
+        got = bptt._backward(tape, upstream, net, smoothed=smoothed)
+        want = bptt._backward(ref, upstream, net, smoothed=smoothed)
+        for (name, a), (_, b) in zip(got.items(), want.items(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_hard_forward_scratch_is_bounded_by_gemm_rows(self, model):
+        # Beyond what it keeps, the forward may hold one cast block of fewer
+        # than 2 * GEMM_ROWS rows or one scan block of the potential, not a
+        # float64 copy of the whole (T * B, width) operand.
+        net, data, _ = self._case(model, seed=61)
+        tracemalloc.start()
+        try:
+            tape, _ = forward_record(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for series in (tape.x, tape.membrane, tape.o) for a in series)
+        block = 2 * bptt.GEMM_ROWS * max(self.WIDTHS) * 8
+        assert peak < held + data.nbytes + block
 
 
 class TestForwardChecks:

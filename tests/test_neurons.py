@@ -10,7 +10,7 @@ from spikekit.neurons import (
     sigmoid,
     sigmoid_prime,
     step,
-    surrogate_spike_derivative,
+    surrogate_window,
 )
 
 
@@ -178,15 +178,17 @@ class TestDispatch:
 
 
 class TestSurrogate:
+    """The rectangular surrogate derivative: the window divided by its width."""
+
     def test_window_geometry(self):
         p = NeuronParams(v_th=1.0, surrogate_width=1.0)
         u = np.array([0.49, 0.5, 1.0, 1.5, 1.51])
-        npt.assert_array_equal(surrogate_spike_derivative(u, p), [0.0, 1.0, 1.0, 1.0, 0.0])
+        npt.assert_array_equal((surrogate_window(u, p) / p.surrogate_width), [0.0, 1.0, 1.0, 1.0, 0.0])
 
     def test_height_scales_inversely_with_width(self):
         p = NeuronParams(v_th=1.0, surrogate_width=0.25)
         u = np.array([0.87, 0.88, 1.0, 1.12, 1.13])
-        npt.assert_allclose(surrogate_spike_derivative(u, p), [0.0, 4.0, 4.0, 4.0, 0.0])
+        npt.assert_allclose((surrogate_window(u, p) / p.surrogate_width), [0.0, 4.0, 4.0, 4.0, 0.0])
 
     def test_window_integrates_to_one(self):
         # Riemann sum over a fine grid approaches 1 for any width.
@@ -194,5 +196,5 @@ class TestSurrogate:
             p = NeuronParams(v_th=1.0, surrogate_width=width)
             u = np.linspace(-3, 5, 160001)
             du = u[1] - u[0]
-            total = surrogate_spike_derivative(u, p).sum() * du
+            total = (surrogate_window(u, p) / p.surrogate_width).sum() * du
             npt.assert_allclose(total, 1.0, atol=2e-4)

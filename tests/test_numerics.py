@@ -48,6 +48,20 @@ class TestMatmul:
         assert (numerics.matmul(g.T, spikes).tobytes()
                 == np.matmul(g.T, spikes.astype(np.float64)).tobytes())
 
+    @pytest.mark.parametrize("rows, inner, cols", [(4480, 24, 10), (2048, 64, 10),
+                                                   (4480, 128, 4), (2240, 40, 24)])
+    def test_tall_binary_operand_matches_the_single_gemm(self, rows, inner, cols):
+        # Past 2 * GEMM_ROWS rows a binary operand is cast in row blocks, but
+        # only beside a transposed right operand, where the blocks were seen
+        # to keep the single GEMM's bytes; a C-ordered one is never cut.
+        assert rows >= 2 * numerics.GEMM_ROWS
+        rng = np.random.default_rng(rows + inner + cols)
+        spikes = rng.random((rows, inner)) < 0.3
+        w = rng.normal(size=(cols, inner))
+        for b in (w.T, np.ascontiguousarray(w.T)):
+            want = np.matmul(spikes.astype(np.float64), b)
+            assert numerics.matmul(spikes, b).tobytes() == want.tobytes()
+
     def test_inner_dim_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
             numerics.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
