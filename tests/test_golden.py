@@ -1,0 +1,60 @@
+"""The outputs no GEMM touches match tests/golden/digests.json.
+
+``tools/golden.py --check`` compares every output of the usual command set,
+in the environment the record was written in. These tests recompute the
+part that BLAS cannot change, in any environment: the ``gen-data`` caches,
+manifests and effective configs of both configs, the ``bin_events`` frames
+of tests/data/events and the stderr and exit code of each bad config.
+"""
+
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import golden  # noqa: E402
+
+RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
+POISSON_CACHES = {"gen-data-toy/train.cache", "gen-data-toy/test.cache"}
+
+
+@pytest.fixture(scope="module")
+def blas_free(tmp_path_factory):
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # the configs name their inputs relative to the repository root
+    try:
+        recorder = golden.Recorder(tmp_path_factory.mktemp("golden"))
+        recorder.blas_free()
+    finally:
+        os.chdir(cwd)
+    return recorder
+
+
+def _mismatches(got: dict, section: str) -> list[str]:
+    want = RECORD[section]
+    return [key for key in got if want.get(key) != got[key]]
+
+
+def test_blas_free_outputs_match_the_record(blas_free):
+    digests = {k: v for k, v in blas_free.sha256.items() if k not in POISSON_CACHES}
+    assert {"gen-data-events/events.cache", "gen-data-events/manifest.json",
+            "gen-data-toy/manifest.json", "gen-data-toy/effective_config.json",
+            "bin-events/frames", "bad-unknown-key/stderr"} <= digests.keys()
+    assert len(blas_free.exit) == 2 + len(golden.BAD_CONFIGS)
+    assert _mismatches(blas_free.exit, "exit") == []
+    assert _mismatches(digests, "sha256") == []
+
+
+@pytest.mark.skipif(np.__version__ != RECORD["env"]["numpy"],
+                    reason="the Poisson caches hold draws from numpy's random Generator, "
+                           "whose streams may change between numpy versions; the record "
+                           f"was written with numpy {RECORD['env']['numpy']}")
+def test_poisson_caches_match_the_record(blas_free):
+    digests = {k: blas_free.sha256[k] for k in POISSON_CACHES}
+    assert _mismatches(digests, "sha256") == []
