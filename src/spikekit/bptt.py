@@ -272,10 +272,12 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
     return du
 
 
-def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) -> GradientSet:
+def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
+    """Gradients through the forward that recorded ``tape``, in that tape's mode.
+
+    Each layer follows its model's table row.
+    """
     tape.validate(net)
-    if smoothed != tape.smoothed:
-        raise StateError("tape mode does not match requested backward mode")
     upstream = numerics.as_dense(upstream)
     if upstream.shape != tape.readout.shape:
         raise DimensionError(
@@ -300,7 +302,7 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
         for n in reversed(range(n_layers)):
             layer, p = net.layers[n], params[n]
             x = tape.x[n][steps]
-            du = _block_du(do, tape.membrane[n][steps], tape.o[n][steps], p, smoothed,
+            du = _block_du(do, tape.membrane[n][steps], tape.o[n][steps], p, tape.smoothed,
                            du_carry[n])
             du_carry[n] = du[0]
             do = None  # consumed: freed before this layer's GEMMs make their own arrays
@@ -323,7 +325,7 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
                 d_beta[n] += np.sum(du * x, axis=(0, 1))
 
             if n > 0:
-                through = du if model.hard_spatial_bare and not smoothed else site
+                through = du if model.hard_spatial_bare and not tape.smoothed else site
                 do = numerics.matmul(through.reshape(-1, layer.out_width), layer.w)
                 do = do.reshape(stop - start, batch, layer.in_width)
             # Free this layer's block arrays before the next layer makes its own.
@@ -337,11 +339,6 @@ def _backward(tape: BpttTape, upstream, net: Network, smoothed: bool = False) ->
             raw = float(layer.plif_raw)
             d_plif_raw.append(np.asarray(leak_acc[n] * sigmoid_prime(raw)))
     return GradientSet(d_w=d_w, d_beta=d_beta, d_plif_raw=d_plif_raw)
-
-
-def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
-    """Hard-mode backward pass; each layer follows its model's table row."""
-    return _backward(tape, upstream, net, smoothed=False)
 
 
 @dataclass
@@ -359,9 +356,6 @@ class GradcheckReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def worst(self) -> GradcheckEntry:
-        return max(self.entries, key=lambda e: e.max_rel_err)
 
     def render(self) -> str:
         lines = [f"{e.name:<18} max_rel_err={e.max_rel_err:.3e}  "
@@ -390,7 +384,7 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
 
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
-    grads = _backward(tape, upstream, work, smoothed=True)
+    grads = backward(tape, upstream, work)
     analytic_by_name = dict(grads.items())
 
     entries = []

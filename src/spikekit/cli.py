@@ -300,8 +300,7 @@ def _eval_split(cfg: dict) -> Dataset:
     return datasets[split]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
     datasets, skipped = _datasets(cfg)
     if skipped:
@@ -326,8 +325,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     if cfg["checkpoint"] is None:
         raise ConfigError("eval needs a checkpoint (--checkpoint or config key)")
     net, _ = load_checkpoint(cfg["checkpoint"])
@@ -347,8 +345,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
     gc = cfg["gradcheck"]
     widths = [gc["input_width"]] + gc["hidden"] + [gc["class_count"]]
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(9,)))
@@ -369,8 +366,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
     if cfg["checkpoint_a"] is None or cfg["checkpoint_b"] is None:
         raise ConfigError("analyze needs checkpoint_a and checkpoint_b")
     net_a, _ = load_checkpoint(cfg["checkpoint_a"])
@@ -394,8 +390,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_gen_data(args: argparse.Namespace, cfg: dict) -> int:
     ds = cfg["dataset"]
     datasets, skipped = _datasets(cfg)
     run_dir = _open_run_dir(args, cfg)
@@ -462,7 +457,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, effective_config(args))
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .neurons import MODELS, NeuronParams
+from .neurons import NeuronParams
 
 CHECKPOINT_FORMAT = "spikekit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -159,9 +159,6 @@ def init_network(
         tags = list(model)
         if len(tags) != n_layers:
             raise ConfigError(f"got {len(tags)} model tags for {n_layers} layers")
-    for tag in tags:
-        if tag not in MODELS:
-            raise ConfigError(f"unknown neuron model {tag!r}; expected one of {MODELS}")
 
     rng = np.random.default_rng(seed)
     layers = []

@@ -204,12 +204,12 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     for start in range(0, len(x), block):
         d = drive(x[start:start + block], beta)
         stop = start + len(d)
-        base = start if window else 0  # u's row for step t is t - base
-        for t in range(start, stop):
-            u[t - base] = leak * u_prev * (1.0 - o_prev) + d[t - start]
-            u_prev = u[t - base]
-            o[t] = sigmoid((u_prev - p.v_th) / p.surrogate_width) if smoothed else u_prev >= p.v_th
-            o_prev = o[t]
+        for k in range(stop - start):  # step start + k is row k of u and d
+            u[k] = leak * u_prev * (1.0 - o_prev) + d[k]
+            u_prev = u[k]
+            o[start + k] = (sigmoid((u_prev - p.v_th) / p.surrogate_width) if smoothed
+                            else u_prev >= p.v_th)
+            o_prev = o[start + k]
         del d  # a gain model's drive block is its own array: freed before the next
         if window:
             if stop < len(x):

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikekit import bptt, numerics
 from spikekit.bptt import BpttTape, backward, forward_record, gradcheck
@@ -229,8 +231,8 @@ class TestBlockedForward:
                 assert got.tobytes() == want.tobytes()
         assert readout.tobytes() == ref.readout.tobytes()
         _, upstream, _ = readout_and_loss(readout, labels)
-        got = bptt._backward(tape, upstream, net, smoothed=smoothed)
-        want = bptt._backward(ref, upstream, net, smoothed=smoothed)
+        got = backward(tape, upstream, net)
+        want = backward(ref, upstream, net)
         for (name, a), (_, b) in zip(got.items(), want.items(), strict=True):
             assert a.tobytes() == b.tobytes(), name
 
@@ -304,6 +306,29 @@ class TestForwardEquivalences:
         _, r_lif = forward_record(lif, inputs)
         _, r_cached = forward_record(cached, inputs)
         assert r_lif.tobytes() == r_cached.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(widths=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+           batch=st.integers(1, 8), timesteps=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 4.0))
+    def test_association_forwards_are_lif_for_random_nets(self, widths, batch, timesteps,
+                                                          seed, scale):
+        # aia, and cached-aia at unit beta, change only the weight update.
+        rng = np.random.default_rng(seed)
+        nets = [init_network(widths, model=m, timesteps=timesteps, seed=0)
+                for m in ("lif", "aia", "cached-aia")]
+        for n in range(len(widths) - 1):
+            w = rng.normal(0.0, scale, size=nets[0].layers[n].w.shape)
+            for net in nets:
+                net.layers[n].w[...] = w
+        inputs = _binary_inputs(rng, batch, widths[0], timesteps, p=rng.uniform(0.1, 0.9))
+        (lif_tape, lif_readout), *others = [forward_record(net, inputs) for net in nets]
+        for tape, readout in others:
+            assert readout.tobytes() == lif_readout.tobytes()
+            for series in ("x", "membrane", "u", "o"):
+                for got, want in zip(getattr(tape, series), getattr(lif_tape, series),
+                                     strict=True):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_if_matches_lif_with_unit_leak_bitwise(self):
         rng = np.random.default_rng(6)
@@ -493,19 +518,19 @@ class TestGradcheck:
     def test_detects_a_corrupted_backward(self, monkeypatch):
         rng = np.random.default_rng(34)
         net = init_network([4, 4, 3], model="lif", timesteps=2, seed=35)
-        true_backward = bptt._backward
+        true_backward = bptt.backward
 
-        def skewed(tape, upstream, net, smoothed=False):
-            grads = true_backward(tape, upstream, net, smoothed=smoothed)
+        def skewed(tape, upstream, net):
+            grads = true_backward(tape, upstream, net)
             for dw in grads.d_w:
                 dw *= 1.01
             return grads
 
-        monkeypatch.setattr(bptt, "_backward", skewed)
+        monkeypatch.setattr(bptt, "backward", skewed)
         report = gradcheck(net, (rng.random((2, 4, 2)) < 0.5).astype(float),
                            rng.integers(0, 3, size=2))
         assert not report.passed
-        assert report.worst().max_rel_err > 1e-3
+        assert max(e.max_rel_err for e in report.entries) > 1e-3
 
 
 class TestBackwardValidation:
@@ -544,12 +569,31 @@ class TestBackwardValidation:
         with pytest.raises(StateError, match=r"o\[0\]"):
             backward(tape, np.zeros((2, 3)), net)
 
-    def test_mode_mismatch(self):
+    def test_smoothed_tape_gets_the_smoothed_gradient(self):
+        # backward differentiates the forward that recorded the tape: on a
+        # smoothed tape it matches central differences of the smoothed loss,
+        # within gradcheck's default tolerance and relative-error rule.
         rng = np.random.default_rng(43)
-        net = init_network([4, 3], model="lif", timesteps=2, seed=44)
-        tape, _ = forward_record(net, _binary_inputs(rng, 2, 4, 2), smoothed=True)
-        with pytest.raises(StateError):
-            backward(tape, np.zeros((2, 3)), net)
+        net = init_network([4, 5, 3], model="aia", timesteps=3, seed=44)
+        inputs, labels = _binary_inputs(rng, 2, 4, 3), rng.integers(0, 3, size=2)
+
+        def loss() -> float:
+            return readout_and_loss(forward_record(net, inputs, smoothed=True)[1], labels)[0]
+
+        tape, readout = forward_record(net, inputs, smoothed=True)
+        grads = dict(backward(tape, readout_and_loss(readout, labels)[1], net).items())
+        for name, param in net.parameter_items():
+            numeric = np.zeros_like(param)
+            for idx in np.ndindex(param.shape):
+                saved = param[idx]
+                param[idx] = saved + 1e-4
+                plus = loss()
+                param[idx] = saved - 1e-4
+                numeric[idx] = (plus - loss()) / 2e-4
+                param[idx] = saved
+            assert np.any(numeric != 0.0), name
+            denom = np.maximum(np.maximum(np.abs(grads[name]), np.abs(numeric)), 1e-6)
+            assert np.max(np.abs(grads[name] - numeric) / denom) <= 1e-3, name
 
     def test_gradient_items_follow_parameter_order(self):
         rng = np.random.default_rng(45)

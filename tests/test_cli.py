@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -435,19 +438,40 @@ class TestGradcheckCommand:
         assert "gradcheck: pass" in out
 
     def test_corrupted_backward_fails(self, monkeypatch, capsys):
-        true_backward = bptt._backward
+        true_backward = bptt.backward
 
-        def skewed(tape, upstream, net, smoothed=False):
-            grads = true_backward(tape, upstream, net, smoothed=smoothed)
+        def skewed(tape, upstream, net):
+            grads = true_backward(tape, upstream, net)
             for g in grads.d_w:
                 g *= 1.01
             return grads
 
-        monkeypatch.setattr(bptt, "_backward", skewed)
+        monkeypatch.setattr(bptt, "backward", skewed)
         rc = main(["gradcheck", "--seed", "2"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "gradcheck: FAIL" in out
+
+
+class TestEntryPoints:
+    """``python -m spikekit`` runs ``cli.entrypoint``, which exits with ``main``'s code."""
+
+    def _run(self, *argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "spikekit", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_gradcheck_passes(self):
+        done = self._run("gradcheck")
+        assert done.returncode == 0, done.stderr
+        assert "gradcheck: pass" in done.stdout
+
+    def test_usage_error_exits_2(self):
+        done = self._run("eval", "--model", "lif")
+        assert done.returncode == 2
+        assert "unrecognized arguments: --model lif" in done.stderr
 
 
 class TestAnalyzeCommand:

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikekit.neurons import MODELS, NeuronParams, NeuronState, scan, step
 
@@ -47,3 +50,21 @@ def test_smoothed_scan_is_the_logistic_recurrence(model):
         npt.assert_allclose(u[t], u_t, rtol=1e-13, atol=1e-15)
         npt.assert_allclose(o[t], o_t, rtol=1e-13, atol=1e-15)
         u_prev, o_prev = u_t, o_t
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(MODELS), data=st.data(),
+       shape=st.tuples(st.integers(1, 40), st.integers(1, 4)),
+       leak=st.floats(0.0, 1.0), plif_raw=st.floats(allow_nan=False, allow_infinity=False),
+       v_th=st.floats(0.01, 6.0), rise=st.floats(0.0, 6.0, exclude_min=True))
+def test_spike_count_does_not_rise_with_the_threshold(model, data, shape, leak, plif_raw,
+                                                      v_th, rise):
+    # One layer, one fixed drive: raising v_th never adds a neuron's spike.
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-5.0, 5.0)))
+    beta = None
+    if model == "cached-aia":
+        beta = data.draw(hnp.arrays(np.float64, shape[1:],
+                                    elements=st.floats(0.0, 5.0, exclude_min=True)))
+    counts = [scan(x, NeuronParams(model=model, leak=leak, v_th=v, plif_raw=plif_raw),
+                   beta)[1].sum(axis=0) for v in (v_th, v_th + rise)]
+    assert np.all(counts[1] <= counts[0])

@@ -110,7 +110,9 @@ class Recorder:
         self.sha256[f"{label}/stderr"] = _sha256(_normalize(stderr, self.tmp))
 
     def cli(self, label: str, *argv: str) -> Path | None:
-        """``spikekit <argv> --out <tmp>/<label>`` in this process; returns its run directory.
+        """``spikekit <argv>`` in this process; returns its run directory, if any.
+
+        A command that takes ``--out`` writes under ``<tmp>/<label>``.
 
         The package's log records reach stderr as bare messages, as Python's
         last-resort handler prints them for the ``spikekit`` command, whatever
@@ -121,6 +123,7 @@ class Recorder:
         logger = logging.getLogger("spikekit")
         handler = logging.StreamHandler(stderr)
         handler.setLevel(logging.WARNING)
+        propagate = logger.propagate
         logger.addHandler(handler)
         logger.propagate = False
         try:
@@ -128,7 +131,7 @@ class Recorder:
                 code = cli.main([*argv, *(["--out", str(out)] if argv[0] in WRITERS else [])])
         finally:
             logger.removeHandler(handler)
-            logger.propagate = True
+            logger.propagate = propagate
         self._record(label, code, stdout.getvalue(), stderr.getvalue())
         run_dirs = sorted(out.glob("*")) if out.is_dir() else []
         if len(run_dirs) > 1:
@@ -142,10 +145,6 @@ class Recorder:
                     data = _normalize(data.decode("utf-8"), self.tmp)
                 self.sha256[f"{label}/{path.name}"] = _sha256(data)
         return run_dirs[0] if run_dirs else None
-
-    def gen_data(self) -> None:
-        self.cli("gen-data-toy", "gen-data", "--config", TOY)
-        self.cli("gen-data-events", "gen-data", "--config", EVENTS)
 
     def frames(self) -> None:
         """``bin_events`` of every tests/data/events stream, at two grids and windows."""
@@ -170,7 +169,8 @@ class Recorder:
 
     def blas_free(self) -> None:
         """What no GEMM touches: caches, manifests, frames, configs, errors."""
-        self.gen_data()
+        self.cli("gen-data-toy", "gen-data", "--config", TOY)
+        self.cli("gen-data-events", "gen-data", "--config", EVENTS)
         self.frames()
         self.bad_configs()
 
