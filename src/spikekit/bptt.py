@@ -373,22 +373,33 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     so the analytic backward must match the numeric derivative of the loss
     for every trainable array. Relative error per entry uses
     ``max(|analytic|, |numeric|, 1e-6)`` in the denominator.
+
+    Each entry costs two forwards. A layer-``n`` parameter cannot change
+    layers below ``n``, so its forwards run only layers ``n`` and above, on
+    the unperturbed forward's smoothed spikes of layer ``n - 1``: every GEMM
+    reads the values the whole network's forward would give it.
     """
     work = net.copy()
     inputs = numerics.as_dense(inputs)
-
-    def loss_at() -> float:
-        _, readout = forward_record(work, inputs, smoothed=True)
-        loss, _, _ = readout_and_loss(readout, labels)
-        return loss
 
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
     grads = backward(tape, upstream, work)
     analytic_by_name = dict(grads.items())
 
+    def loss_at(suffix: Network, suffix_inputs) -> float:
+        _, readout = forward_record(suffix, suffix_inputs, smoothed=True)
+        loss, _, _ = readout_and_loss(readout, labels)
+        return loss
+
     entries = []
     for name, param in work.parameter_items():
+        n = int(name.partition(".")[0].removeprefix("layer"))
+        suffix, suffix_inputs = work, inputs
+        if n > 0:  # a time-major view of layer n - 1's spikes, which _time_major reads in place
+            suffix = Network(work.layers[n].in_width, work.timesteps, work.class_count,
+                             work.layers[n:])
+            suffix_inputs = tape.o[n - 1].transpose(1, 2, 0)
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)
         numeric = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
@@ -396,9 +407,9 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
             idx = it.multi_index
             saved = param[idx]
             param[idx] = saved + step_size
-            loss_plus = loss_at()
+            loss_plus = loss_at(suffix, suffix_inputs)
             param[idx] = saved - step_size
-            loss_minus = loss_at()
+            loss_minus = loss_at(suffix, suffix_inputs)
             param[idx] = saved
             numeric[idx] = (loss_plus - loss_minus) / (2.0 * step_size)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)

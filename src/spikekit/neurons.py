@@ -51,15 +51,16 @@ from . import numerics
 from .errors import ConfigError, DimensionError
 
 
-def sigmoid(z):
-    """Numerically stable logistic function."""
+def sigmoid(z, out=None):
+    """Numerically stable logistic function, written into ``out`` if given.
+
+    ``exp`` sees only ``-|z|``: ``1 / (1 + exp(-z))`` for ``z >= 0`` and
+    ``exp(z) / (1 + exp(z))`` below, with no masks or fancy indexing.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    e = np.exp(-np.abs(z))
+    s = np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+    return s if s.ndim else float(s)
 
 
 def sigmoid_prime(z):
@@ -174,12 +175,19 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     the row's smoothed drive and emits the float64
     ``logistic((u - v_th) / surrogate_width)``.
 
+    Each step writes its preallocated rows with ``out=`` ufuncs and
+    allocates nothing. Hard mode carries one factor ``leak * (1 - o)``
+    from step to step: its spikes are 0 or 1, so the factor is exactly
+    ``leak`` or ``+0.0``, and ``u * (leak * (1 - o))`` equals the textbook
+    ``(leak * u) * (1 - o)`` bit for bit. Smoothed mode keeps the textbook
+    grouping, since its ``o`` lies strictly between 0 and 1.
+
     With ``window``, the first array returned is ``u``'s ``bool``
-    :func:`surrogate_window` in place of ``u``. The window then runs in
-    blocks of ``ceil(GEMM_ROWS / batch)`` steps, each block's drive formed
-    on its own: the potential lives only in one reused buffer of a block's
-    steps, and each block's mask and spikes go straight into the returned
-    arrays.
+    :func:`surrogate_window` in place of ``u``. A window longer than
+    ``ceil(GEMM_ROWS / batch)`` steps then runs in blocks of that many
+    steps, each block's drive formed on its own: the potential lives only in
+    one reused buffer of a block's steps, and each block's mask and spikes
+    go straight into the returned arrays.
     """
     model = MODEL_TABLE[p.model]
     x = numerics.as_dense(x)
@@ -194,32 +202,51 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
             )
     leak = model.leak(p)
     drive = model.smoothed_drive if smoothed else model.drive
-    block = max(len(x), 1)
-    if window:
-        block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1))
-    u = np.empty_like(x[:block])
-    held = u
+    block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1)) if window else len(x)
     o = np.empty_like(x) if smoothed else np.empty(x.shape, dtype=bool)
-    u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
+    u0, o0 = (0.0, 0.0) if state is None else (state.u, state.o)
+    # The first step's carry takes the start state in the textbook grouping.
+    u_prev = u0 if smoothed else leak * u0
+    carry = np.subtract(1.0, o0, out=np.empty(x.shape[1:]))
+    if len(x) <= block:
+        u = np.empty_like(x)
+        _steps(drive(x, beta), u, o, u_prev, carry, leak, p, smoothed)
+        # The mask is made once a gain model's drive is freed, so a one-block
+        # window peaks no higher than holding the whole u.
+        return (surrogate_window(u, p, out=np.empty(x.shape, dtype=bool)) if window else u), o
+    u = np.empty_like(x[:block])
+    held = None
     for start in range(0, len(x), block):
         d = drive(x[start:start + block], beta)
         stop = start + len(d)
-        for k in range(stop - start):  # step start + k is row k of u and d
-            u[k] = leak * u_prev * (1.0 - o_prev) + d[k]
-            u_prev = u[k]
-            o[start + k] = (sigmoid((u_prev - p.v_th) / p.surrogate_width) if smoothed
-                            else u_prev >= p.v_th)
-            o_prev = o[start + k]
+        _steps(d, u, o[start:stop], u_prev, carry, leak, p, smoothed)
         del d  # a gain model's drive block is its own array: freed before the next
-        if window:
-            if stop < len(x):
-                u_prev = u_prev.copy()  # the next block reads it; the buffer becomes scratch
-            if held is u:
-                # Made once the first block's step temporaries are freed, so a
-                # one-block window peaks no higher than holding the whole u.
-                held = np.empty(x.shape, dtype=bool)
-            surrogate_window(u[:stop - start], p, out=held[start:stop])
+        u_prev = u[stop - start - 1].copy()  # the buffer becomes the mask's scratch
+        if held is None:
+            held = np.empty(x.shape, dtype=bool)
+        surrogate_window(u[:stop - start], p, out=held[start:stop])
     return held, o
+
+
+def _steps(d, u, o, u_prev, carry, leak: float, p: NeuronParams, smoothed: bool) -> None:
+    """Run ``len(d)`` steps from ``u_prev`` into rows of ``u`` and ``o``.
+
+    ``carry`` is the factor on the previous potential (see :func:`scan`);
+    it is updated in place, so it leaves holding the next step's factor.
+    """
+    for k in range(len(d)):
+        if smoothed:
+            np.multiply(u_prev, leak, out=u[k])
+            np.multiply(u[k], carry, out=u[k])
+        else:
+            np.multiply(u_prev, carry, out=u[k])
+        u_prev = np.add(u[k], d[k], out=u[k])
+        if smoothed:
+            z = np.divide(np.subtract(u_prev, p.v_th, out=carry), p.surrogate_width, out=carry)
+            np.subtract(1.0, sigmoid(z, out=o[k]), out=carry)
+        else:
+            np.subtract(1.0, np.greater_equal(u_prev, p.v_th, out=o[k]), out=carry)
+            carry *= leak
 
 
 def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:
