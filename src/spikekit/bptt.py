@@ -374,37 +374,28 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     for every trainable array. Relative error per entry uses
     ``max(|analytic|, |numeric|, 1e-6)`` in the denominator.
 
-    Each entry costs two forwards. A layer-``n`` parameter cannot change
-    layers below ``n``, so its forwards run only layers ``n`` and above, on
-    the unperturbed forward's smoothed spikes of layer ``n - 1``: every GEMM
-    reads the values the whole network's forward would give it.
+    Each entry costs two forwards, which for a layer-``n`` parameter run only
+    layers ``n`` and above, on the unperturbed spikes of layer ``n - 1``:
+    every GEMM reads what a whole-network forward would give it.
     """
     work = net.copy()
     inputs = numerics.as_dense(inputs)
-
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
-    grads = backward(tape, upstream, work)
-    analytic_by_name = dict(grads.items())
+    analytic_by_name = dict(backward(tape, upstream, work).items())
 
     def loss_at(suffix: Network, suffix_inputs) -> float:
         _, readout = forward_record(suffix, suffix_inputs, smoothed=True)
-        loss, _, _ = readout_and_loss(readout, labels)
-        return loss
+        return readout_and_loss(readout, labels)[0]
 
     entries = []
     for name, param in work.parameter_items():
         n = int(name.partition(".")[0].removeprefix("layer"))
-        suffix, suffix_inputs = work, inputs
-        if n > 0:  # a time-major view of layer n - 1's spikes, which _time_major reads in place
-            suffix = Network(work.layers[n].in_width, work.timesteps, work.class_count,
-                             work.layers[n:])
-            suffix_inputs = tape.o[n - 1].transpose(1, 2, 0)
+        suffix = Network(work.layers[n].in_width, net.timesteps, net.class_count, work.layers[n:])
+        suffix_inputs = tape.o[n - 1].transpose(1, 2, 0) if n else inputs
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)
         numeric = np.zeros_like(param)
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(param.shape):
             saved = param[idx]
             param[idx] = saved + step_size
             loss_plus = loss_at(suffix, suffix_inputs)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from datetime import datetime
@@ -267,10 +268,14 @@ def _datasets(cfg: dict, splits=("train", "test")):
                                             ds[f"{split}_per_class"], cfg["seed"], split=split)
                 for split in splits if ds[f"{split}_per_class"] > 0}, 0
 
-    frames = []
-    labels = []
-    skipped = 0
-    for events, label in load_events_csv(ds["manifest"]):
+    frames, labels, skipped = [], [], 0
+    try:
+        streams = load_events_csv(ds["manifest"])
+    except OSError as exc:  # an event file's error names that file; the manifest's, its key
+        if exc.filename != str(Path(ds["manifest"])):
+            raise
+        raise ConfigError(f"config key dataset.manifest: cannot read {ds['manifest']}: {exc.strerror}")
+    for events, label in streams:
         try:
             frames.append(bin_events(events, ds["grid_width"], ds["grid_height"],
                                      cfg["timesteps"]))
@@ -456,6 +461,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    warnings = logging.StreamHandler(sys.stderr)  # the package's warnings, for this call only
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("spikekit").addHandler(warnings)
     try:
         return _COMMANDS[args.command](args, effective_config(args))
     except TrainingDiverged as exc:
@@ -464,6 +472,8 @@ def main(argv=None) -> int:
     except (SpikeKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logging.getLogger("spikekit").removeHandler(warnings)
 
 
 def entrypoint() -> None:

@@ -52,11 +52,7 @@ from .errors import ConfigError, DimensionError
 
 
 def sigmoid(z, out=None):
-    """Numerically stable logistic function, written into ``out`` if given.
-
-    ``exp`` sees only ``-|z|``: ``1 / (1 + exp(-z))`` for ``z >= 0`` and
-    ``exp(z) / (1 + exp(z))`` below, with no masks or fancy indexing.
-    """
+    """Numerically stable logistic function: ``exp`` only sees ``-|z|``."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
     s = np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
@@ -175,12 +171,10 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     the row's smoothed drive and emits the float64
     ``logistic((u - v_th) / surrogate_width)``.
 
-    Each step writes its preallocated rows with ``out=`` ufuncs and
-    allocates nothing. Hard mode carries one factor ``leak * (1 - o)``
-    from step to step: its spikes are 0 or 1, so the factor is exactly
-    ``leak`` or ``+0.0``, and ``u * (leak * (1 - o))`` equals the textbook
-    ``(leak * u) * (1 - o)`` bit for bit. Smoothed mode keeps the textbook
-    grouping, since its ``o`` lies strictly between 0 and 1.
+    Each step writes its preallocated rows with ``out=`` ufuncs. Hard mode
+    carries one factor ``leak * (1 - o)``, exactly ``leak`` or ``+0.0`` for
+    its 0/1 spikes, so ``u * carry`` equals ``(leak * u) * (1 - o)`` bit for
+    bit; smoothed mode keeps that grouping.
 
     With ``window``, the first array returned is ``u``'s ``bool``
     :func:`surrogate_window` in place of ``u``. A window longer than
@@ -204,42 +198,28 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     drive = model.smoothed_drive if smoothed else model.drive
     block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1)) if window else len(x)
     o = np.empty_like(x) if smoothed else np.empty(x.shape, dtype=bool)
-    u0, o0 = (0.0, 0.0) if state is None else (state.u, state.o)
-    # The first step's carry takes the start state in the textbook grouping.
-    u_prev = u0 if smoothed else leak * u0
-    carry = np.subtract(1.0, o0, out=np.empty(x.shape[1:]))
-    if len(x) <= block:
-        u = np.empty_like(x)
-        _steps(drive(x, beta), u, o, u_prev, carry, leak, p, smoothed)
-        # The mask is made once a gain model's drive is freed, so a one-block
-        # window peaks no higher than holding the whole u.
-        return (surrogate_window(u, p, out=np.empty(x.shape, dtype=bool)) if window else u), o
+    u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
+    u_prev = u_prev if smoothed else leak * u_prev  # the start state, in the textbook grouping
+    carry = np.subtract(1.0, o_prev, out=np.empty(x.shape[1:]))
     u = np.empty_like(x[:block])
-    held = None
+    if len(x) <= block:  # the mask is made once a gain model's drive is freed
+        _steps(drive(x, beta), u, o, u_prev, carry, leak, p, smoothed)
+        return (surrogate_window(u, p, out=np.empty(x.shape, dtype=bool)) if window else u), o
+    held = np.empty(x.shape, dtype=bool)
     for start in range(0, len(x), block):
-        d = drive(x[start:start + block], beta)
-        stop = start + len(d)
-        _steps(d, u, o[start:stop], u_prev, carry, leak, p, smoothed)
-        del d  # a gain model's drive block is its own array: freed before the next
+        stop = min(start + block, len(x))
+        _steps(drive(x[start:stop], beta), u, o[start:stop], u_prev, carry, leak, p, smoothed)
         u_prev = u[stop - start - 1].copy()  # the buffer becomes the mask's scratch
-        if held is None:
-            held = np.empty(x.shape, dtype=bool)
         surrogate_window(u[:stop - start], p, out=held[start:stop])
     return held, o
 
 
 def _steps(d, u, o, u_prev, carry, leak: float, p: NeuronParams, smoothed: bool) -> None:
-    """Run ``len(d)`` steps from ``u_prev`` into rows of ``u`` and ``o``.
-
-    ``carry`` is the factor on the previous potential (see :func:`scan`);
-    it is updated in place, so it leaves holding the next step's factor.
-    """
+    """:func:`scan`'s steps over the drive rows ``d``; ``carry`` leaves holding the next factor."""
     for k in range(len(d)):
         if smoothed:
-            np.multiply(u_prev, leak, out=u[k])
-            np.multiply(u[k], carry, out=u[k])
-        else:
-            np.multiply(u_prev, carry, out=u[k])
+            u_prev = np.multiply(u_prev, leak, out=u[k])
+        np.multiply(u_prev, carry, out=u[k])
         u_prev = np.add(u[k], d[k], out=u[k])
         if smoothed:
             z = np.divide(np.subtract(u_prev, p.v_th, out=carry), p.surrogate_width, out=carry)

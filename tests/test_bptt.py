@@ -13,6 +13,7 @@ from spikekit.network import init_network, readout_and_loss, softmax
 from spikekit.neurons import MODEL_TABLE, MODELS, NeuronState, scan, step, surrogate_window
 
 from aia_update_forms import aia_update_from_drive, aia_update_gated_sum
+from gradcheck_full_rerun import full_rerun_errors
 
 
 def _binary_inputs(rng, batch, width, timesteps, p=0.5):
@@ -505,6 +506,35 @@ class TestGradcheck:
             net = init_network([4, 5, 3], model=model, timesteps=3, seed=31)
             report = gradcheck(net, inputs, labels)
             assert report.passed, f"{model}: {report.render()}"
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_suffix_reruns_give_the_full_rerun_errors(self, model, monkeypatch):
+        # A layer-n entry reruns only layers n and above: 3 layers, so layer
+        # 1's entries run a middle suffix. The errors must not move at all.
+        rng = np.random.default_rng(36)
+        net = init_network([4, 5, 4, 3], model=model, timesteps=3, seed=37)
+        inputs, labels = _binary_inputs(rng, 2, 4, 3), rng.integers(0, 3, size=2)
+        want = full_rerun_errors(net, inputs, labels)
+
+        calls = {"forward_record": 0, "scan": 0}
+
+        def counting(name):
+            original = getattr(bptt, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bptt, name, counting(name))
+        report = gradcheck(net, inputs, labels)
+        assert {e.name: e.max_rel_err for e in report.entries} == want
+
+        n_layers = len(net.layers)
+        entries = [(int(name[len("layer")]), param.size) for name, param in net.parameter_items()]
+        assert calls["forward_record"] == 2 * sum(size for _, size in entries) + 1
+        assert calls["scan"] == n_layers + sum(2 * (n_layers - n) * size for n, size in entries)
 
     def test_report_names_every_parameter(self):
         rng = np.random.default_rng(32)

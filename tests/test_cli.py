@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -398,6 +399,30 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                              (".", "Is a directory")])
+    def test_unreadable_manifest_names_the_key_and_the_file(self, tmp_path, capsys, name,
+                                                            reason):
+        manifest = tmp_path / name
+        doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
+        out = tmp_path / "gen"
+        rc = main(["gen-data", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: config key dataset.manifest: cannot read {manifest}: "
+                       f"{reason}\n")
+        assert not out.exists()
+
+    def test_unreadable_event_file_names_that_file(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "gone.csv", "label": 0}]))
+        doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
+        rc = main(["gen-data", "--config", _write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "gen")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(tmp_path / "gone.csv") in err and "dataset.manifest" not in err
+
     def test_events_class_count_too_large_leaves_no_run_dir(self, tmp_path, capsys):
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST),
                                            "class_count": 2**32}}
@@ -546,6 +571,17 @@ class TestGenDataCommand:
         assert manifest["class_count"] == 2
         assert manifest["skipped_empty"] == 1
         assert (run_dir / "events.cache").is_file()
+
+    def test_dropped_lines_warn_on_stderr_once_per_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        logger = logging.getLogger("spikekit")
+        handlers = list(logger.handlers)
+        for out in ("gen_a", "gen_b"):
+            assert main(["gen-data", "--config", "configs/events_grid.json",
+                         "--out", str(tmp_path / out)]) == 0
+            assert capsys.readouterr().err == (
+                "warning: tests/data/events/noisy.csv: dropped 1 malformed event line(s)\n")
+            assert logger.handlers == handlers
 
 
 def test_every_traced_cli_name_is_called(tmp_path, monkeypatch, capsys):

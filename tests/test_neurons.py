@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikekit.errors import ConfigError, DimensionError, NumericError
 from spikekit.neurons import (
@@ -12,6 +15,12 @@ from spikekit.neurons import (
     step,
     surrogate_window,
 )
+
+from step_oracles import masked_sigmoid
+
+# Signed zeros, far tails and subnormals of both signs.
+SIGMOID_EDGES = [0.0, -0.0, 1e3, -1e3, 800.0, -800.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                 2.2250738585072014e-308, -2.2250738585072014e-308]
 
 
 class TestSigmoid:
@@ -25,6 +34,19 @@ class TestSigmoid:
         # Stable far into the tails; these overflow a naive exp(-z) form.
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+                        elements=st.floats(allow_nan=False) | st.sampled_from(SIGMOID_EDGES)))
+    def test_is_the_masked_form_byte_for_byte(self, z):
+        got, want = sigmoid(z), masked_sigmoid(z)
+        if z.ndim == 0:
+            assert type(got) is float and type(sigmoid(float(z))) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert np.float64(sigmoid(float(z))).tobytes() == np.float64(want).tobytes()
+        else:
+            assert got.dtype == np.float64 and got.shape == z.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_derivative_identity(self):
         z = np.linspace(-8, 8, 101)

@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from spikekit.neurons import MODELS, NeuronParams, NeuronState, scan, step
 
+from step_oracles import masked_sigmoid, textbook_scan
+
 T, B, N = 7, 3, 5
 LEAK, V_TH, PLIF_RAW, WIDTH = 0.7, 0.8, 0.9, 0.6
 
@@ -46,10 +48,51 @@ def test_smoothed_scan_is_the_logistic_recurrence(model):
     u_prev = o_prev = np.zeros((B, N))
     for t in range(T):
         u_t = leak * u_prev * (1.0 - o_prev) + drive[t]
-        o_t = 1.0 / (1.0 + np.exp(-(u_t - V_TH) / WIDTH))
-        npt.assert_allclose(u[t], u_t, rtol=1e-13, atol=1e-15)
-        npt.assert_allclose(o[t], o_t, rtol=1e-13, atol=1e-15)
+        o_t = masked_sigmoid((u_t - V_TH) / WIDTH)
+        assert u[t].tobytes() == u_t.tobytes()
+        assert o[t].tobytes() == o_t.tobytes()
         u_prev, o_prev = u_t, o_t
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(MODELS), smoothed=st.booleans(), window=st.booleans(),
+       started=st.booleans(), data=st.data(),
+       steps=st.integers(1, 6), batch=st.sampled_from([1, 2, 3, 400, 700]),
+       neurons=st.integers(1, 3),
+       leak=SIGNED_ZEROS.map(abs) | st.just(1.0) | st.floats(0.0, 1.0),
+       plif_raw=st.sampled_from([-800.0, 40.0]) | st.floats(-5.0, 5.0),
+       v_th=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0))
+def test_scan_is_the_textbook_loop_byte_for_byte(model, smoothed, window, started, data,
+                                                 steps, batch, neurons, leak, plif_raw,
+                                                 v_th, width):
+    # Batches of 400 and 700 rows make a window run in blocks of 3 and 2 steps.
+    # plif_raw -800 and 40 give plif a leak of exactly 0 and 1.
+    values = st.floats(-3.0, 3.0) | SIGNED_ZEROS
+    x = data.draw(hnp.arrays(np.float64, (steps, batch, neurons), elements=values))
+    p = NeuronParams(model=model, leak=leak, plif_raw=plif_raw, v_th=v_th,
+                     surrogate_width=width)
+    beta = None
+    if model == "cached-aia":
+        beta = data.draw(hnp.arrays(np.float64, (neurons,), elements=values))
+    state = None
+    if started:
+        state = NeuronState(
+            u=data.draw(hnp.arrays(np.float64, (batch, neurons), elements=values)),
+            o=data.draw(hnp.arrays(np.float64, (batch, neurons), elements=st.floats(0.0, 1.0))))
+
+    drive = 0.5 * x * x if model == "aia" and smoothed else x if beta is None else beta * x
+    start = {} if state is None else {"u": state.u, "o": state.o}
+    u, o = textbook_scan(drive, p.effective_leak(), v_th, width, smoothed, **start)
+    if window:
+        u = np.abs(u - v_th) <= width / 2.0
+
+    got_u, got_o = scan(x, p, beta, state, smoothed=smoothed, window=window)
+    for got, want in ((got_u, u), (got_o, o)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

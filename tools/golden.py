@@ -28,7 +28,6 @@ import contextlib
 import hashlib
 import io
 import json
-import logging
 import os
 import platform
 import re
@@ -113,25 +112,11 @@ class Recorder:
         """``spikekit <argv>`` in this process; returns its run directory, if any.
 
         A command that takes ``--out`` writes under ``<tmp>/<label>``.
-
-        The package's log records reach stderr as bare messages, as Python's
-        last-resort handler prints them for the ``spikekit`` command, whatever
-        handlers the calling process has set up.
         """
         out = self.tmp / label
         stdout, stderr = io.StringIO(), io.StringIO()
-        logger = logging.getLogger("spikekit")
-        handler = logging.StreamHandler(stderr)
-        handler.setLevel(logging.WARNING)
-        propagate = logger.propagate
-        logger.addHandler(handler)
-        logger.propagate = False
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main([*argv, *(["--out", str(out)] if argv[0] in WRITERS else [])])
-        finally:
-            logger.removeHandler(handler)
-            logger.propagate = propagate
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, *(["--out", str(out)] if argv[0] in WRITERS else [])])
         self._record(label, code, stdout.getvalue(), stderr.getvalue())
         run_dirs = sorted(out.glob("*")) if out.is_dir() else []
         if len(run_dirs) > 1:
