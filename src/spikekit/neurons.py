@@ -225,7 +225,7 @@ def _steps(d, u, o, u_prev, carry, leak: float, p: NeuronParams, smoothed: bool)
             z = np.divide(np.subtract(u_prev, p.v_th, out=carry), p.surrogate_width, out=carry)
             np.subtract(1.0, sigmoid(z, out=o[k]), out=carry)
         else:
-            np.subtract(1.0, np.greater_equal(u_prev, p.v_th, out=o[k]), out=carry)
+            np.logical_not(np.greater_equal(u_prev, p.v_th, out=o[k]), out=carry)
             carry *= leak
 
 
