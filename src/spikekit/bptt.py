@@ -241,6 +241,28 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     return tape, tape.readout
 
 
+def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Hard-mode readout and per-layer spike totals of a spike set that fits ``net``.
+
+    Keeps no tape: each chunk of ``ceil(GEMM_ROWS / timesteps)`` samples is cast
+    straight to its float64 time-major GEMM operand, each layer's drive is freed
+    once its spikes exist, and every GEMM reads what :func:`forward_record`'s would.
+    """
+    chunk = -(-GEMM_ROWS // net.timesteps)
+    readouts, counts = [], [0] * len(net.layers)
+    for start in range(0, len(data), chunk):
+        pre = data[start:start + chunk].transpose(2, 0, 1).astype(np.float64, order="C")
+        for n, layer in enumerate(net.layers):
+            x = numerics.matmul(pre.reshape(-1, layer.in_width), layer.w.T)
+            del pre
+            o = scan(x.reshape(net.timesteps, -1, x.shape[1]), layer.params(), layer.beta)[1]
+            del x
+            counts[n] += int(o.sum())
+            pre = o
+        readouts.append(np.sum(o, axis=0) / float(net.timesteps))
+    return np.concatenate(readouts), counts
+
+
 def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.ndarray:
     """dL/du over one time block of one layer, by a reverse scan.
 

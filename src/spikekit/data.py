@@ -139,9 +139,10 @@ def gen_poisson_patterns(class_count, neurons, timesteps, rate_lo, rate_hi,
         np.random.SeedSequence(seed, spawn_key=(1 if split == "train" else 2,))
     )
     data = np.empty((class_count * n_per_class, neurons, timesteps), dtype=np.uint8)
+    uniforms = np.empty((n_per_class, neurons, timesteps))  # one class's draws, reused
     for c in range(class_count):
-        uniforms = draw_rng.random((n_per_class, neurons, timesteps))
-        data[c * n_per_class:(c + 1) * n_per_class] = uniforms < templates[c][None, :, None]
+        np.less(draw_rng.random(out=uniforms), templates[c][None, :, None],
+                out=data[c * n_per_class:(c + 1) * n_per_class])
     labels = np.repeat(np.arange(class_count, dtype=np.int64), n_per_class)
     return Dataset(data=data, labels=labels, class_count=class_count, split=split)
 

@@ -144,21 +144,13 @@ class EvalResult:
 def evaluate(net: Network, dataset: Dataset) -> EvalResult:
     """Loss, accuracy, per-layer spike totals and readout of the whole set.
 
-    The training forward runs on chunks of ``ceil(GEMM_ROWS / timesteps)``
-    samples, so memory holds one chunk's tape whatever the set's size.
+    Evaluation keeps no tape: :func:`spikekit.bptt.forward_rates` runs the
+    hard forward on chunks of ``ceil(GEMM_ROWS / timesteps)`` samples, and a
+    chunk's memory is about rows x (in + out) x 8 bytes plus its spikes,
+    whatever the set's size.
     """
     _check_dataset(net, dataset, "dataset")
-    chunk = -(-bptt.GEMM_ROWS // net.timesteps)
-    readouts = []
-    counts = [0] * len(net.layers)
-    for start in range(0, len(dataset), chunk):
-        # A C-ordered slice: forward_record's time-major copy of it is freed
-        # after the layer-0 GEMM, where a gathered chunk would live on in the tape.
-        tape, readout = bptt.forward_record(net, dataset.data[start:start + chunk])
-        readouts.append(readout)
-        counts = [c + int(o.sum()) for c, o in zip(counts, tape.o)]
-        del tape  # freed before the next chunk's tape is made
-    readout = np.concatenate(readouts)
+    readout, counts = bptt.forward_rates(net, dataset.data)
     loss, _, predictions = readout_and_loss(readout, dataset.labels)
     accuracy = float(np.mean(predictions == dataset.labels))
     return EvalResult(loss=float(loss), accuracy=accuracy, spike_counts=counts,

@@ -2,6 +2,7 @@ import json
 import logging
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,46 @@ from spikekit.errors import (
 EVENTS_DIR = Path(__file__).parent / "data" / "events"
 
 
+def _poisson_oracle(class_count, neurons, timesteps, rate_lo, rate_hi, n_per_class, seed,
+                    split):
+    """The per-class draw of a fresh uniform array, then a bool comparison of it."""
+    templates = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).uniform(
+        rate_lo, rate_hi, size=(class_count, neurons))
+    draw_rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(1 if split == "train" else 2,)))
+    data = np.empty((class_count * n_per_class, neurons, timesteps), dtype=np.uint8)
+    for c in range(class_count):
+        uniforms = draw_rng.random((n_per_class, neurons, timesteps))
+        data[c * n_per_class:(c + 1) * n_per_class] = uniforms < templates[c][None, :, None]
+    return data
+
+
 class TestPoissonGeneration:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 7),
+                           st.integers(1, 6)),
+           rates=st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0)).filter(lambda r: r[0] < r[1]),
+           seed=st.integers(0, 2**32 - 1), split=st.sampled_from(["train", "test"]))
+    def test_bytes_match_the_per_class_oracle(self, shape, rates, seed, split):
+        class_count, neurons, timesteps, n_per_class = shape
+        args = (class_count, neurons, timesteps, *rates, n_per_class, seed, split)
+        assert gen_poisson_patterns(*args).data.tobytes() == _poisson_oracle(*args).tobytes()
+
+    def test_draws_reuse_one_class_buffer(self):
+        # The tensor plus one class's float64 uniforms; a fresh uniform array
+        # per class briefly holds two classes' draws.
+        class_count, neurons, timesteps, n_per_class = 4, 64, 50, 40
+        one_class = n_per_class * neurons * timesteps * 8
+        tracemalloc.start()
+        try:
+            ds = gen_poisson_patterns(class_count, neurons, timesteps, 0.1, 0.9,
+                                      n_per_class=n_per_class, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = ds.data.nbytes + 1.1 * one_class
+        assert peak < bound, f"peak {peak / 1e6:.3f} MB, bound {bound / 1e6:.3f} MB"
+
     def test_shapes_and_grouped_labels(self):
         ds = gen_poisson_patterns(3, 10, 5, 0.1, 0.9, n_per_class=4, seed=0)
         assert ds.data.shape == (12, 10, 5)

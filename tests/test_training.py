@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikekit import training
+from spikekit import neurons, training
 from spikekit.data import Dataset, gen_poisson_patterns
 from spikekit.errors import ConfigError, DimensionError, StateError, TrainingDiverged
 from spikekit.network import init_network
@@ -258,16 +260,26 @@ class TestEvaluate:
             assert 0 <= count <= len(train_ds) * width * train_ds.timesteps
 
     @pytest.mark.parametrize("model", ["lif", "if", "plif", "aia", "cached-aia"])
-    def test_chunks_equal_one_whole_set_forward(self, model):
-        # Two full chunks and a remainder of three samples.
-        timesteps = 8
+    @settings(max_examples=12, deadline=None)
+    @given(timesteps=st.integers(1, 12), whole_chunks=st.integers(0, 3),
+           remainder=st.floats(0.0, 1.0, exclude_max=True), hidden=st.integers(3, 6),
+           classes=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_chunks_equal_one_whole_set_forward(self, model, timesteps, whole_chunks, remainder,
+                                                hidden, classes, seed):
+        # From below one chunk to three chunks and a remainder, with an output
+        # layer narrow enough (N <= 4) that GEMM row grouping has been seen to
+        # change results.
         chunk = -(-training.bptt.GEMM_ROWS // timesteps)
-        rng = np.random.default_rng(21)
-        n = 2 * chunk + 3
-        ds = Dataset((rng.random((n, 6, timesteps)) < 0.4).astype(np.float64),
-                     rng.integers(0, 3, size=n), class_count=3)
-        net = init_network([6, 5, 3], model=model, timesteps=timesteps, seed=22, v_th=0.5)
+        n = max(whole_chunks * chunk + int(remainder * chunk), 1)
+        rng = np.random.default_rng(seed)
+        spikes = rng.random((n, 6, timesteps)) < 0.4
+        spikes[0, :, 0] = True  # so each layer's neuron 0, wired to 1s, fires at step 0
+        ds = Dataset(spikes.astype(np.float64), rng.integers(0, classes, size=n),
+                     class_count=classes)
+        net = init_network([6, hidden, classes], model=model, timesteps=timesteps, seed=seed,
+                           v_th=0.5)
         for layer in net.layers:
+            layer.w[0] = 1.0
             if layer.beta is not None:
                 layer.beta[:] = rng.uniform(0.5, 1.5, size=layer.beta.shape)
             if layer.plif_raw is not None:
@@ -276,11 +288,51 @@ class TestEvaluate:
         loss, _, _ = training.readout_and_loss(readout, ds.labels)
 
         result = evaluate(net, ds)
-        assert result.readout.shape == (n, 3)
+        assert result.readout.shape == (n, classes)
         npt.assert_array_equal(result.readout, readout)
         assert result.spike_counts == [int(o.sum()) for o in tape.o]
         assert all(count > 0 for count in result.spike_counts)
         assert result.loss == loss
+
+    def test_keeps_no_tape_and_forms_no_surrogate_window(self, monkeypatch):
+        calls = {"forward_record": 0, "surrogate_window": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(training.bptt, "forward_record")
+        counting(neurons, "surrogate_window")
+        counting(training.bptt, "surrogate_window")
+        train_ds, _ = _toy()
+        for model in ("lif", "plif", "cached-aia"):
+            evaluate(_toy_net(model), train_ds)
+        assert calls == {"forward_record": 0, "surrogate_window": 0}
+
+    def test_peak_is_one_chunks_gemm_operands(self):
+        # The layer-0 GEMM holds the chunk's float64 time-major input and its
+        # drive; the input width is the larger, so that GEMM sets the peak.
+        # Another copy of the chunk, in any dtype, breaks the bound.
+        timesteps, width, hidden = 16, 96, 16
+        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        kw = dict(class_count=2, neurons=width, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
+                  seed=4)
+        ds = gen_poisson_patterns(n_per_class=3 * chunk // 2, split="test", **kw)
+        net = init_network([width, hidden, 2], model="lif", timesteps=timesteps, seed=5)
+        operands = chunk * timesteps * (width + hidden) * 8
+
+        tracemalloc.start()
+        try:
+            evaluate(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = operands + chunk * timesteps * width // 2
+        assert peak < bound, f"peak {peak / 1e6:.3f} MB, bound {bound / 1e6:.3f} MB"
 
     def test_memory_bounded_by_one_chunk(self):
         # Five chunks: a whole-set tape would be five times one chunk's.

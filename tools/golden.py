@@ -28,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import platform
 import re
@@ -134,7 +135,14 @@ class Recorder:
     def frames(self) -> None:
         """``bin_events`` of every tests/data/events stream, at two grids and windows."""
         digest = hashlib.sha256()
-        streams = load_events_csv(EVENTS_MANIFEST)
+        # noisy.csv's dropped-line warning: the gen-data-events record holds it
+        # as the CLI prints it, so here it goes to a handler that drops it.
+        quiet = logging.NullHandler()
+        logging.getLogger("spikekit").addHandler(quiet)
+        try:
+            streams = load_events_csv(EVENTS_MANIFEST)
+        finally:
+            logging.getLogger("spikekit").removeHandler(quiet)
         for grid_w, grid_h, timesteps in ((8, 8, 8), (3, 5, 13)):
             for events, label in streams:
                 try:
