@@ -146,8 +146,8 @@ def evaluate(net: Network, dataset: Dataset) -> EvalResult:
 
     Evaluation keeps no tape: :func:`spikekit.bptt.forward_rates` runs the
     hard forward on chunks of ``ceil(GEMM_ROWS / timesteps)`` samples, and a
-    chunk's memory is about rows x (in + out) x 8 bytes plus its spikes,
-    whatever the set's size.
+    chunk holds about rows x max(in + out, 2 x out) x 8 bytes at its largest
+    layer, plus its spikes, whatever the set's size.
     """
     _check_dataset(net, dataset, "dataset")
     readout, counts = bptt.forward_rates(net, dataset.data)

@@ -307,7 +307,6 @@ class TestEvaluate:
 
         counting(training.bptt, "forward_record")
         counting(neurons, "surrogate_window")
-        counting(training.bptt, "surrogate_window")
         train_ds, _ = _toy()
         for model in ("lif", "plif", "cached-aia"):
             evaluate(_toy_net(model), train_ds)
