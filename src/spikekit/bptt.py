@@ -63,7 +63,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionError, StateError
-from .network import Network, readout_and_loss
+from .network import Network, readout_and_loss, softmax
 from .neurons import MODEL_TABLE, NeuronParams, scan, sigmoid_prime, surrogate_window
 from .neurons import step  # noqa: F401  (perfbench traces the one-step entry point here)
 
@@ -396,34 +396,62 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     for every trainable array. Relative error per entry uses
     ``max(|analytic|, |numeric|, 1e-6)`` in the denominator.
 
-    Each entry costs two forwards, which for a layer-``n`` parameter run only
-    layers ``n`` and above, on the unperturbed spikes of layer ``n - 1``:
-    every GEMM reads what a whole-network forward would give it.
+    A layer-``n`` entry reruns only layers ``n`` and above, on the unperturbed
+    spikes of layer ``n - 1``, so every GEMM reads what a whole-network
+    forward would give it. A weight entry's ``+h`` and ``-h`` forwards share
+    each layer's :func:`spikekit.neurons.scan`, which is elementwise, over a
+    two-sign axis after time: each sign gets the bits of a forward of its
+    own. A ``beta`` or ``plif_raw`` entry, which ``scan`` takes once per
+    call, still costs two forwards.
     """
     work = net.copy()
     inputs = numerics.as_dense(inputs)
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
     analytic_by_name = dict(backward(tape, upstream, work).items())
+    spikes, tape = tape.o[:-1], None  # all the suffixes read of the tape
+    labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above
+    timesteps, batch = net.timesteps, len(inputs)
 
     def loss_at(suffix: Network, suffix_inputs) -> float:
         _, readout = forward_record(suffix, suffix_inputs, smoothed=True)
         return readout_and_loss(readout, labels)[0]
 
+    def loss_pair(suffix: Network, idx, pre: np.ndarray) -> np.ndarray:
+        """The losses at ``w[idx] + h`` and ``w[idx] - h`` of the suffix's first layer."""
+        w = suffix.layers[0].w
+        saved, o = w[idx], None
+        for layer in suffix.layers:
+            x = np.empty((timesteps, 2, batch, layer.out_width))
+            for k, value in enumerate((saved + step_size, saved - step_size)):
+                if o is None:  # the first layer: moved weights over the spikes below
+                    w[idx], below = value, pre
+                else:
+                    below = o[:, k].reshape(-1, layer.in_width)
+                x[:, k] = numerics.matmul(below, layer.w.T).reshape(timesteps, batch, -1)
+            w[idx] = saved
+            o = scan(x, layer.params(), layer.beta, smoothed=True)[1]
+        probs = softmax(np.sum(o, axis=0) / float(timesteps))
+        return -np.mean(np.log(probs[:, np.arange(batch), labels]), axis=-1)
+
     entries = []
     for name, param in work.parameter_items():
         n = int(name.partition(".")[0].removeprefix("layer"))
         suffix = Network(work.layers[n].in_width, net.timesteps, net.class_count, work.layers[n:])
-        suffix_inputs = tape.o[n - 1].transpose(1, 2, 0) if n else inputs
+        suffix_inputs = spikes[n - 1].transpose(1, 2, 0) if n else inputs
+        pre = _time_major(suffix_inputs, 0, timesteps)
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)
         numeric = np.zeros_like(param)
         for idx in np.ndindex(param.shape):
-            saved = param[idx]
-            param[idx] = saved + step_size
-            loss_plus = loss_at(suffix, suffix_inputs)
-            param[idx] = saved - step_size
-            loss_minus = loss_at(suffix, suffix_inputs)
-            param[idx] = saved
+            if param is suffix.layers[0].w:
+                loss_plus, loss_minus = loss_pair(suffix, idx, pre)
+            else:
+                saved = param[idx]
+                param[idx] = saved + step_size
+                loss_plus = loss_at(suffix, suffix_inputs)
+                param[idx] = saved - step_size
+                loss_minus = loss_at(suffix, suffix_inputs)
+                param[idx] = saved
             numeric[idx] = (loss_plus - loss_minus) / (2.0 * step_size)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         err = float(np.max(np.abs(analytic - numeric) / denom))

@@ -24,14 +24,16 @@ DTYPE = np.float64
 # with timesteps x batch: :func:`matmul` casts a tall binary operand this
 # many rows at a time, and :func:`spikekit.neurons.scan` and the backward
 # work in blocks of ceil(GEMM_ROWS / batch) steps. It is also a correctness
-# rule. On OpenBLAS 0.3.31 (Haswell), with the engine's transposed weights
-# ``w.T`` as right operand, pieces of 1024 rows (the remainder folded into
-# the last) reproduced the single GEMM bit for bit on every shape tried
-# (K=1..700, N=1..256), while pieces of 128 to 512 rows changed narrow
-# products (N <= 4) and time-step pieces changed more. So no GEMM is cut into
-# pieces of fewer than GEMM_ROWS rows, and none by time step. With a
-# C-ordered right operand even 1024-row pieces changed some narrow products
-# (K=24..128, N=2..33), so such a GEMM is never cut.
+# rule. On OpenBLAS 0.3.31's SkylakeX kernel, which the numpy wheel loads on
+# an AVX-512 CPU ("Haswell" in ``np.show_config()`` is only the build target),
+# with the engine's transposed weights ``w.T`` as right operand, pieces of 1024
+# rows (the remainder folded into the last) reproduced the single GEMM bit for
+# bit on every shape tried (K=1..700, N=1..256), while pieces of 128 to 512
+# rows changed narrow products (N <= 4) and time-step pieces changed more. So
+# no GEMM is cut into pieces of fewer than GEMM_ROWS rows, and none by time
+# step. With a C-ordered right operand even 1024-row pieces changed some narrow
+# products (K=17..256, N=2..33), so such a GEMM is never cut. On the Haswell
+# kernel, pieces of 128 rows and up reproduced every product, in either order.
 GEMM_ROWS = 1024
 
 

@@ -510,12 +510,10 @@ class TestGradcheck:
     @pytest.mark.parametrize("model", MODELS)
     def test_suffix_reruns_give_the_full_rerun_errors(self, model, monkeypatch):
         # A layer-n entry reruns only layers n and above: 3 layers, so layer
-        # 1's entries run a middle suffix. The errors must not move at all.
-        rng = np.random.default_rng(36)
-        net = init_network([4, 5, 4, 3], model=model, timesteps=3, seed=37)
-        inputs, labels = _binary_inputs(rng, 2, 4, 3), rng.integers(0, 3, size=2)
-        want = full_rerun_errors(net, inputs, labels)
-
+        # 1's entries run a middle suffix. A weight entry's two signs share
+        # one forward; batch 1, T = 1 and a one-layer net (layer 0 is the
+        # output layer) are the reshape edges of its two-sign arrays. The
+        # errors must not move at all.
         calls = {"forward_record": 0, "scan": 0}
 
         def counting(name):
@@ -528,13 +526,28 @@ class TestGradcheck:
 
         for name in calls:
             monkeypatch.setattr(bptt, name, counting(name))
-        report = gradcheck(net, inputs, labels)
-        assert {e.name: e.max_rel_err for e in report.entries} == want
+        for sizes, batch, timesteps in (([4, 5, 4, 3], 2, 3), ([4, 5, 4, 3], 1, 3),
+                                        ([4, 5, 4, 3], 2, 1), ([4, 3], 2, 3)):
+            rng = np.random.default_rng(36)
+            net = init_network(sizes, model=model, timesteps=timesteps, seed=37)
+            inputs = _binary_inputs(rng, batch, 4, timesteps)
+            labels = rng.integers(0, 3, size=batch)
+            want = full_rerun_errors(net, inputs, labels)
+            calls.update(forward_record=0, scan=0)  # the oracle's own scans are not counted
+            report = gradcheck(net, inputs, labels)
+            assert {e.name: e.max_rel_err for e in report.entries} == want, (sizes, batch)
 
-        n_layers = len(net.layers)
-        entries = [(int(name[len("layer")]), param.size) for name, param in net.parameter_items()]
-        assert calls["forward_record"] == 2 * sum(size for _, size in entries) + 1
-        assert calls["scan"] == n_layers + sum(2 * (n_layers - n) * size for n, size in entries)
+            # Each weight entry: one scan per layer from its own up. Each beta
+            # or plif_raw entry: two forward_record calls of those layers.
+            n_layers = len(net.layers)
+            weights, others = [], []
+            for name, param in net.parameter_items():
+                (weights if name.endswith(".w") else others).append(
+                    (int(name[len("layer")]), param.size))
+            assert calls["forward_record"] == 1 + 2 * sum(size for _, size in others)
+            assert calls["scan"] == n_layers + sum(
+                (n_layers - n) * size for n, size in weights) + sum(
+                2 * (n_layers - n) * size for n, size in others)
 
     def test_report_names_every_parameter(self):
         rng = np.random.default_rng(32)

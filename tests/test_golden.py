@@ -58,3 +58,16 @@ def test_blas_free_outputs_match_the_record(blas_free):
 def test_poisson_caches_match_the_record(blas_free):
     digests = {k: blas_free.sha256[k] for k in POISSON_CACHES}
     assert _mismatches(digests, "sha256") == []
+
+
+def test_the_pinned_kernel_needs_x86_64_with_avx2(tmp_path):
+    # tools/golden.py exits 3 before forcing OPENBLAS_CORETYPE on any other host.
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse2 avx avx2 fma\n", encoding="utf-8")
+    assert golden.runs_blas_core("x86_64", str(cpuinfo))
+    assert golden.runs_blas_core("AMD64", str(cpuinfo))
+    assert not golden.runs_blas_core("aarch64", str(cpuinfo))
+    assert not golden.runs_blas_core("x86_64", str(tmp_path / "missing"))
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse2 avx avx2x avx512f\n", encoding="utf-8")
+    assert not golden.runs_blas_core("x86_64", str(cpuinfo))
+    assert RECORD["env"]["blas_core"] == golden.BLAS_CORE

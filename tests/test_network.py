@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -6,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spikekit import numerics
 from spikekit.errors import ConfigError, DataError, DimensionError
 from spikekit.network import (
     Layer,
@@ -21,7 +23,7 @@ from spikekit.network import (
     save_checkpoint,
     softmax,
 )
-from spikekit.neurons import MODELS, NeuronParams
+from spikekit.neurons import MODELS, NeuronParams, scan
 from spikekit.bptt import forward_record
 
 
@@ -199,6 +201,54 @@ class TestMergeBeta:
         _, a = forward_record(net, inputs)
         _, b = forward_record(merged, inputs)
         assert a.tobytes() == b.tobytes()
+
+    # The merged drive sums the terms fl(beta * w) * p, while the plain one
+    # scales fl(sum of w * p) by beta. With K <= 12 inputs and T <= 16 steps,
+    # the drives, and the potentials up to a neuron's first differing spike,
+    # differ by less than (K + 2) eps per step of drive plus 2 eps per step of
+    # recurrence, about 1.3e-14 of the summed magnitude of their terms; the
+    # bound leaves a factor 7 of margin.
+    MERGE_REL = 1e-13
+
+    @settings(max_examples=80, deadline=None)
+    @given(widths=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+           timesteps=st.integers(1, 16), batch=st.integers(1, 6),
+           leak=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           at_threshold=st.booleans())
+    def test_merged_layers_agree_within_a_relative_bound(self, widths, timesteps, batch, leak,
+                                                         seed, at_threshold):
+        rng = np.random.default_rng(seed)
+        net = init_network(widths, model="cached-aia", timesteps=timesteps, seed=seed, leak=leak)
+        for layer in net.layers:
+            layer.beta[:] = rng.uniform(0.5, 2.0, size=layer.beta.shape)
+        merged = merge_beta(net)
+        pre = (rng.random((timesteps, batch, widths[0])) < 0.5).astype(np.float64)
+        flips = 0
+        for plain, folded in zip(net.layers, merged.layers):
+            rows = pre.reshape(-1, plain.in_width)
+            shape = (timesteps, batch, plain.out_width)
+            x_plain = numerics.matmul(rows, plain.w.T).reshape(shape)
+            x_merged = numerics.matmul(rows, folded.w.T).reshape(shape)
+            scale = numerics.matmul(rows, np.abs(plain.w.T)).reshape(shape) * plain.beta
+            drive = plain.beta * x_plain  # the merged layer's drive is 1.0 * x_merged
+            assert np.all(np.abs(x_merged - drive) <= self.MERGE_REL * scale)
+            if at_threshold and drive[0].max() > 0:
+                # From rest u[0] is the drive, so this neuron sits exactly at v_th.
+                neuron = dataclasses.replace(plain.neuron, v_th=float(drive[0].max()))
+                plain.neuron = folded.neuron = neuron
+            u_plain, o_plain = scan(x_plain, plain.params(), plain.beta)
+            u_merged, o_merged = scan(x_merged, folded.params(), folded.beta)
+            # A neuron's first differing spike changes its later resets, so
+            # each is compared up to and including its first flip.
+            differ = o_plain != o_merged
+            upto = np.cumsum(differ, axis=0) - differ == 0
+            bound = self.MERGE_REL * np.cumsum(scale, axis=0)
+            assert np.all((np.abs(u_merged - u_plain) <= bound)[upto])
+            first = differ & upto
+            assert np.all((np.abs(u_plain - plain.neuron.v_th) <= bound)[first])
+            flips += int(first.sum())
+            pre = o_plain.astype(np.float64)  # both layers above read the plain spikes
+        event(f"merge_beta spike flips: {flips}")
 
     def test_merge_drops_inference_parameters_to_lif_count(self):
         net = self._cached_net()

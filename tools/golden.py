@@ -15,10 +15,14 @@ every file of its run directory except the wall-clock ``metrics.json``. In
 text, the ``<stamp>`` of a ``<stamp>-<command>`` run directory and the
 temporary directory's path are normalized first.
 
-The record holds the environment: Python, numpy and the BLAS numpy was built
-with. GEMM results can change with the BLAS build and CPU kernel, so
-``--check`` refuses to compare in another environment. Exit codes: 0 every
-digest matches, 1 some differ, 3 the environment differs.
+The record holds the environment: Python, numpy, the BLAS numpy was built
+with and the BLAS kernel. GEMM results can change with the BLAS build and CPU
+kernel, so ``--check`` refuses to compare in another environment. The numpy
+wheel's OpenBLAS picks its kernel from the CPU when it loads; this tool pins
+it to ``Haswell`` (``OPENBLAS_CORETYPE``), which any x86-64 CPU with AVX2 can
+run, so that the record checks on such hosts whatever their CPU. Exit codes:
+0 every digest matches, 1 some differ, 3 the environment differs or the host
+cannot run the pinned kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +45,27 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tests" / "golden" / "digests.json"
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
+BLAS_CORE = "Haswell"
+ENV_MISMATCH = 3
+
+
+def runs_blas_core(machine: str = platform.machine(), cpuinfo: str = "/proc/cpuinfo") -> bool:
+    """Whether this host is x86-64 with the ``avx2`` CPU flag that ``BLAS_CORE`` needs."""
+    if machine.lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        with open(cpuinfo, encoding="utf-8") as lines:
+            return any(line.startswith("flags") and "avx2" in line.split() for line in lines)
+    except OSError:
+        return False
+
+
 if __name__ == "__main__":
-    os.environ.update(BLAS_THREADS)  # before numpy loads
+    if not runs_blas_core():
+        print(f"golden: the record is pinned to OpenBLAS's {BLAS_CORE} kernel, which needs "
+              f"an x86-64 CPU with AVX2; this {platform.machine()} host has none")
+        sys.exit(ENV_MISMATCH)
+    os.environ.update(BLAS_THREADS, OPENBLAS_CORETYPE=BLAS_CORE)  # before numpy loads
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
@@ -55,7 +78,6 @@ from spikekit.neurons import MODELS  # noqa: E402
 TOY = "configs/toy_poisson.json"
 EVENTS = "configs/events_grid.json"
 EVENTS_MANIFEST = "tests/data/events/manifest.json"
-ENV_MISMATCH = 3
 STAMP = re.compile(r"\d{8}-\d{6}-\d{6}(?=-)")
 WRITERS = ("train", "analyze", "gen-data")  # the commands that take --out
 
@@ -85,7 +107,7 @@ def env() -> dict:
     """The environment a record is valid in."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}", "blas_core": BLAS_CORE}
 
 
 def _sha256(data: bytes) -> str:
@@ -186,8 +208,9 @@ class Recorder:
         self.cli("gradcheck-wide", "gradcheck", "--config", "configs/gradcheck_wide.json")
 
     def demos(self) -> None:
-        run_env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        run_env = {**os.environ, **BLAS_THREADS, "OPENBLAS_CORETYPE": BLAS_CORE,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
         for demo in sorted((ROOT / "demos").glob("[0-9][0-9]_*.py")):
             done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=run_env,
                                   capture_output=True, text=True, timeout=600)
