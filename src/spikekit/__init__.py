@@ -18,12 +18,9 @@ from .data import (
     Dataset,
     bin_events,
     gen_poisson_patterns,
-    load_dataset_cache,
     load_events_csv,
-    save_dataset_cache,
 )
 from .errors import (
-    CacheMismatchError,
     ConfigError,
     DataError,
     DimensionError,
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "BpttTape",
-    "CacheMismatchError",
     "ConfigError",
     "DataError",
     "Dataset",
@@ -94,12 +90,10 @@ __all__ = [
     "gradcheck",
     "init_network",
     "load_checkpoint",
-    "load_dataset_cache",
     "load_events_csv",
     "merge_beta",
     "readout_and_loss",
     "save_checkpoint",
-    "save_dataset_cache",
     "softmax",
     "step",
     "train",

@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, gradcheck, analyze, gen-data.
+"""Command-line surface: train, eval, gradcheck, analyze.
 
 Configuration is a strict JSON file: every key is checked against the
 schema and unknown keys are rejected by their dotted path, so a typo like
@@ -28,15 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bptt
-from .data import (
-    MAX_CLASS_COUNT,
-    Dataset,
-    bin_events,
-    gen_poisson_patterns,
-    load_events_csv,
-    save_dataset_cache,
+from .data import MAX_COUNT, Dataset, bin_events, gen_poisson_patterns, load_events_csv
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    EmptySampleError,
+    SpikeKitError,
+    TrainingDiverged,
 )
-from .errors import ConfigError, DataError, EmptySampleError, SpikeKitError, TrainingDiverged
 from .network import init_network, load_checkpoint, merge_beta, save_checkpoint
 from .neurons import MODELS
 from .training import (
@@ -90,22 +90,21 @@ def _chk_str(path, value, options=None):
     return value
 
 
-# Every size key is bounded by name. MAX_SIZE is the dataset cache header's
-# uint32 field, far inside numpy's dimension limit; an event grid of
-# MAX_GRID_SIDE on each side has 2 * 2**30 neurons, inside MAX_SIZE. Sizes
-# under these bounds can still ask numpy for more memory than there is.
-MAX_SIZE = MAX_CLASS_COUNT
+# Every size key is bounded by name: by MAX_COUNT, or an event grid's side by
+# MAX_GRID_SIDE, so that a square grid's 2 * 2**30 neurons lie inside
+# MAX_COUNT. Sizes under these bounds can still ask numpy for more memory
+# than there is.
 MAX_GRID_SIDE = 2**15
 
 
-def _size(lo=1, hi=MAX_SIZE):
+def _size(lo=1, hi=MAX_COUNT):
     return lambda p, v: _chk_int(p, v, lo=lo, hi=hi)
 
 
 def _chk_sizes(path, value):
     if not isinstance(value, list):
         raise ConfigError(f"config key {path} must be a list of integers >= 1")
-    return [_chk_int(f"{path}[{i}]", v, lo=1, hi=MAX_SIZE) for i, v in enumerate(value)]
+    return [_chk_int(f"{path}[{i}]", v, lo=1, hi=MAX_COUNT) for i, v in enumerate(value)]
 
 
 def _apply_schema(section, schema: dict, prefix: str) -> dict:
@@ -136,7 +135,7 @@ def _apply_schema(section, schema: dict, prefix: str) -> dict:
 
 _POISSON_SCHEMA = {
     "kind": ("poisson", lambda p, v: _chk_str(p, v, options=("poisson", "events"))),
-    "class_count": (4, lambda p, v: _chk_int(p, v, lo=1, hi=MAX_CLASS_COUNT)),
+    "class_count": (4, lambda p, v: _chk_int(p, v, lo=1, hi=MAX_COUNT)),
     "neurons": (64, _size()),
     "rate_lo": (0.05, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
     "rate_hi": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
@@ -149,7 +148,7 @@ _EVENTS_SCHEMA = {
     "manifest": (None, _chk_str),
     "grid_width": (8, _size(hi=MAX_GRID_SIDE)),
     "grid_height": (8, _size(hi=MAX_GRID_SIDE)),
-    "class_count": (0, lambda p, v: _chk_int(p, v, lo=0, hi=MAX_CLASS_COUNT)),
+    "class_count": (0, lambda p, v: _chk_int(p, v, lo=0, hi=MAX_COUNT)),
 }
 
 
@@ -221,7 +220,7 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -292,7 +291,7 @@ def _datasets(cfg: dict, splits=("train", "test")):
             f"has label {largest}; it must be at least {largest + 1}"
         )
     return {"train": Dataset(np.stack(frames), np.asarray(labels, dtype=np.int64),
-                             class_count, split="train")}, skipped
+                             class_count)}, skipped
 
 
 def _eval_split(cfg: dict) -> Dataset:
@@ -303,6 +302,14 @@ def _eval_split(cfg: dict) -> Dataset:
     if skipped:
         print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
     return datasets[split]
+
+
+def _evaluate(net, dataset: Dataset, checkpoint: str):
+    """``evaluate``; a checkpoint whose network does not fit the dataset is named."""
+    try:
+        return evaluate(net, dataset)
+    except DimensionError as exc:
+        raise DataError(f"checkpoint {checkpoint}: {exc}") from None
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
@@ -336,7 +343,7 @@ def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     net, _ = load_checkpoint(cfg["checkpoint"])
     dataset = _eval_split(cfg)
 
-    result = evaluate(net, dataset)
+    result = _evaluate(net, dataset, cfg["checkpoint"])
     if args.merge_beta:
         plain_readout = result.readout
         result = evaluate(merge_beta(net), dataset)
@@ -382,8 +389,8 @@ def cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
     # fit the dataset is an input error too.
     edges = covering_bin_edges(net_a, net_b)
     deltas = weight_shift_report(net_a, net_b, edges)
-    counts_a = evaluate(net_a, dataset).spike_counts
-    counts_b = evaluate(net_b, dataset).spike_counts
+    counts_a = _evaluate(net_a, dataset, cfg["checkpoint_a"]).spike_counts
+    counts_b = _evaluate(net_b, dataset, cfg["checkpoint_b"]).spike_counts
 
     run_dir = _open_run_dir(args, cfg)
     write_weight_shift_csv(edges, deltas, run_dir / "weight_shift.csv")
@@ -395,40 +402,11 @@ def cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def cmd_gen_data(args: argparse.Namespace, cfg: dict) -> int:
-    ds = cfg["dataset"]
-    datasets, skipped = _datasets(cfg)
-    run_dir = _open_run_dir(args, cfg)
-
-    train_ds = datasets["train"]
-    if ds["kind"] == "poisson":
-        test_samples = len(datasets["test"]) if "test" in datasets else 0
-        manifest = {"train_samples": len(train_ds), "test_samples": test_samples}
-        summary = f"train samples {len(train_ds)}, test samples {test_samples}"
-    else:
-        manifest = {"labels": train_ds.labels.tolist(), "samples": len(train_ds),
-                    "skipped_empty": skipped}
-        summary = f"samples {len(train_ds)}, skipped {skipped} empty"
-    manifest.update(kind=ds["kind"], class_count=train_ds.class_count, files={})
-    for split, dataset in datasets.items():
-        name = "events.cache" if ds["kind"] == "events" else f"{split}.cache"
-        params = {"dataset": ds, "timesteps": cfg["timesteps"], "seed": cfg["seed"],
-                  "split": split}
-        save_dataset_cache(dataset, run_dir / name, params)
-        manifest["files"][split] = name
-    with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"classes {train_ds.class_count}, {summary}")
-    return 0
-
-
 _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "gradcheck": cmd_gradcheck,
     "analyze": cmd_analyze,
-    "gen-data": cmd_gen_data,
 }
 
 
@@ -442,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", metavar="PATH", default=None)
         sp.add_argument("--seed", type=int, default=None, metavar="N")
-        if name in ("train", "analyze", "gen-data"):
+        if name in ("train", "analyze"):
             sp.add_argument("--out", metavar="DIR", default="runs")
         if name == "train":
             sp.add_argument("--model", choices=MODELS, default=None)

@@ -1,33 +1,30 @@
 """Spike datasets: Poisson pattern generation, event-file ingestion, binning.
 
-Three ways to get a binary spike tensor of shape (samples, neurons, T):
+Two ways to get a binary spike tensor of shape (samples, neurons, T):
 
 * generate class-templated Poisson patterns (:func:`gen_poisson_patterns`),
 * load event streams from CSV files listed in a JSON manifest
   (:func:`load_events_csv`) and bin them onto a pixel/polarity grid
-  (:func:`bin_events`),
-* reload a previously saved binary cache (:func:`load_dataset_cache`).
+  (:func:`bin_events`).
 
-Every path ends in a :class:`Dataset` whose entries are exactly 0 or 1,
+Both paths end in a :class:`Dataset` whose entries are exactly 0 or 1,
 held as ``uint8``: a spike takes one byte until the engine casts a batch
 of them to float64 for its GEMM.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import logging
 import re
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMismatchError, ConfigError, DataError, EmptySampleError
+from .errors import ConfigError, DataError, EmptySampleError
 
 log = logging.getLogger(__name__)
 
@@ -38,11 +35,11 @@ _STRIP_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # whitespace to str.strip(), not to int(
 # (18 digits do), polarity 0 or 1. Any other line is odd.
 _ODD_LINE = re.compile(r"^(?![0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[01]$).*$", re.MULTILINE)
 
-_CACHE_MAGIC = b"SKCACHE"
-_CACHE_VERSION = 1
-# The largest class count the cache header's uint32 field holds; a label
-# must lie below it.
-MAX_CLASS_COUNT = 2**32 - 1
+# The bound on every config size, class count and manifest label: the
+# largest uint32, far inside numpy's dimension and int64 limits, so a value
+# above it fails by name before numpy sees it. A label must lie below it,
+# so that the class count it implies stays within it.
+MAX_COUNT = 2**32 - 1
 _SPLITS = ("train", "test")
 
 
@@ -76,7 +73,6 @@ class Dataset:
     data: np.ndarray
     labels: np.ndarray
     class_count: int
-    split: str = "train"
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
@@ -90,8 +86,6 @@ class Dataset:
                 f"{self.labels.shape[0] if self.labels.ndim == 1 else self.labels.shape} "
                 f"labels for {self.data.shape[0]} samples"
             )
-        if self.split not in _SPLITS:
-            raise DataError(f"split must be one of {_SPLITS}, got {self.split!r}")
         if self.class_count < 1:
             raise DataError("class_count must be >= 1")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
@@ -144,7 +138,7 @@ def gen_poisson_patterns(class_count, neurons, timesteps, rate_lo, rate_hi,
         np.less(draw_rng.random(out=uniforms), templates[c][None, :, None],
                 out=data[c * n_per_class:(c + 1) * n_per_class])
     labels = np.repeat(np.arange(class_count, dtype=np.int64), n_per_class)
-    return Dataset(data=data, labels=labels, class_count=class_count, split=split)
+    return Dataset(data=data, labels=labels, class_count=class_count)
 
 
 def _first_invalid_row(events: np.ndarray) -> int | None:
@@ -234,7 +228,7 @@ def load_events_csv(manifest_path) -> list:
     Returns one ``(events, label)`` pair per entry, where ``events`` is an
     ``(n, 4)`` int64 array of ``t, x, y, polarity`` rows, stably sorted by
     ``t``. Paths are resolved relative to the manifest; an entry needs a
-    string ``path`` and an integer ``label`` in [0, ``MAX_CLASS_COUNT``).
+    string ``path`` and an integer ``label`` in [0, ``MAX_COUNT``).
     Each file is parsed in one vectorized pass. In a file that pass cannot
     take whole, one regex pass finds the odd lines, those that are not four
     ASCII digit fields of at most 18 digits with polarity 0 or 1: only they
@@ -248,7 +242,7 @@ def load_events_csv(manifest_path) -> list:
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise DataError(f"manifest {manifest_path} must be a JSON list of {{path, label}}")
@@ -260,9 +254,9 @@ def load_events_csv(manifest_path) -> list:
             raise DataError(f"{where} must be an object with path and label")
         label = entry["label"]
         if (isinstance(label, bool) or not isinstance(label, int)
-                or not 0 <= label < MAX_CLASS_COUNT):
+                or not 0 <= label < MAX_COUNT):
             raise DataError(
-                f"{where} label must be a non-negative integer below {MAX_CLASS_COUNT}"
+                f"{where} label must be a non-negative integer below {MAX_COUNT}"
             )
         if not isinstance(entry["path"], str):
             raise DataError(f"{where} path must be a string")
@@ -346,58 +340,3 @@ def bin_events(stream, grid_w, grid_h, timesteps) -> np.ndarray:
     frame[neuron, time_bin] = 1
     return frame
 
-
-def _params_digest(params: dict) -> bytes:
-    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).digest()
-
-
-def save_dataset_cache(dataset: Dataset, path, params: dict) -> None:
-    """Write the dataset as a versioned binary cache keyed by ``params``.
-
-    ``params`` is whatever configuration produced the tensors (generator or
-    binning settings); its hash goes into the header so a stale cache is
-    detected instead of silently reused.
-    """
-    path = Path(path)
-    header = struct.pack(
-        "<7sB32sBIQII",
-        _CACHE_MAGIC,
-        _CACHE_VERSION,
-        _params_digest(params),
-        _SPLITS.index(dataset.split),
-        dataset.class_count,
-        len(dataset),
-        dataset.neurons,
-        dataset.timesteps,
-    )
-    body = dataset.labels.astype("<i8").tobytes() + dataset.data.tobytes()
-    path.write_bytes(header + body)
-
-
-def load_dataset_cache(path, params: dict) -> Dataset:
-    path = Path(path)
-    blob = path.read_bytes()
-    header_size = struct.calcsize("<7sB32sBIQII")
-    if len(blob) < header_size or blob[:7] != _CACHE_MAGIC:
-        raise DataError(f"{path} is not a dataset cache")
-    _, version, digest, split_idx, class_count, n, neurons, timesteps = struct.unpack(
-        "<7sB32sBIQII", blob[:header_size]
-    )
-    if version != _CACHE_VERSION:
-        raise DataError(f"{path}: unsupported cache version {version}")
-    if digest != _params_digest(params):
-        raise CacheMismatchError(
-            f"{path}: cache was built with different parameters; regenerate it"
-        )
-    if split_idx >= len(_SPLITS):
-        raise DataError(f"{path}: corrupt split tag {split_idx}")
-    expected = header_size + n * 8 + n * neurons * timesteps
-    if len(blob) != expected:
-        raise DataError(f"{path}: cache is {len(blob)} bytes, expected {expected}")
-    labels = np.frombuffer(blob, dtype="<i8", count=n, offset=header_size).copy()
-    data = np.frombuffer(blob, dtype=np.uint8, count=n * neurons * timesteps,
-                         offset=header_size + n * 8)
-    data = data.reshape(n, neurons, timesteps).copy()  # writable, and not tied to ``blob``
-    return Dataset(data=data, labels=labels, class_count=class_count,
-                   split=_SPLITS[split_idx])

@@ -33,10 +33,6 @@ class EmptySampleError(DataError):
     """An event stream with no events cannot be binned into a sample."""
 
 
-class CacheMismatchError(DataError):
-    """A dataset cache was written with different parameters or format."""
-
-
 class StateError(SpikeKitError):
     """An operation was called on an incomplete or inconsistent state."""
 

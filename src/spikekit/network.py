@@ -334,12 +334,12 @@ def load_checkpoint(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a spikekit checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise DataError(f"checkpoint {path}: unsupported version {doc.get('version')!r}")
     for key in ("input_width", "timesteps", "class_count"):
         if not _is_int(doc.get(key)):
             raise DataError(f"checkpoint {path}: {key} must be an integer")

@@ -42,6 +42,7 @@ State arrays may be ``(neurons,)`` or ``(batch, neurons)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,7 +137,9 @@ class NeuronParams:
         if not 0.0 <= self.leak <= 1.0:
             raise ConfigError(f"leak must be in [0, 1], got {self.leak}")
         for name in ("v_th", "surrogate_width", "plif_raw"):
-            if not math.isfinite(getattr(self, name)):
+            # A comparison, not math.isfinite: an int past a float's range is not
+            # finite here, where isfinite would raise OverflowError.
+            if not -sys.float_info.max <= getattr(self, name) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_th <= 0.0:
             raise ConfigError(f"v_th must be positive, got {self.v_th}")

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -8,15 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikekit import bptt, cli
 from spikekit.cli import load_config, main, validate_config
-from spikekit.data import load_dataset_cache
 from spikekit.errors import ConfigError, TrainingDiverged
 from spikekit.network import init_network, save_checkpoint
 from test_public_api import _entry_points
 
 EVENTS_MANIFEST = Path(__file__).parent / "data" / "events" / "manifest.json"
+TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_poisson.json"
 
 # Small enough that a full train run takes well under a second.
 TINY = {
@@ -92,25 +97,25 @@ class TestConfigValidation:
     @pytest.mark.parametrize("dataset", [
         {"kind": "poisson"}, {"kind": "events", "manifest": "m.json"},
     ])
-    def test_class_count_must_fit_the_cache_header(self, dataset):
+    def test_class_count_is_bounded_by_max_count(self, dataset):
         with pytest.raises(ConfigError, match=r"dataset\.class_count must be <= 4294967295, "
                                               r"got 4294967296"):
             validate_config({"dataset": {**dataset, "class_count": 2**32}})
 
     @pytest.mark.parametrize("path, bound", [
-        ("network.hidden[1]", cli.MAX_SIZE),
-        ("timesteps", cli.MAX_SIZE),
-        ("dataset.neurons", cli.MAX_SIZE),
-        ("dataset.train_per_class", cli.MAX_SIZE),
-        ("dataset.test_per_class", cli.MAX_SIZE),
+        ("network.hidden[1]", cli.MAX_COUNT),
+        ("timesteps", cli.MAX_COUNT),
+        ("dataset.neurons", cli.MAX_COUNT),
+        ("dataset.train_per_class", cli.MAX_COUNT),
+        ("dataset.test_per_class", cli.MAX_COUNT),
         ("dataset.grid_width", cli.MAX_GRID_SIDE),
         ("dataset.grid_height", cli.MAX_GRID_SIDE),
-        ("train.batch_size", cli.MAX_SIZE),
-        ("gradcheck.batch", cli.MAX_SIZE),
-        ("gradcheck.input_width", cli.MAX_SIZE),
-        ("gradcheck.hidden[0]", cli.MAX_SIZE),
-        ("gradcheck.class_count", cli.MAX_SIZE),
-        ("gradcheck.timesteps", cli.MAX_SIZE),
+        ("train.batch_size", cli.MAX_COUNT),
+        ("gradcheck.batch", cli.MAX_COUNT),
+        ("gradcheck.input_width", cli.MAX_COUNT),
+        ("gradcheck.hidden[0]", cli.MAX_COUNT),
+        ("gradcheck.class_count", cli.MAX_COUNT),
+        ("gradcheck.timesteps", cli.MAX_COUNT),
     ])
     def test_size_keys_are_bounded_by_name(self, path, bound):
         # Validation only: nothing here asks numpy for the memory these sizes need.
@@ -182,7 +187,6 @@ class TestArgumentErrors:
         ("eval", "--model", "aia"),
         ("analyze", "--model", "aia"),
         ("gradcheck", "--model", "aia"),
-        ("gen-data", "--model", "plif"),
         ("eval", "--out", "runs"),
         ("gradcheck", "--out", "runs"),
     ])
@@ -192,6 +196,13 @@ class TestArgumentErrors:
         assert main([command, flag, value]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_the_deleted_data_command_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        rc = main(["gen-data", "--config", _write_config(tmp_path, TINY), "--out", str(out)])
+        assert rc == 2
+        assert "invalid choice: 'gen-data'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -243,6 +254,22 @@ class TestTrainCommand:
         run_dir = _run_dirs(tmp_path / "runs")[-1]
         rows = (run_dir / "metrics.csv").read_text().splitlines()
         assert all(",test," not in row for row in rows[1:])
+        # three usable samples, labels 0, 1, 0: the inferred class count is 2
+        assert json.loads((run_dir / "checkpoint.json").read_text())["class_count"] == 2
+
+    def test_dropped_lines_warn_on_stderr_once_per_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        doc = {"timesteps": 3, "network": {"hidden": [4]}, "train": {"epochs": 1},
+               "dataset": {"kind": "events", "manifest": "tests/data/events/manifest.json"}}
+        cfg = _write_config(tmp_path, doc)
+        logger = logging.getLogger("spikekit")
+        handlers = list(logger.handlers)
+        for out in ("runs_a", "runs_b"):
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+            assert capsys.readouterr().err == (
+                "warning: tests/data/events/noisy.csv: dropped 1 malformed event line(s)\n"
+                "skipped 1 empty sample(s)\n")
+            assert logger.handlers == handlers
 
     def test_divergence_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def blow_up(*args, **kwargs):
@@ -330,6 +357,34 @@ class TestMalformedInputs:
         err = self._eval_checkpoint(tmp_path, capsys, corrupt)
         assert "layer0.w contains non-finite values" in err
 
+    def test_checkpoint_that_does_not_fit_the_dataset(self, tmp_path, capsys):
+        err = self._eval_checkpoint(tmp_path, capsys, lambda doc: doc.update(timesteps=4))
+        assert "dataset window is 3 timesteps, network runs 4" in err
+
+    def test_checkpoint_unknown_version(self, tmp_path, capsys):
+        err = self._eval_checkpoint(tmp_path, capsys, lambda doc: doc.update(version=99))
+        assert f"checkpoint {tmp_path / 'net.json'}: unsupported version 99" in err
+
+    @pytest.mark.parametrize("role", ["config", "manifest", "checkpoint"])
+    def test_deeply_nested_json_names_the_file(self, tmp_path, capsys, role):
+        # Nesting past the recursion limit stops Python's JSON parser with a
+        # RecursionError, which is a malformed input like any other.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 3000 + "]" * 3000)
+        tiny = _write_config(tmp_path, TINY)
+        events = _write_config(tmp_path, {"dataset": {"kind": "events", "manifest": str(deep)}},
+                               "events.json")
+        out = tmp_path / "runs"
+        argv = {"config": ["gradcheck", "--config", str(deep)],
+                "manifest": ["train", "--config", events, "--out", str(out)],
+                "checkpoint": ["eval", "--config", tiny, "--checkpoint", str(deep)]}[role]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {role} {'file ' if role == 'config' else ''}{deep} "
+                              f"is not valid JSON: maximum recursion depth exceeded")
+        assert not out.exists()
+
     def test_checkpoint_non_finite_threshold(self, tmp_path, capsys):
         def corrupt(doc):
             doc["layers"][0]["v_th"] = float("nan")
@@ -375,11 +430,11 @@ class TestMalformedInputs:
         manifest.write_text(json.dumps([{"path": "bad.csv", "label": 0}]))
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
         cfg = _write_config(tmp_path, doc)
-        rc = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "gen")])
+        rc = main(["train", "--config", cfg, "--out", str(tmp_path / "runs")])
         err = capsys.readouterr().err
         assert rc == 2
         assert "bad.csv" in err and "not UTF-8" in err
-        assert not (tmp_path / "gen").exists()
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("path", 5), ("path", ["x"]), ("path", None),
@@ -391,13 +446,13 @@ class TestMalformedInputs:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([entry]))
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
-        rc = main(["gen-data", "--config", _write_config(tmp_path, doc),
-                   "--out", str(tmp_path / "gen")])
+        rc = main(["train", "--config", _write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "runs")])
         err = capsys.readouterr().err
         assert rc == 2
         assert f"manifest {manifest} entry 0 {key} must be" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "gen").exists()
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
                                               (".", "Is a directory")])
@@ -405,8 +460,8 @@ class TestMalformedInputs:
                                                             reason):
         manifest = tmp_path / name
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
-        out = tmp_path / "gen"
-        rc = main(["gen-data", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        out = tmp_path / "runs"
+        rc = main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err == (f"error: config key dataset.manifest: cannot read {manifest}: "
@@ -417,8 +472,8 @@ class TestMalformedInputs:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([{"path": "gone.csv", "label": 0}]))
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(manifest)}}
-        rc = main(["gen-data", "--config", _write_config(tmp_path, doc),
-                   "--out", str(tmp_path / "gen")])
+        rc = main(["train", "--config", _write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "runs")])
         err = capsys.readouterr().err
         assert rc == 2
         assert str(tmp_path / "gone.csv") in err and "dataset.manifest" not in err
@@ -426,8 +481,8 @@ class TestMalformedInputs:
     def test_events_class_count_too_large_leaves_no_run_dir(self, tmp_path, capsys):
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST),
                                            "class_count": 2**32}}
-        out = tmp_path / "gen"
-        rc = main(["gen-data", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        out = tmp_path / "runs"
+        rc = main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "config key dataset.class_count must be <= 4294967295" in err
@@ -436,8 +491,8 @@ class TestMalformedInputs:
     def test_events_class_count_below_a_manifest_label_names_both(self, tmp_path, capsys):
         doc = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST),
                                            "class_count": 1}}
-        out = tmp_path / "gen"
-        rc = main(["gen-data", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        out = tmp_path / "runs"
+        rc = main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "config key dataset.class_count is 1" in err
@@ -451,6 +506,102 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(path) in err and "not UTF-8" in err
+
+
+def _main_quietly(argv):
+    """``main(argv)``'s exit code and stderr; the stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+# Values a mutated field may take: every JSON type, JSON's NaN and infinity
+# extensions, and integers past int64 and past a float.
+_ANY_VALUE = st.sampled_from([None, True, False, 0, -1, 1, 2, 1.5, -0.5, "x", "", [], {},
+                              [1, 2], [[6, 8]], {"a": 1}, math.nan, math.inf, -math.inf,
+                              2**63, -(2**63) - 1, 10**30, 10**400])
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """TINY as a config file, and a checkpoint that fits it of each model that
+    stores an extra array: ``cached-aia``'s ``beta`` and ``plif``'s ``plif_raw``."""
+    tmp = tmp_path_factory.mktemp("contract")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(TINY))
+    checkpoints = {}
+    for model in ("cached-aia", "plif"):
+        path = tmp / f"{model}.json"
+        save_checkpoint(init_network([8, 6, 2], model=model, timesteps=3, seed=0), path)
+        checkpoints[model] = json.loads(path.read_text())
+    return tmp, str(config), checkpoints
+
+
+def _leaves(doc, prefix=()):
+    """The key path of every object member in ``doc``, sections included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*prefix, key))
+
+
+class TestErrorContract:
+    """A malformed input ends in exit 2 naming it, never in a traceback or exit 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(["cached-aia", "plif"]))
+    def test_one_checkpoint_field_changed_exits_0_or_2(self, contract_files, data, model):
+        tmp, config, checkpoints = contract_files
+        doc = json.loads(json.dumps(checkpoints[model]))
+        *parents, key = data.draw(st.sampled_from(sorted(_leaves(doc), key=str)), label="field")
+        owner = doc
+        for step in parents:
+            owner = owner[step]
+        value = owner[key]
+        change = data.draw(st.sampled_from(["delete", "value", "truncate", "non-finite",
+                                            "shape"]), label="change")
+        if change == "delete" and isinstance(owner, dict):
+            del owner[key]
+        elif change == "truncate" and isinstance(value, str) and value:
+            owner[key] = value[:data.draw(st.integers(0, len(value) - 1))]
+        elif change == "non-finite" and isinstance(value, str) and len(value) >= 16:
+            slot = 16 * data.draw(st.integers(0, len(value) // 16 - 1))
+            bits = np.array([data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))], "<f8")
+            owner[key] = value[:slot] + bits.tobytes().hex() + value[slot + 16:]
+        elif change == "shape" and key == "shape":
+            sizes = st.sampled_from([-1, 0, 1, 2, 6, 8, 9, 2**63, 10**30])
+            owner[key] = data.draw(st.lists(sizes, max_size=3))
+        else:
+            owner[key] = data.draw(_ANY_VALUE)
+        path = tmp / "mutated.json"
+        path.write_text(json.dumps(doc))
+        rc, err = _main_quietly(["eval", "--config", config, "--checkpoint", str(path)])
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert str(path) in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_config_key_changed_exits_2(self, contract_files, data):
+        tmp = contract_files[0]
+        doc = json.loads(TOY_CONFIG.read_text())
+        if data.draw(st.booleans(), label="add an unknown key"):
+            sections = [doc] + [value for value in doc.values() if isinstance(value, dict)]
+            owner = data.draw(st.sampled_from(sections))
+            key = data.draw(st.text().filter(lambda k: k not in owner))
+        else:
+            *parents, key = data.draw(st.sampled_from(sorted(_leaves(doc), key=str)))
+            owner = doc
+            for step in parents:
+                owner = owner[step]
+        owner[key] = data.draw(_ANY_VALUE | st.text(max_size=5))
+        path = tmp / "config-mutated.json"
+        path.write_text(json.dumps(doc))
+        rc, err = _main_quietly(["eval", "--config", str(path)])
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestGradcheckCommand:
@@ -522,66 +673,17 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cfg]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
-
-class TestGenDataCommand:
-    def test_poisson_caches_round_trip(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, TINY)
-        out_dir = tmp_path / "gen"
-        rc = main(["gen-data", "--config", cfg, "--seed", "11", "--out", str(out_dir)])
-        capsys.readouterr()
-        assert rc == 0
-        run_dir = _run_dirs(out_dir)[-1]
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["kind"] == "poisson"
-        assert manifest["train_samples"] == 10
-        assert manifest["test_samples"] == 6
-        effective = json.loads((run_dir / "effective_config.json").read_text())
-        params = {"dataset": effective["dataset"], "timesteps": 3, "seed": 11,
-                  "split": "train"}
-        loaded = load_dataset_cache(run_dir / "train.cache", params)
-        assert loaded.split == "train"
-        assert len(loaded) == 10
-        assert loaded.neurons == 8 and loaded.timesteps == 3
-
-    def test_same_seed_gives_identical_cache_bytes(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, TINY)
-        for out in ("gen_a", "gen_b"):
-            assert main(["gen-data", "--config", cfg, "--seed", "11",
-                         "--out", str(tmp_path / out)]) == 0
-        capsys.readouterr()
-        a = _run_dirs(tmp_path / "gen_a")[-1]
-        b = _run_dirs(tmp_path / "gen_b")[-1]
-        assert (a / "train.cache").read_bytes() == (b / "train.cache").read_bytes()
-        assert (a / "test.cache").read_bytes() == (b / "test.cache").read_bytes()
-
-    def test_events_mode_reports_skips(self, tmp_path, capsys):
-        doc = {
-            "timesteps": 4,
-            "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST)},
-        }
-        cfg = _write_config(tmp_path, doc)
-        out_dir = tmp_path / "gen"
-        rc = main(["gen-data", "--config", cfg, "--out", str(out_dir)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "skipped 1 empty" in out
-        run_dir = _run_dirs(out_dir)[-1]
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["labels"] == [0, 1, 0]
-        assert manifest["class_count"] == 2
-        assert manifest["skipped_empty"] == 1
-        assert (run_dir / "events.cache").is_file()
-
-    def test_dropped_lines_warn_on_stderr_once_per_call(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        logger = logging.getLogger("spikekit")
-        handlers = list(logger.handlers)
-        for out in ("gen_a", "gen_b"):
-            assert main(["gen-data", "--config", "configs/events_grid.json",
-                         "--out", str(tmp_path / out)]) == 0
-            assert capsys.readouterr().err == (
-                "warning: tests/data/events/noisy.csv: dropped 1 malformed event line(s)\n")
-            assert logger.handlers == handlers
+    def test_a_checkpoint_that_does_not_fit_the_dataset_is_named(self, tmp_path, capsys):
+        ckpt_a, ckpt_b = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(init_network([8, 6, 2], model="lif", timesteps=3, seed=0), ckpt_a)
+        save_checkpoint(init_network([8, 6, 2], model="lif", timesteps=4, seed=0), ckpt_b)
+        out = tmp_path / "analysis"
+        rc = main(["analyze", "--config", _write_config(tmp_path, TINY), "--out", str(out),
+                   "--checkpoint-a", str(ckpt_a), "--checkpoint-b", str(ckpt_b)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: checkpoint {ckpt_b}: dataset window is 3 "
+                                           f"timesteps, network runs 4\n")
+        assert not out.exists()
 
 
 def test_every_traced_cli_name_is_called(tmp_path, monkeypatch, capsys):
@@ -601,8 +703,9 @@ def test_every_traced_cli_name_is_called(tmp_path, monkeypatch, capsys):
     run_dir = _train_tiny(tmp_path)
     assert main(["eval", "--config", _write_config(tmp_path, TINY),
                  "--checkpoint", str(run_dir / "checkpoint.json")]) == 0
-    events = {"timesteps": 3, "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST)}}
-    assert main(["gen-data", "--config", _write_config(tmp_path, events, "events.json"),
-                 "--out", str(tmp_path / "gen")]) == 0
+    events = {"timesteps": 3, "network": {"hidden": [4]}, "train": {"epochs": 1},
+              "dataset": {"kind": "events", "manifest": str(EVENTS_MANIFEST)}}
+    assert main(["train", "--config", _write_config(tmp_path, events, "events.json"),
+                 "--out", str(tmp_path / "events")]) == 0
     capsys.readouterr()
     assert names and calls == set(names)

@@ -18,16 +18,9 @@ from spikekit.data import (
     Dataset,
     bin_events,
     gen_poisson_patterns,
-    load_dataset_cache,
     load_events_csv,
-    save_dataset_cache,
 )
-from spikekit.errors import (
-    CacheMismatchError,
-    ConfigError,
-    DataError,
-    EmptySampleError,
-)
+from spikekit.errors import ConfigError, DataError, EmptySampleError
 
 EVENTS_DIR = Path(__file__).parent / "data" / "events"
 
@@ -78,7 +71,6 @@ class TestPoissonGeneration:
         assert ds.data.dtype == np.uint8
         npt.assert_array_equal(ds.labels, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
         assert ds.class_count == 3
-        assert ds.split == "train"
 
     def test_entries_exactly_binary(self):
         ds = gen_poisson_patterns(4, 16, 8, 0.0, 1.0, n_per_class=10, seed=3)
@@ -96,7 +88,6 @@ class TestPoissonGeneration:
                   n_per_class=200, seed=11)
         train = gen_poisson_patterns(split="train", **kw)
         test = gen_poisson_patterns(split="test", **kw)
-        assert test.split == "test"
         assert train.data.tobytes() != test.data.tobytes()
         # Same class templates: per-class per-neuron empirical rates agree
         # to within a few binomial standard errors (4000 draws per cell).
@@ -164,11 +155,6 @@ class TestDatasetInvariants:
     def test_rejects_mismatched_label_count(self):
         with pytest.raises(DataError):
             Dataset(data=np.zeros((2, 3, 4)), labels=np.zeros(3, dtype=int), class_count=2)
-
-    def test_rejects_unknown_split(self):
-        with pytest.raises(DataError):
-            Dataset(data=np.zeros((1, 2, 2)), labels=np.zeros(1, dtype=int),
-                    class_count=1, split="holdout")
 
     def test_rejects_zero_samples(self):
         with pytest.raises(DataError, match="no samples"):
@@ -505,80 +491,3 @@ class TestBinEvents:
         with pytest.raises(ConfigError):
             bin_events(stream, 4, 4, 0)
 
-
-class TestDatasetCache:
-    def _dataset(self):
-        return gen_poisson_patterns(3, 12, 6, 0.1, 0.8, n_per_class=7, seed=5, split="test")
-
-    def test_round_trip_exact(self, tmp_path):
-        ds = self._dataset()
-        params = {"seed": 5, "neurons": 12}
-        path = tmp_path / "ds.cache"
-        save_dataset_cache(ds, path, params)
-        back = load_dataset_cache(path, params)
-        assert back.data.tobytes() == ds.data.tobytes()
-        npt.assert_array_equal(back.labels, ds.labels)
-        assert back.class_count == 3
-        assert back.split == "test"
-
-    def test_parameter_change_invalidates(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "ds.cache"
-        save_dataset_cache(ds, path, {"seed": 5, "neurons": 12})
-        with pytest.raises(CacheMismatchError):
-            load_dataset_cache(path, {"seed": 6, "neurons": 12})
-
-    def test_parameter_key_order_does_not_matter(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "ds.cache"
-        save_dataset_cache(ds, path, {"a": 1, "b": [2, 3]})
-        load_dataset_cache(path, {"b": [2, 3], "a": 1})
-
-    def test_foreign_or_damaged_files_rejected(self, tmp_path):
-        path = tmp_path / "junk.cache"
-        path.write_bytes(b"PNG....definitely not a cache")
-        with pytest.raises(DataError):
-            load_dataset_cache(path, {})
-
-        ds = self._dataset()
-        good = tmp_path / "good.cache"
-        save_dataset_cache(ds, good, {})
-        blob = good.read_bytes()
-        (tmp_path / "short.cache").write_bytes(blob[:-10])
-        with pytest.raises(DataError):
-            load_dataset_cache(tmp_path / "short.cache", {})
-
-    def test_unknown_version_rejected(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "v.cache"
-        save_dataset_cache(ds, path, {})
-        blob = bytearray(path.read_bytes())
-        blob[7] = 9  # version byte follows the 7-byte magic
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="version"):
-            load_dataset_cache(path, {})
-
-    def test_save_is_byte_deterministic(self, tmp_path):
-        ds = self._dataset()
-        save_dataset_cache(ds, tmp_path / "a.cache", {"k": 1})
-        save_dataset_cache(ds, tmp_path / "b.cache", {"k": 1})
-        assert (tmp_path / "a.cache").read_bytes() == (tmp_path / "b.cache").read_bytes()
-
-    @settings(max_examples=50, deadline=None)
-    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5)),
-           class_count=st.integers(1, 4), split=st.sampled_from(["train", "test"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_round_trip_is_bit_exact_for_uint8_data(self, shape, class_count, split, seed):
-        rng = np.random.default_rng(seed)
-        ds = Dataset((rng.random(shape) < 0.5).astype(np.uint8),
-                     rng.integers(0, class_count, size=shape[0]), class_count, split=split)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "ds.cache"
-            save_dataset_cache(ds, path, {"seed": seed})
-            blob = path.read_bytes()
-            back = load_dataset_cache(path, {"seed": seed})
-        assert back.data.dtype == np.uint8 and back.data.flags.writeable
-        assert back.data.shape == shape and back.data.tobytes() == ds.data.tobytes()
-        assert back.labels.tobytes() == ds.labels.tobytes()
-        assert (back.class_count, back.split) == (class_count, split)
-        assert blob.endswith(ds.data.tobytes())  # the body is the raw uint8 spikes

@@ -2,9 +2,10 @@
 
 ``tools/golden.py --check`` compares every output of the usual command set,
 in the environment the record was written in. These tests recompute the
-part that BLAS cannot change, in any environment: the ``gen-data`` caches,
-manifests and effective configs of both configs, the ``bin_events`` frames
-of tests/data/events and the stderr and exit code of each bad config.
+part that BLAS cannot change, in any environment: the datasets ``train``
+builds from both configs (spikes, labels, class count, skipped samples and
+the loader's warnings), the ``bin_events`` frames of tests/data/events and
+the stdout, stderr and exit code of each bad config.
 """
 
 import json
@@ -21,7 +22,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 import golden  # noqa: E402
 
 RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
-POISSON_CACHES = {"gen-data-toy/train.cache", "gen-data-toy/test.cache"}
+POISSON_DRAWS = {f"dataset-toy/{split}.{part}" for split in ("train", "test")
+                 for part in ("data", "labels")}
 
 
 @pytest.fixture(scope="module")
@@ -42,21 +44,21 @@ def _mismatches(got: dict, section: str) -> list[str]:
 
 
 def test_blas_free_outputs_match_the_record(blas_free):
-    digests = {k: v for k, v in blas_free.sha256.items() if k not in POISSON_CACHES}
-    assert {"gen-data-events/events.cache", "gen-data-events/manifest.json",
-            "gen-data-toy/manifest.json", "gen-data-toy/effective_config.json",
+    digests = {k: v for k, v in blas_free.sha256.items() if k not in POISSON_DRAWS}
+    assert {"dataset-events/train.data", "dataset-events/train.labels",
+            "dataset-events/counts", "dataset-events/warnings",
             "bin-events/frames", "bad-unknown-key/stderr"} <= digests.keys()
-    assert len(blas_free.exit) == 2 + len(golden.BAD_CONFIGS)
+    assert len(blas_free.exit) == len(golden.BAD_CONFIGS)
     assert _mismatches(blas_free.exit, "exit") == []
     assert _mismatches(digests, "sha256") == []
 
 
 @pytest.mark.skipif(np.__version__ != RECORD["env"]["numpy"],
-                    reason="the Poisson caches hold draws from numpy's random Generator, "
+                    reason="the Poisson tensors hold draws from numpy's random Generator, "
                            "whose streams may change between numpy versions; the record "
                            f"was written with numpy {RECORD['env']['numpy']}")
-def test_poisson_caches_match_the_record(blas_free):
-    digests = {k: blas_free.sha256[k] for k in POISSON_CACHES}
+def test_poisson_tensors_match_the_record(blas_free):
+    digests = {k: blas_free.sha256[k] for k in POISSON_DRAWS}
     assert _mismatches(digests, "sha256") == []
 
 

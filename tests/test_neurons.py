@@ -73,6 +73,12 @@ class TestNeuronParams:
         with pytest.raises(ConfigError, match=field):
             NeuronParams(model="plif", **{field: value})
 
+    @pytest.mark.parametrize("field", ["v_th", "surrogate_width", "plif_raw"])
+    def test_int_past_the_float_range_rejected(self, field):
+        # A checkpoint's JSON may hold such an integer; it must not raise OverflowError.
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            NeuronParams(model="plif", **{field: 10**400})
+
     def test_effective_leak(self):
         assert NeuronParams(model="lif", leak=0.3).effective_leak() == 0.3
         assert NeuronParams(model="if", leak=0.3).effective_leak() == 1.0

@@ -7,13 +7,15 @@ Run from anywhere; the commands run from the repository root:
 
 The command set is ``train`` for all five models on configs/toy_poisson.json
 and on configs/events_grid.json, ``eval`` and ``eval --merge-beta`` of every
-trained checkpoint, ``analyze`` (lif against aia), ``gen-data`` on both
-configs, ``gradcheck`` with the default config and configs/gradcheck_wide.json,
-demos 01-05, the ``bin_events`` frames of tests/data/events and a fixed list
+trained checkpoint, ``analyze`` (lif against aia), ``gradcheck`` with the
+default config and configs/gradcheck_wide.json, demos 01-05 and a fixed list
 of bad configs. Each command's stdout, stderr and exit code are recorded, and
 every file of its run directory except the wall-clock ``metrics.json``. In
 text, the ``<stamp>`` of a ``<stamp>-<command>`` run directory and the
-temporary directory's path are normalized first.
+temporary directory's path are normalized first. Beside the commands, the
+record holds the datasets ``train`` builds from both configs (each split's
+spikes and labels, the class count, the empty samples skipped and the
+loader's warnings) and the ``bin_events`` frames of tests/data/events.
 
 The record holds the environment: Python, numpy, the BLAS numpy was built
 with and the BLAS kernel. GEMM results can change with the BLAS build and CPU
@@ -79,7 +81,7 @@ TOY = "configs/toy_poisson.json"
 EVENTS = "configs/events_grid.json"
 EVENTS_MANIFEST = "tests/data/events/manifest.json"
 STAMP = re.compile(r"\d{8}-\d{6}-\d{6}(?=-)")
-WRITERS = ("train", "analyze", "gen-data")  # the commands that take --out
+WRITERS = ("train", "analyze")  # the commands that take --out
 
 # name: (command, config file text); each runs with --config, and --out if it takes one.
 BAD_CONFIGS = {
@@ -88,17 +90,17 @@ BAD_CONFIGS = {
     "unknown-model": ("train", '{"model": "nope"}'),
     "out-of-range": ("train", '{"network": {"leak": 1.5}}'),
     "size-bound": ("train", '{"network": {"hidden": [9223372036854775808]}}'),
-    "null-value": ("gen-data", '{"timesteps": null}'),
+    "null-value": ("train", '{"timesteps": null}'),
     "not-json": ("gradcheck", '{"seed": 1,'),
-    "not-an-object": ("gen-data", "[1, 2]"),
-    "rates-reversed": ("gen-data", '{"dataset": {"rate_lo": 0.5, "rate_hi": 0.1}}'),
-    "no-manifest": ("gen-data", '{"dataset": {"kind": "events"}}'),
-    "missing-manifest": ("gen-data", '{"dataset": {"kind": "events", '
-                                     '"manifest": "tests/data/events/missing.json"}}'),
-    "corrupt-events": ("gen-data", '{"dataset": {"kind": "events", '
-                                   '"manifest": "tests/data/events/bad_manifest.json"}}'),
-    "class-count-below-label": ("gen-data", '{"dataset": {"kind": "events", "manifest": '
-                                            f'"{EVENTS_MANIFEST}", "class_count": 1}}}}'),
+    "not-an-object": ("train", "[1, 2]"),
+    "rates-reversed": ("train", '{"dataset": {"rate_lo": 0.5, "rate_hi": 0.1}}'),
+    "no-manifest": ("train", '{"dataset": {"kind": "events"}}'),
+    "missing-manifest": ("train", '{"dataset": {"kind": "events", '
+                                  '"manifest": "tests/data/events/missing.json"}}'),
+    "corrupt-events": ("train", '{"dataset": {"kind": "events", '
+                                '"manifest": "tests/data/events/bad_manifest.json"}}'),
+    "class-count-below-label": ("train", '{"dataset": {"kind": "events", "manifest": '
+                                         f'"{EVENTS_MANIFEST}", "class_count": 1}}}}'),
     "eval-without-checkpoint": ("eval", "{}"),
 }
 
@@ -112,6 +114,10 @@ def env() -> dict:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _array_sha256(array) -> str:
+    return _sha256(f"{array.dtype} {array.shape}\n".encode() + array.tobytes())
 
 
 def _normalize(text: str, tmp: Path) -> bytes:
@@ -148,17 +154,35 @@ class Recorder:
             for path in sorted(run_dir.iterdir()):
                 if path.name == "metrics.json":  # wall-clock time
                     continue
-                data = path.read_bytes()
-                if path.suffix != ".cache":
-                    data = _normalize(data.decode("utf-8"), self.tmp)
-                self.sha256[f"{label}/{path.name}"] = _sha256(data)
+                text = path.read_text(encoding="utf-8")
+                self.sha256[f"{label}/{path.name}"] = _sha256(_normalize(text, self.tmp))
         return run_dirs[0] if run_dirs else None
+
+    def datasets(self) -> None:
+        """What ``train`` builds from each config: every split's spikes and
+        labels, the class count, the empty samples skipped and the warnings
+        the loader logs."""
+        logger = logging.getLogger("spikekit")
+        for name, config in (("toy", TOY), ("events", EVENTS)):
+            warnings = io.StringIO()
+            handler = logging.StreamHandler(warnings)
+            logger.addHandler(handler)
+            try:
+                datasets, skipped = cli._datasets(cli.validate_config(cli.load_config(config)))
+            finally:
+                logger.removeHandler(handler)
+            for split, dataset in datasets.items():
+                self.sha256[f"dataset-{name}/{split}.data"] = _array_sha256(dataset.data)
+                self.sha256[f"dataset-{name}/{split}.labels"] = _array_sha256(dataset.labels)
+            counts = f"class_count {datasets['train'].class_count}, skipped {skipped}\n"
+            self.sha256[f"dataset-{name}/counts"] = _sha256(counts.encode())
+            self.sha256[f"dataset-{name}/warnings"] = _sha256(warnings.getvalue().encode())
 
     def frames(self) -> None:
         """``bin_events`` of every tests/data/events stream, at two grids and windows."""
         digest = hashlib.sha256()
-        # noisy.csv's dropped-line warning: the gen-data-events record holds it
-        # as the CLI prints it, so here it goes to a handler that drops it.
+        # noisy.csv's dropped-line warning: the dataset-events record holds it,
+        # so here it goes to a handler that drops it.
         quiet = logging.NullHandler()
         logging.getLogger("spikekit").addHandler(quiet)
         try:
@@ -183,9 +207,8 @@ class Recorder:
             self.cli(f"bad-{name}", command, "--config", str(path))
 
     def blas_free(self) -> None:
-        """What no GEMM touches: caches, manifests, frames, configs, errors."""
-        self.cli("gen-data-toy", "gen-data", "--config", TOY)
-        self.cli("gen-data-events", "gen-data", "--config", EVENTS)
+        """What no GEMM touches: datasets, frames, bad configs."""
+        self.datasets()
         self.frames()
         self.bad_configs()
 
