@@ -63,7 +63,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionError, StateError
-from .network import Network, readout_and_loss, softmax
+from .network import Network, named_parameters, readout_and_loss, softmax
 from .neurons import MODEL_TABLE, NeuronParams, scan, sigmoid_prime, surrogate_window
 from .neurons import step  # noqa: F401  (perfbench traces the one-step entry point here)
 
@@ -158,12 +158,7 @@ class GradientSet:
     d_plif_raw: list[np.ndarray | None]
 
     def items(self):
-        for i, dw in enumerate(self.d_w):
-            yield f"layer{i}.w", dw
-            if self.d_beta[i] is not None:
-                yield f"layer{i}.beta", self.d_beta[i]
-            if self.d_plif_raw[i] is not None:
-                yield f"layer{i}.plif_raw", self.d_plif_raw[i]
+        return named_parameters(zip(self.d_w, self.d_beta, self.d_plif_raw))
 
 
 def time_major_batch(data, index) -> np.ndarray:
@@ -437,7 +432,7 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     entries = []
     for name, param in work.parameter_items():
         n = int(name.partition(".")[0].removeprefix("layer"))
-        suffix = Network(work.layers[n].in_width, net.timesteps, net.class_count, work.layers[n:])
+        suffix = Network(net.timesteps, work.layers[n:])
         suffix_inputs = spikes[n - 1].transpose(1, 2, 0) if n else inputs
         pre = _time_major(suffix_inputs, 0, timesteps)
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/config/data error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import math
@@ -36,9 +37,10 @@ from .errors import (
     EmptySampleError,
     SpikeKitError,
     TrainingDiverged,
+    read_json,
 )
 from .network import init_network, load_checkpoint, merge_beta, save_checkpoint
-from .neurons import MODELS
+from .neurons import MODELS, NeuronParams
 from .training import (
     TrainConfig,
     covering_bin_edges,
@@ -85,6 +87,8 @@ def _chk_number(path, value, lo=None, hi=None, lo_strict=False, hi_strict=False)
 def _chk_str(path, value, options=None):
     if not isinstance(value, str):
         raise ConfigError(f"config key {path} must be a string")
+    if "\0" in value:  # no file name holds one
+        raise ConfigError(f"config key {path} must not contain a NUL character")
     if options is not None and value not in options:
         raise ConfigError(f"config key {path} must be one of {options}, got {value!r}")
     return value
@@ -99,6 +103,10 @@ MAX_GRID_SIDE = 2**15
 
 def _size(lo=1, hi=MAX_COUNT):
     return lambda p, v: _chk_int(p, v, lo=lo, hi=hi)
+
+
+def _number(**bounds):
+    return lambda p, v: _chk_number(p, v, **bounds)
 
 
 def _chk_sizes(path, value):
@@ -135,10 +143,10 @@ def _apply_schema(section, schema: dict, prefix: str) -> dict:
 
 _POISSON_SCHEMA = {
     "kind": ("poisson", lambda p, v: _chk_str(p, v, options=("poisson", "events"))),
-    "class_count": (4, lambda p, v: _chk_int(p, v, lo=1, hi=MAX_COUNT)),
+    "class_count": (4, _size()),
     "neurons": (64, _size()),
-    "rate_lo": (0.05, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
-    "rate_hi": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
+    "rate_lo": (0.05, _number(lo=0.0, hi=1.0)),
+    "rate_hi": (0.5, _number(lo=0.0, hi=1.0)),
     "train_per_class": (50, _size()),
     "test_per_class": (25, _size(lo=0)),
 }
@@ -148,7 +156,7 @@ _EVENTS_SCHEMA = {
     "manifest": (None, _chk_str),
     "grid_width": (8, _size(hi=MAX_GRID_SIDE)),
     "grid_height": (8, _size(hi=MAX_GRID_SIDE)),
-    "class_count": (0, lambda p, v: _chk_int(p, v, lo=0, hi=MAX_COUNT)),
+    "class_count": (0, _size(lo=0)),
 }
 
 
@@ -162,27 +170,29 @@ def _chk_dataset(path, value):
 
 
 # The network and train sections' keys are init_network's and TrainConfig's
-# keyword names; the commands pass them straight through.
+# keyword names; the commands pass them straight through. A default that the
+# library holds is read from it: NeuronParams, TrainConfig, bptt.gradcheck.
+_GRADCHECK = inspect.signature(bptt.gradcheck).parameters
 _TOP_SCHEMA = {
     "seed": (0, lambda p, v: _chk_int(p, v, lo=0)),
-    "model": ("lif", lambda p, v: _chk_str(p, v, options=MODELS)),
+    "model": (NeuronParams.model, lambda p, v: _chk_str(p, v, options=MODELS)),
     "timesteps": (10, _size()),
     "checkpoint": (None, _chk_str),
     "checkpoint_a": (None, _chk_str),
     "checkpoint_b": (None, _chk_str),
     "network": {
         "hidden": ([32], _chk_sizes),
-        "v_th": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
-        "leak": (0.5, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0)),
-        "surrogate_width": (1.0, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
+        "v_th": (NeuronParams.v_th, _number(lo=0.0, lo_strict=True)),
+        "leak": (NeuronParams.leak, _number(lo=0.0, hi=1.0)),
+        "surrogate_width": (NeuronParams.surrogate_width, _number(lo=0.0, lo_strict=True)),
     },
     "train": {
         "epochs": (20, lambda p, v: _chk_int(p, v, lo=1)),
         "batch_size": (20, _size()),
-        "learning_rate": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0)),
-        "adam_beta1": (0.9, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
-        "adam_beta2": (0.999, lambda p, v: _chk_number(p, v, lo=0.0, hi=1.0, hi_strict=True)),
-        "adam_eps": (1e-8, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
+        "learning_rate": (TrainConfig.learning_rate, _number(lo=0.0)),
+        "adam_beta1": (TrainConfig.adam_beta1, _number(lo=0.0, hi=1.0, hi_strict=True)),
+        "adam_beta2": (TrainConfig.adam_beta2, _number(lo=0.0, hi=1.0, hi_strict=True)),
+        "adam_eps": (TrainConfig.adam_eps, _number(lo=0.0, lo_strict=True)),
     },
     "dataset": ({}, _chk_dataset),
     "gradcheck": {
@@ -191,8 +201,8 @@ _TOP_SCHEMA = {
         "hidden": ([6], _chk_sizes),
         "class_count": (3, _size(lo=2)),
         "timesteps": (3, _size()),
-        "tolerance": (1e-3, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
-        "step_size": (1e-4, lambda p, v: _chk_number(p, v, lo=0.0, lo_strict=True)),
+        "tolerance": (_GRADCHECK["tolerance"].default, _number(lo=0.0, lo_strict=True)),
+        "step_size": (_GRADCHECK["step_size"].default, _number(lo=0.0, lo_strict=True)),
     },
 }
 
@@ -214,14 +224,7 @@ def validate_config(raw: dict) -> dict:
 def load_config(path) -> dict:
     if path is None:
         return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, "config file", ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return raw
@@ -304,12 +307,12 @@ def _eval_split(cfg: dict) -> Dataset:
     return datasets[split]
 
 
-def _evaluate(net, dataset: Dataset, checkpoint: str):
-    """``evaluate``; a checkpoint whose network does not fit the dataset is named."""
+def _naming(files: str, compute, *args):
+    """``compute(*args)``; a checkpoint that does not fit is an input error naming ``files``."""
     try:
-        return evaluate(net, dataset)
+        return compute(*args)
     except DimensionError as exc:
-        raise DataError(f"checkpoint {checkpoint}: {exc}") from None
+        raise DataError(f"{files}: {exc}") from None
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
@@ -343,7 +346,7 @@ def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     net, _ = load_checkpoint(cfg["checkpoint"])
     dataset = _eval_split(cfg)
 
-    result = _evaluate(net, dataset, cfg["checkpoint"])
+    result = _naming(f"checkpoint {cfg['checkpoint']}", evaluate, net, dataset)
     if args.merge_beta:
         plain_readout = result.readout
         result = evaluate(merge_beta(net), dataset)
@@ -379,18 +382,20 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
-    if cfg["checkpoint_a"] is None or cfg["checkpoint_b"] is None:
+    path_a, path_b = cfg["checkpoint_a"], cfg["checkpoint_b"]
+    if path_a is None or path_b is None:
         raise ConfigError("analyze needs checkpoint_a and checkpoint_b")
-    net_a, _ = load_checkpoint(cfg["checkpoint_a"])
-    net_b, _ = load_checkpoint(cfg["checkpoint_b"])
+    net_a, _ = load_checkpoint(path_a)
+    net_b, _ = load_checkpoint(path_b)
     dataset = _eval_split(cfg)
 
-    # Computed before the run directory exists: a checkpoint that does not
-    # fit the dataset is an input error too.
+    # Computed before the run directory exists: checkpoints that do not fit
+    # each other or the dataset are an input error too.
     edges = covering_bin_edges(net_a, net_b)
-    deltas = weight_shift_report(net_a, net_b, edges)
-    counts_a = _evaluate(net_a, dataset, cfg["checkpoint_a"]).spike_counts
-    counts_b = _evaluate(net_b, dataset, cfg["checkpoint_b"]).spike_counts
+    deltas = _naming(f"checkpoints {path_a} and {path_b}", weight_shift_report,
+                     net_a, net_b, edges)
+    counts_a = _naming(f"checkpoint {path_a}", evaluate, net_a, dataset).spike_counts
+    counts_b = _naming(f"checkpoint {path_b}", evaluate, net_b, dataset).spike_counts
 
     run_dir = _open_run_dir(args, cfg)
     write_weight_shift_csv(edges, deltas, run_dir / "weight_shift.csv")

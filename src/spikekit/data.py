@@ -15,7 +15,6 @@ of them to float64 for its GEMM.
 from __future__ import annotations
 
 import io
-import json
 import logging
 import re
 import warnings
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptySampleError
+from .errors import ConfigError, DataError, EmptySampleError, read_json
 
 log = logging.getLogger(__name__)
 
@@ -228,7 +227,7 @@ def load_events_csv(manifest_path) -> list:
     Returns one ``(events, label)`` pair per entry, where ``events`` is an
     ``(n, 4)`` int64 array of ``t, x, y, polarity`` rows, stably sorted by
     ``t``. Paths are resolved relative to the manifest; an entry needs a
-    string ``path`` and an integer ``label`` in [0, ``MAX_COUNT``).
+    string ``path`` without NUL and an integer ``label`` in [0, ``MAX_COUNT``).
     Each file is parsed in one vectorized pass. In a file that pass cannot
     take whole, one regex pass finds the odd lines, those that are not four
     ASCII digit fields of at most 18 digits with polarity 0 or 1: only they
@@ -240,10 +239,7 @@ def load_events_csv(manifest_path) -> list:
     left for the binning stage to reject.
     """
     manifest_path = Path(manifest_path)
-    try:
-        entries = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    entries = read_json(manifest_path, "manifest", DataError)
     if not isinstance(entries, list):
         raise DataError(f"manifest {manifest_path} must be a JSON list of {{path, label}}")
 
@@ -258,8 +254,8 @@ def load_events_csv(manifest_path) -> list:
             raise DataError(
                 f"{where} label must be a non-negative integer below {MAX_COUNT}"
             )
-        if not isinstance(entry["path"], str):
-            raise DataError(f"{where} path must be a string")
+        if not isinstance(entry["path"], str) or "\0" in entry["path"]:
+            raise DataError(f"{where} path must be a string without NUL characters")
         file_path = Path(entry["path"])
         if not file_path.is_absolute():
             file_path = manifest_path.parent / file_path

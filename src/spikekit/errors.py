@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one JSON reader.
 
 Every error raised by spikekit's public surface is a subclass of
 :class:`SpikeKitError`, so callers can catch one type at the boundary.
+:func:`read_json` is where a malformed JSON file becomes one of them.
 """
+
+import json
 
 
 class SpikeKitError(Exception):
@@ -43,3 +46,16 @@ class TrainingDiverged(SpikeKitError):
     def __init__(self, parameter: str, message: str | None = None):
         self.parameter = parameter
         super().__init__(message or f"training diverged: first non-finite parameter is {parameter!r}")
+
+
+def read_json(path, what: str, error: type[SpikeKitError]):
+    """The JSON document in the file ``path``; text that is not UTF-8 or not JSON,
+    too deeply nested or with an integer past ``int()``'s digit limit, raises
+    ``error`` naming ``what`` and the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -3,7 +3,8 @@
 A :class:`Network` is an ordered stack of fully connected spiking layers,
 each holding a weight matrix, static neuron parameters, and the model's
 trainable extras (the per-neuron cache gain ``beta`` for ``cached-aia``
-layers, the raw leak parameter for ``plif`` layers). Class scores are read
+layers, the raw leak parameter for ``plif`` layers). Its input width and
+class count are those of its first and last layers. Class scores are read
 out as the output layer's firing rate over the simulation window.
 
 Checkpoints are JSON documents in which every 64-bit parameter array is
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, read_json
 from .neurons import NeuronParams
 
 CHECKPOINT_FORMAT = "spikekit-checkpoint"
@@ -64,14 +65,21 @@ class Layer:
         )
 
 
+def named_parameters(per_layer):
+    """``("layer{i}.w", w)``, ``.beta`` and ``.plif_raw`` pairs, in order, of each layer's
+    ``(w, beta, plif_raw)`` arrays or their gradients; a None array gets no name."""
+    for i, arrays in enumerate(per_layer):
+        for kind, arr in zip(("w", "beta", "plif_raw"), arrays):
+            if arr is not None:
+                yield f"layer{i}.{kind}", arr
+
+
 @dataclass
 class Network:
-    """Ordered feed-forward stack; the last layer's width is the class count."""
+    """Ordered feed-forward stack, each layer's input width its predecessor's width."""
 
-    input_width: int
     timesteps: int
-    class_count: int
-    layers: list[Layer] = field(default_factory=list)
+    layers: list[Layer]
 
     def __post_init__(self):
         if not self.layers:
@@ -85,27 +93,21 @@ class Network:
                     f"layer {i} expects input width {layer.in_width}, previous width is {prev}"
                 )
             prev = layer.out_width
-        if prev != self.class_count:
-            raise DimensionError(
-                f"output layer width {prev} does not match class count {self.class_count}"
-            )
+
+    @property
+    def input_width(self) -> int:
+        return self.layers[0].in_width
+
+    @property
+    def class_count(self) -> int:
+        return self.layers[-1].out_width
 
     def copy(self) -> "Network":
-        return Network(
-            input_width=self.input_width,
-            timesteps=self.timesteps,
-            class_count=self.class_count,
-            layers=[layer.copy() for layer in self.layers],
-        )
+        return Network(self.timesteps, [layer.copy() for layer in self.layers])
 
     def parameter_items(self):
         """All trainable arrays as (name, array) pairs in a fixed order."""
-        for i, layer in enumerate(self.layers):
-            yield f"layer{i}.w", layer.w
-            if layer.beta is not None:
-                yield f"layer{i}.beta", layer.beta
-            if layer.plif_raw is not None:
-                yield f"layer{i}.plif_raw", layer.plif_raw
+        return named_parameters((layer.w, layer.beta, layer.plif_raw) for layer in self.layers)
 
     def parameter_count(self) -> int:
         return sum(arr.size for _, arr in self.parameter_items())
@@ -118,14 +120,8 @@ class Network:
         ``cached-aia`` network structurally equivalent to a plain ``lif``
         one.
         """
-        count = 0
-        for layer in self.layers:
-            count += layer.w.size
-            if layer.plif_raw is not None:
-                count += layer.plif_raw.size
-            if layer.beta is not None and not np.all(layer.beta == 1.0):
-                count += layer.beta.size
-        return count
+        return sum(arr.size for name, arr in self.parameter_items()
+                   if not (name.endswith(".beta") and np.all(arr == 1.0)))
 
 
 def init_network(
@@ -133,9 +129,9 @@ def init_network(
     model,
     timesteps: int,
     seed: int,
-    v_th: float = 1.0,
-    leak: float = 0.5,
-    surrogate_width: float = 1.0,
+    v_th: float = NeuronParams.v_th,
+    leak: float = NeuronParams.leak,
+    surrogate_width: float = NeuronParams.surrogate_width,
 ) -> Network:
     """Build a network with scaled-normal ("kaiming") weight initialization.
 
@@ -178,12 +174,7 @@ def init_network(
                 plif_raw=np.zeros(()) if tag == "plif" else None,
             )
         )
-    return Network(
-        input_width=widths[0],
-        timesteps=timesteps,
-        class_count=widths[-1],
-        layers=layers,
-    )
+    return Network(timesteps, layers)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -329,13 +320,10 @@ def load_checkpoint(path):
 
     A file that is not a well-formed checkpoint raises :class:`DataError`
     naming the file and the offending field, e.g. ``layer0.w``; so does a
-    parameter array holding NaN or infinity.
+    parameter array holding NaN or infinity, and a stored ``input_width`` or
+    ``class_count`` that differs from the layers' own.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "checkpoint", DataError)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a spikekit checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -348,12 +336,10 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path}: layers must be a non-empty list")
     layers = [_load_layer(entry, i, path) for i, entry in enumerate(entries)]
     try:
-        net = Network(
-            input_width=doc["input_width"],
-            timesteps=doc["timesteps"],
-            class_count=doc["class_count"],
-            layers=layers,
-        )
+        net = Network(doc["timesteps"], layers)
     except (ConfigError, DimensionError) as exc:
         raise DataError(f"checkpoint {path}: {exc}") from None
+    for key, width in (("input_width", net.input_width), ("class_count", net.class_count)):
+        if doc[key] != width:
+            raise DataError(f"checkpoint {path}: {key} is {doc[key]}, but the layers give {width}")
     return net, doc.get("seed")

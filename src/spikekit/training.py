@@ -83,7 +83,8 @@ class Adam:
     learning_rate / (1 + eps), i.e. almost exactly one learning rate.
     """
 
-    def __init__(self, named_params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params, learning_rate, beta1=TrainConfig.adam_beta1,
+                 beta2=TrainConfig.adam_beta2, eps=TrainConfig.adam_eps):
         self.params = [(name, p) for name, p in named_params]
         self.lr = learning_rate
         self.beta1 = beta1

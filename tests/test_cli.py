@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import logging
@@ -18,6 +19,8 @@ from spikekit import bptt, cli
 from spikekit.cli import load_config, main, validate_config
 from spikekit.errors import ConfigError, TrainingDiverged
 from spikekit.network import init_network, save_checkpoint
+from spikekit.neurons import NeuronParams
+from spikekit.training import Adam, TrainConfig
 from test_public_api import _entry_points
 
 EVENTS_MANIFEST = Path(__file__).parent / "data" / "events" / "manifest.json"
@@ -67,6 +70,25 @@ class TestConfigValidation:
         assert cfg["dataset"]["kind"] == "poisson"
         assert cfg["model"] == "lif"
         assert cfg["timesteps"] == 10
+
+    def test_defaults_are_read_from_the_library(self):
+        cfg = validate_config({})
+        neuron = NeuronParams()
+        assert cfg["model"] == neuron.model
+        for key in ("v_th", "leak", "surrogate_width"):
+            assert cfg["network"][key] == getattr(neuron, key), key
+        train_cfg = TrainConfig(epochs=1, batch_size=1, seed=0)
+        for key in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+            assert cfg["train"][key] == getattr(train_cfg, key), key
+        gradcheck = inspect.signature(bptt.gradcheck).parameters
+        for key in ("step_size", "tolerance"):
+            assert cfg["gradcheck"][key] == gradcheck[key].default, key
+        # The library's own callers default to the same values.
+        assert init_network([2, 1], model="lif", timesteps=1, seed=0).layers[0].neuron == neuron
+        adam = Adam([], learning_rate=train_cfg.learning_rate)
+        assert (adam.beta1, adam.beta2, adam.eps) == (cfg["train"]["adam_beta1"],
+                                                      cfg["train"]["adam_beta2"],
+                                                      cfg["train"]["adam_eps"])
 
     def test_unknown_nested_key_named_by_dotted_path(self):
         with pytest.raises(ConfigError, match=r"train\.lerning_rate"):
@@ -365,24 +387,56 @@ class TestMalformedInputs:
         err = self._eval_checkpoint(tmp_path, capsys, lambda doc: doc.update(version=99))
         assert f"checkpoint {tmp_path / 'net.json'}: unsupported version 99" in err
 
+    def _read_bad_file(self, tmp_path, capsys, role, content: bytes):
+        """Exit code and stderr of the command that reads ``content`` as a ``role`` file;
+        a manifest's command leaves no run directory."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        tiny = _write_config(tmp_path, TINY)
+        events = _write_config(tmp_path, {"dataset": {"kind": "events", "manifest": str(bad)}},
+                               "events.json")
+        out = tmp_path / "runs"
+        argv = {"config": ["gradcheck", "--config", str(bad)],
+                "manifest": ["train", "--config", events, "--out", str(out)],
+                "checkpoint": ["eval", "--config", tiny, "--checkpoint", str(bad)]}[role]
+        rc = main(argv)
+        assert not out.exists()
+        return rc, capsys.readouterr().err, bad
+
     @pytest.mark.parametrize("role", ["config", "manifest", "checkpoint"])
     def test_deeply_nested_json_names_the_file(self, tmp_path, capsys, role):
         # Nesting past the recursion limit stops Python's JSON parser with a
-        # RecursionError, which is a malformed input like any other.
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 3000 + "]" * 3000)
-        tiny = _write_config(tmp_path, TINY)
-        events = _write_config(tmp_path, {"dataset": {"kind": "events", "manifest": str(deep)}},
-                               "events.json")
-        out = tmp_path / "runs"
-        argv = {"config": ["gradcheck", "--config", str(deep)],
-                "manifest": ["train", "--config", events, "--out", str(out)],
-                "checkpoint": ["eval", "--config", tiny, "--checkpoint", str(deep)]}[role]
-        rc = main(argv)
-        err = capsys.readouterr().err
+        # RecursionError, and an integer past Python's 4300-digit limit for
+        # int() with a ValueError; each is a malformed input like any other.
+        nines = "9" * 5000
+        huge = {"config": f'{{"seed": {nines}}}',
+                "manifest": f'[{{"path": "x.csv", "label": {nines}}}]',
+                "checkpoint": f'{{"format": "spikekit-checkpoint", "seed": {nines}}}'}[role]
+        for text, reason in (("[" * 3000 + "]" * 3000, "maximum recursion depth exceeded"),
+                             (huge, "Exceeds the limit (4300 digits) for integer string")):
+            rc, err, bad = self._read_bad_file(tmp_path, capsys, role, text.encode())
+            assert rc == 2
+            assert err.startswith(f"error: {role} {'file ' if role == 'config' else ''}{bad} "
+                                  f"is not valid JSON: {reason}")
+
+    @pytest.mark.parametrize("role", ["manifest", "checkpoint"])
+    def test_non_utf8_json_names_the_file(self, tmp_path, capsys, role):
+        rc, err, bad = self._read_bad_file(tmp_path, capsys, role, b'[{"path": "\xff"}]')
         assert rc == 2
-        assert err.startswith(f"error: {role} {'file ' if role == 'config' else ''}{deep} "
-                              f"is not valid JSON: maximum recursion depth exceeded")
+        assert err == (f"error: {role} {bad} is not UTF-8 text "
+                       f"(invalid start byte at byte 11)\n")
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("eval", {"checkpoint": "a\0b"}, "checkpoint"),
+        ("train", {"dataset": {"kind": "events", "manifest": "a\0b"}}, "dataset.manifest"),
+    ])
+    def test_nul_in_a_config_path_names_the_key(self, tmp_path, capsys, command, doc, key):
+        out = tmp_path / "runs"
+        extra = ["--out", str(out)] if command == "train" else []
+        rc = main([command, "--config", _write_config(tmp_path, doc), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: config key {key} must not contain "
+                                           f"a NUL character\n")
         assert not out.exists()
 
     def test_checkpoint_non_finite_threshold(self, tmp_path, capsys):
@@ -439,7 +493,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("key, value", [
         ("path", 5), ("path", ["x"]), ("path", None),
         ("label", True), ("label", 1.5), ("label", "0"), ("label", -1),
-        ("label", 10**30), ("label", 2**32 - 1),
+        ("label", 10**30), ("label", 2**32 - 1), ("path", "a\0b.csv"),
     ])
     def test_bad_manifest_entry(self, tmp_path, capsys, key, value):
         entry = {"path": "x.csv", "label": 0, key: value}
@@ -683,6 +737,19 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert capsys.readouterr().err == (f"error: checkpoint {ckpt_b}: dataset window is 3 "
                                            f"timesteps, network runs 4\n")
+        assert not out.exists()
+
+    def test_checkpoints_of_different_shapes_are_named(self, tmp_path, capsys):
+        ckpt_a, ckpt_b = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(init_network([8, 6, 2], model="lif", timesteps=3, seed=0), ckpt_a)
+        save_checkpoint(init_network([8, 5, 2], model="lif", timesteps=3, seed=0), ckpt_b)
+        out = tmp_path / "analysis"
+        rc = main(["analyze", "--config", _write_config(tmp_path, TINY), "--out", str(out),
+                   "--checkpoint-a", str(ckpt_a), "--checkpoint-b", str(ckpt_b)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: checkpoints {ckpt_a} and {ckpt_b}: layer "
+                                           f"shapes differ: [(6, 8), (2, 6)] vs "
+                                           f"[(5, 8), (2, 5)]\n")
         assert not out.exists()
 
 

@@ -78,20 +78,21 @@ class TestNetworkAssembly:
         return Layer(w=np.zeros((out_n, in_n)), neuron=NeuronParams())
 
     def test_width_chain_enforced(self):
-        with pytest.raises(DimensionError):
-            Network(input_width=4, timesteps=2, class_count=2,
-                    layers=[self._layer(3, 4), self._layer(2, 5)])
+        with pytest.raises(DimensionError, match="layer 1 expects input width 5, previous "
+                                                 "width is 3"):
+            Network(timesteps=2, layers=[self._layer(3, 4), self._layer(2, 5)])
 
-    def test_output_width_must_equal_class_count(self):
-        with pytest.raises(DimensionError):
-            Network(input_width=4, timesteps=2, class_count=3,
-                    layers=[self._layer(2, 4)])
+    def test_widths_come_from_the_layers(self):
+        net = Network(timesteps=2, layers=[self._layer(3, 4), self._layer(2, 3)])
+        assert (net.input_width, net.class_count) == (4, 2)
+        with pytest.raises(AttributeError):
+            net.class_count = 3
 
     def test_needs_layers_and_timesteps(self):
         with pytest.raises(ConfigError):
-            Network(input_width=4, timesteps=2, class_count=2, layers=[])
+            Network(timesteps=2, layers=[])
         with pytest.raises(ConfigError):
-            Network(input_width=4, timesteps=0, class_count=2, layers=[self._layer(2, 4)])
+            Network(timesteps=0, layers=[self._layer(2, 4)])
 
     def test_copy_is_deep_for_parameters(self):
         net = init_network([5, 4, 2], model="cached-aia", timesteps=2, seed=0)
@@ -347,6 +348,19 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, stored, actual", [("input_width", 4, 3),
+                                                     ("class_count", 3, 2)])
+    def test_stored_width_must_match_the_layers(self, tmp_path, key, stored, actual):
+        path = tmp_path / "net.json"
+        save_checkpoint(init_network([3, 2], model="lif", timesteps=1, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc[key] = stored
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"checkpoint {path}: {key} is {stored}, "
+                                   f"but the layers give {actual}")
 
     def test_rejects_truncated_arrays(self, tmp_path):
         net = init_network([3, 2], model="lif", timesteps=1, seed=0)

@@ -102,6 +102,8 @@ BAD_CONFIGS = {
     "class-count-below-label": ("train", '{"dataset": {"kind": "events", "manifest": '
                                          f'"{EVENTS_MANIFEST}", "class_count": 1}}}}'),
     "eval-without-checkpoint": ("eval", "{}"),
+    "huge-integer": ("gradcheck", '{"seed": ' + "9" * 5000 + "}"),
+    "nul-in-path": ("train", '{"dataset": {"kind": "events", "manifest": "a\\u0000b"}}'),
 }
 
 
