@@ -6,11 +6,11 @@ weighted input ``x``, what the backward reads of the post-update membrane
 potential ``u``, and the emitted spikes ``o`` (``bool`` in hard mode). The
 hard backward reads ``u`` only through the surrogate window
 ``|u - v_th| <= a/2``, so a hard-mode layer keeps that ``bool`` mask instead
-of ``u``, unless its model row is marked ``hard_reads_u`` (``plif``): 10
-bytes per neuron and step rather than 17. Input and hidden spikes stay one
-byte each until a GEMM reads them, and :func:`spikekit.numerics.matmul`
-casts a tall spike operand to float64 ``GEMM_ROWS`` rows at a time. The
-backward pass walks the tape in reverse,
+of ``u``, unless its model row is marked ``trained_leak`` (``plif``, whose
+leak gradient reads ``u``): 10 bytes per neuron and step rather than 17.
+Input and hidden spikes stay one byte each until a GEMM reads them, and
+:func:`spikekit.numerics.matmul` casts a tall spike operand to float64
+``GEMM_ROWS`` rows at a time. The backward pass walks the tape in reverse,
 propagating the loss gradient through space (layer to layer, within one
 timestep) and through time (the leaky membrane recurrence of each layer),
 and accumulates gradients for every trainable array.
@@ -81,7 +81,7 @@ class BpttTape:
     ``n``'s weighted input at step ``t``. ``x`` is float64; ``o`` is
     ``bool`` in hard mode and float64 (spike probabilities) in smoothed
     mode. ``membrane[n]`` is the float64 potential ``u`` in smoothed mode
-    and for a ``hard_reads_u`` model, and otherwise the ``bool`` surrogate
+    and for a ``trained_leak`` model, and otherwise the ``bool`` surrogate
     window of ``u`` (:func:`spikekit.neurons.surrogate_window`).
     ``inputs`` keeps the dtype it was given, such as a ``uint8`` batch.
 
@@ -119,7 +119,7 @@ class BpttTape:
         spikes = np.float64 if self.smoothed else np.bool_
         for n, layer in enumerate(net.layers):
             expected = (self.timesteps, self.batch_size, layer.out_width)
-            holds_u = self.smoothed or MODEL_TABLE[layer.neuron.model].hard_reads_u
+            holds_u = self.smoothed or MODEL_TABLE[layer.neuron.model].trained_leak
             for name, series, dtype in (("x", self.x[n], np.float64),
                                         ("membrane", self.membrane[n],
                                          np.float64 if holds_u else np.bool_),
@@ -223,7 +223,7 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         x = numerics.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
         p = layer.params()
-        window = not smoothed and not MODEL_TABLE[p.model].hard_reads_u
+        window = not smoothed and not MODEL_TABLE[p.model].trained_leak
         membrane, o = scan(x, p, layer.beta, smoothed=smoothed, window=window)
         if not smoothed:
             tape.neurons.append((p, None if layer.beta is None else layer.beta.copy()))

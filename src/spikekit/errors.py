@@ -48,13 +48,21 @@ class TrainingDiverged(SpikeKitError):
         super().__init__(message or f"training diverged: first non-finite parameter is {parameter!r}")
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)`` up to 4,300 digits, CPython's default limit, whatever the interpreter's own."""
+    digits = len(text) - text.startswith("-")
+    if digits > 4300:
+        raise ValueError(f"an integer of {digits} digits exceeds the limit of 4300")
+    return int(text)
+
+
 def read_json(path, what: str, error: type[SpikeKitError]):
     """The JSON document in the file ``path``; text that is not UTF-8 or not JSON,
-    too deeply nested or with an integer past ``int()``'s digit limit, raises
+    too deeply nested or with an integer of more than 4,300 digits, raises
     ``error`` naming ``what`` and the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
         except UnicodeDecodeError as exc:
             raise error(f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         except (ValueError, RecursionError) as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, read_json
-from .neurons import NeuronParams
+from .neurons import MODEL_TABLE, NeuronParams
 
 CHECKPOINT_FORMAT = "spikekit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -52,7 +52,7 @@ class Layer:
 
     def params(self) -> NeuronParams:
         """Neuron parameters with the current trainable leak snapshot."""
-        if self.neuron.model == "plif":
+        if self.plif_raw is not None:
             return dataclasses.replace(self.neuron, plif_raw=float(self.plif_raw))
         return self.neuron
 
@@ -141,37 +141,29 @@ def init_network(
     leak parameter at 0 (an effective leak of 0.5). The result is fully
     determined by ``seed``.
 
-    ``model`` is a single tag applied to every layer, or one tag per layer.
+    ``model`` is one tag, applied to every layer. A leak the model does not
+    train is stored as the one its dynamics use, so ``if`` layers store 1.
     """
     widths = list(layer_widths)
     if len(widths) < 2:
         raise ConfigError("layer_widths needs an input width and at least one layer")
     if any(w < 1 for w in widths):
         raise ConfigError(f"layer widths must be >= 1, got {widths}")
-    n_layers = len(widths) - 1
-    if isinstance(model, str):
-        tags = [model] * n_layers
-    else:
-        tags = list(model)
-        if len(tags) != n_layers:
-            raise ConfigError(f"got {len(tags)} model tags for {n_layers} layers")
+    neuron = NeuronParams(model=model, v_th=v_th, leak=leak, surrogate_width=surrogate_width)
+    row = MODEL_TABLE[model]
+    if not row.trained_leak:
+        neuron = dataclasses.replace(neuron, leak=neuron.effective_leak())
 
     rng = np.random.default_rng(seed)
     layers = []
-    for tag, fan_in, fan_out in zip(tags, widths[:-1], widths[1:]):
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        neuron = NeuronParams(
-            model=tag,
-            v_th=v_th,
-            leak=1.0 if tag == "if" else leak,
-            surrogate_width=surrogate_width,
-        )
         layers.append(
             Layer(
                 w=w,
                 neuron=neuron,
-                beta=np.ones(fan_out) if tag == "cached-aia" else None,
-                plif_raw=np.zeros(()) if tag == "plif" else None,
+                beta=np.ones(fan_out) if row.gain else None,
+                plif_raw=np.zeros(()) if row.trained_leak else None,
             )
         )
     return Network(timesteps, layers)
@@ -303,9 +295,11 @@ def _load_layer(entry, i: int, path) -> Layer:
                               surrogate_width=entry["surrogate_width"])
     except ConfigError as exc:
         raise DataError(f"checkpoint {path}: {name}: {exc}") from None
+    row = MODEL_TABLE[neuron.model]
     extras = {}
-    for key, model, extra_shape in (("beta", "cached-aia", (shape[0],)), ("plif_raw", "plif", ())):
-        if (entry[key] is not None) != (neuron.model == model):
+    for key, carried, extra_shape in (("beta", row.gain, (shape[0],)),
+                                      ("plif_raw", row.trained_leak, ())):
+        if (entry[key] is not None) != carried:
             state = "null" if entry[key] is None else "given"
             raise DataError(f"checkpoint {path}: {name}.{key} is {state} for a "
                             f"{neuron.model} layer")

@@ -91,9 +91,10 @@ class Model:
     smoothed mode. ``site`` maps ``(x, beta)`` to the factor on dL/du at
     which the weight gradient forms, or is None for a factor of 1.
     ``hard_spatial_bare`` keeps that factor off the hard-mode gradient sent
-    to the layer below. ``gain`` marks a model that needs ``beta``.
-    ``hard_reads_u`` marks a model whose hard backward reads the potential
-    itself, not only its surrogate window (``plif``'s leak gradient).
+    to the layer below. ``gain`` marks a model whose layers carry ``beta``.
+    ``trained_leak`` marks a model whose leak is the layer's trained
+    ``plif_raw``: its layers carry that array, and so its hard backward reads
+    the potential itself, not only its surrogate window (the leak's gradient).
     """
 
     leak: Callable = _configured_leak
@@ -102,13 +103,13 @@ class Model:
     site: Callable | None = None
     hard_spatial_bare: bool = False
     gain: bool = False
-    hard_reads_u: bool = False
+    trained_leak: bool = False
 
 
 MODEL_TABLE = {
     "lif": Model(),
     "if": Model(leak=lambda p: 1.0),
-    "plif": Model(leak=lambda p: float(sigmoid(p.plif_raw)), hard_reads_u=True),
+    "plif": Model(leak=lambda p: float(sigmoid(p.plif_raw)), trained_leak=True),
     "aia": Model(smoothed_drive=lambda x, beta: 0.5 * x * x, site=_x, hard_spatial_bare=True),
     "cached-aia": Model(drive=_beta_x, smoothed_drive=_beta_x, site=_beta, gain=True),
 }
@@ -180,11 +181,12 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     bit; smoothed mode keeps that grouping.
 
     With ``window``, the first array returned is ``u``'s ``bool``
-    :func:`surrogate_window` in place of ``u``. A window longer than
-    ``ceil(GEMM_ROWS / batch)`` steps then runs in blocks of that many
-    steps, each block's drive formed on its own: the potential lives only in
-    one reused buffer of a block's steps, and each block's mask and spikes
-    go straight into the returned arrays.
+    :func:`surrogate_window` in place of ``u``. Every call runs one loop over
+    blocks of steps, each block's drive formed on its own. Without
+    ``window`` one block holds the whole window. With it a block is
+    ``ceil(GEMM_ROWS / batch)`` steps: the potential lives only in one
+    reused buffer of a block's steps, and each block's mask and spikes go
+    straight into the returned arrays.
     """
     model = MODEL_TABLE[p.model]
     x = numerics.as_dense(x)
@@ -199,37 +201,30 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
             )
     leak = model.leak(p)
     drive = model.smoothed_drive if smoothed else model.drive
-    block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1)) if window else len(x)
+    block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1)) if window else max(len(x), 1)
     o = np.empty_like(x) if smoothed else np.empty(x.shape, dtype=bool)
     u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
     u_prev = u_prev if smoothed else leak * u_prev  # the start state, in the textbook grouping
     carry = np.subtract(1.0, o_prev, out=np.empty(x.shape[1:]))
     u = np.empty_like(x[:block])
-    if len(x) <= block:  # the mask is made once a gain model's drive is freed
-        _steps(drive(x, beta), u, o, u_prev, carry, leak, p, smoothed)
-        return (surrogate_window(u, p, out=np.empty(x.shape, dtype=bool)) if window else u), o
-    held = np.empty(x.shape, dtype=bool)
+    held = np.empty(x.shape, dtype=bool) if window else u
     for start in range(0, len(x), block):
         stop = min(start + block, len(x))
-        _steps(drive(x[start:stop], beta), u, o[start:stop], u_prev, carry, leak, p, smoothed)
-        u_prev = u[stop - start - 1].copy()  # the buffer becomes the mask's scratch
-        surrogate_window(u[:stop - start], p, out=held[start:stop])
+        for k, d in enumerate(drive(x[start:stop], beta)):
+            if smoothed:
+                u_prev = np.multiply(u_prev, leak, out=u[k])
+            np.multiply(u_prev, carry, out=u[k])
+            u_prev = np.add(u[k], d, out=u[k])
+            if smoothed:
+                z = np.divide(np.subtract(u_prev, p.v_th, out=carry), p.surrogate_width, out=carry)
+                np.subtract(1.0, sigmoid(z, out=o[start + k]), out=carry)
+            else:
+                np.logical_not(np.greater_equal(u_prev, p.v_th, out=o[start + k]), out=carry)
+                carry *= leak
+        if window:
+            u_prev = u_prev.copy()  # the buffer becomes the mask's scratch
+            surrogate_window(u[:stop - start], p, out=held[start:stop])
     return held, o
-
-
-def _steps(d, u, o, u_prev, carry, leak: float, p: NeuronParams, smoothed: bool) -> None:
-    """:func:`scan`'s steps over the drive rows ``d``; ``carry`` leaves holding the next factor."""
-    for k in range(len(d)):
-        if smoothed:
-            u_prev = np.multiply(u_prev, leak, out=u[k])
-        np.multiply(u_prev, carry, out=u[k])
-        u_prev = np.add(u[k], d[k], out=u[k])
-        if smoothed:
-            z = np.divide(np.subtract(u_prev, p.v_th, out=carry), p.surrogate_width, out=carry)
-            np.subtract(1.0, sigmoid(z, out=o[k]), out=carry)
-        else:
-            np.logical_not(np.greater_equal(u_prev, p.v_th, out=o[k]), out=carry)
-            carry *= leak
 
 
 def step(state: NeuronState, x, p: NeuronParams, beta=None) -> NeuronState:

@@ -19,7 +19,7 @@ from . import bptt, numerics
 from .data import Dataset
 from .errors import ConfigError, DimensionError, NumericError, StateError, TrainingDiverged
 from .network import Network, readout_and_loss
-from .neurons import MODELS
+from .neurons import MODELS, NeuronParams
 
 
 @dataclass
@@ -38,7 +38,7 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    model: str = "lif"
+    model: str = NeuronParams.model
     timesteps: int = 10
 
     def __post_init__(self):

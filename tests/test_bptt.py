@@ -196,7 +196,7 @@ def _reference_tape(net, inputs, smoothed):
         x = np.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
         p = layer.params()
         u, o = scan(x, p, layer.beta, smoothed=smoothed)
-        holds_u = smoothed or MODEL_TABLE[p.model].hard_reads_u
+        holds_u = smoothed or MODEL_TABLE[p.model].trained_leak
         tape.x.append(x)
         tape.membrane.append(u if holds_u else surrogate_window(u, p))
         tape.o.append(o)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from spikekit import bptt
-from spikekit.network import init_network, readout_and_loss
+from spikekit.network import Network, init_network, readout_and_loss
 
 RTOL = 1e-12
 
@@ -129,10 +129,14 @@ def _naive_backward(net, inputs, upstream):
     return grads, o
 
 
-def _network(widths, tags, timesteps, seed):
+def _network(widths, model, timesteps, seed):
+    """A network of one tag, or of one tag per layer: layer ``n`` is layer ``n`` of
+    ``init_network`` for its tag, whose weights do not depend on the tag."""
+    tags = [model] * (len(widths) - 1) if isinstance(model, str) else model
     rng = np.random.default_rng(seed)
-    net = init_network(widths, tags, timesteps=timesteps, seed=seed,
-                       v_th=0.6, leak=0.8, surrogate_width=0.9)
+    net = Network(timesteps, [init_network(widths, tag, timesteps=timesteps, seed=seed, v_th=0.6,
+                                           leak=0.8, surrogate_width=0.9).layers[n]
+                              for n, tag in enumerate(tags)])
     for layer in net.layers:
         if layer.beta is not None:
             layer.beta[:] = rng.uniform(0.6, 1.4, size=layer.beta.shape)

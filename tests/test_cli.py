@@ -26,6 +26,12 @@ from test_public_api import _entry_points
 EVENTS_MANIFEST = Path(__file__).parent / "data" / "events" / "manifest.json"
 TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_poisson.json"
 
+# A 5,000-digit integer where each role's file holds an integer.
+HUGE_INTEGER = {"config": f'{{"seed": {"9" * 5000}}}',
+                "manifest": f'[{{"path": "x.csv", "label": {"9" * 5000}}}]',
+                "checkpoint": f'{{"format": "spikekit-checkpoint", "seed": {"9" * 5000}}}'}
+HUGE_INTEGER_REASON = "an integer of 5000 digits exceeds the limit of 4300\n"
+
 # Small enough that a full train run takes well under a second.
 TINY = {
     "seed": 11,
@@ -403,21 +409,31 @@ class TestMalformedInputs:
         assert not out.exists()
         return rc, capsys.readouterr().err, bad
 
+    def _read_json_error(self, tmp_path, capsys, role, text, reason):
+        rc, err, bad = self._read_bad_file(tmp_path, capsys, role, text.encode())
+        assert rc == 2
+        assert err.startswith(f"error: {role} {'file ' if role == 'config' else ''}{bad} "
+                              f"is not valid JSON: {reason}")
+
     @pytest.mark.parametrize("role", ["config", "manifest", "checkpoint"])
     def test_deeply_nested_json_names_the_file(self, tmp_path, capsys, role):
         # Nesting past the recursion limit stops Python's JSON parser with a
-        # RecursionError, and an integer past Python's 4300-digit limit for
-        # int() with a ValueError; each is a malformed input like any other.
-        nines = "9" * 5000
-        huge = {"config": f'{{"seed": {nines}}}',
-                "manifest": f'[{{"path": "x.csv", "label": {nines}}}]',
-                "checkpoint": f'{{"format": "spikekit-checkpoint", "seed": {nines}}}'}[role]
+        # RecursionError, and read_json refuses an integer of more than 4,300
+        # digits; each is a malformed input like any other.
         for text, reason in (("[" * 3000 + "]" * 3000, "maximum recursion depth exceeded"),
-                             (huge, "Exceeds the limit (4300 digits) for integer string")):
-            rc, err, bad = self._read_bad_file(tmp_path, capsys, role, text.encode())
-            assert rc == 2
-            assert err.startswith(f"error: {role} {'file ' if role == 'config' else ''}{bad} "
-                                  f"is not valid JSON: {reason}")
+                             (HUGE_INTEGER[role], HUGE_INTEGER_REASON)):
+            self._read_json_error(tmp_path, capsys, role, text, reason)
+
+    @pytest.mark.parametrize("role", ["config", "manifest", "checkpoint"])
+    def test_huge_integer_is_refused_without_an_interpreter_limit(self, tmp_path, capsys, role):
+        # With the interpreter's own int() digit limit off, json would parse
+        # the integer, and a gradcheck config would run.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            self._read_json_error(tmp_path, capsys, role, HUGE_INTEGER[role], HUGE_INTEGER_REASON)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("role", ["manifest", "checkpoint"])
     def test_non_utf8_json_names_the_file(self, tmp_path, capsys, role):

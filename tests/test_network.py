@@ -57,13 +57,6 @@ class TestInit:
         assert net.layers[0].neuron.leak == 1.0
         assert net.layers[0].params().effective_leak() == 1.0
 
-    def test_per_layer_model_tags(self):
-        net = init_network([6, 4, 2], model=["lif", "cached-aia"], timesteps=2, seed=1)
-        assert net.layers[0].beta is None
-        assert net.layers[1].beta is not None
-        with pytest.raises(ConfigError):
-            init_network([6, 4, 2], model=["lif"], timesteps=2, seed=1)
-
     def test_bad_widths(self):
         with pytest.raises(ConfigError):
             init_network([6], model="lif", timesteps=2, seed=1)
@@ -71,6 +64,8 @@ class TestInit:
             init_network([6, 0, 2], model="lif", timesteps=2, seed=1)
         with pytest.raises(ConfigError):
             init_network([6, 4], model="tanh", timesteps=2, seed=1)
+        with pytest.raises(ConfigError, match="unknown neuron model"):
+            init_network([6, 4, 2], model=["lif", "cached-aia"], timesteps=2, seed=1)
 
 
 class TestNetworkAssembly:
@@ -293,12 +288,15 @@ class TestCheckpoint:
                 assert la.plif_raw.tobytes() == lb.plif_raw.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(model=st.sampled_from(MODELS),
-           widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    @given(widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_round_trip_is_bit_exact_for_random_parameters(self, model, widths, seed, data):
-        # Any finite float64 survives: subnormals, -0.0 and the extremes included.
-        net = init_network(widths, model=model, timesteps=3, seed=0)
+    def test_round_trip_is_bit_exact_for_random_parameters(self, widths, seed, data):
+        # Any finite float64 survives: subnormals, -0.0 and the extremes
+        # included, in a network whose layers may each run another model.
+        models = data.draw(st.lists(st.sampled_from(MODELS), min_size=len(widths) - 1,
+                                    max_size=len(widths) - 1), label="models")
+        net = Network(3, [init_network(pair, model=model, timesteps=3, seed=0).layers[0]
+                          for pair, model in zip(zip(widths, widths[1:]), models)])
         finite = st.floats(allow_nan=False, allow_infinity=False)
         for _, array in net.parameter_items():
             array[...] = data.draw(hnp.arrays(np.float64, array.shape, elements=finite))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import spikekit
 from spikekit.errors import ConfigError, DimensionError, NumericError
 from spikekit.neurons import (
     MODELS,
@@ -203,6 +207,18 @@ class TestDispatch:
     def test_cached_requires_beta(self):
         with pytest.raises(ConfigError):
             step(NeuronState.zeros(2), np.zeros(2), NeuronParams(model="cached-aia"))
+
+    def test_only_the_model_table_names_models(self):
+        # MODEL_TABLE's rows are all that tells the models apart, so no other
+        # module may decide anything by a model's name.
+        named = []
+        for path in sorted(Path(spikekit.__file__).parent.glob("*.py")):
+            if path.name == "neurons.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and node.value in MODELS:
+                    named.append(f"{path.name}:{node.lineno} {node.value!r}")
+        assert named == []
 
 
 class TestSurrogate:
