@@ -2,8 +2,9 @@
 
 Five neuron models share one leaky integrate-and-fire forward family; they
 differ in how gradients reach the weights. Everything runs on dense numpy
-arrays, deterministically for a given seed: float64 for real values, one
-byte per binary spike.
+arrays, deterministically for a given seed: float64 for real values except
+the products of hard-mode (training and evaluation) GEMMs, which are float32
+(``numerics.HARD_DTYPE``), and one byte per binary spike.
 """
 
 from .bptt import (

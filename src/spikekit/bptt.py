@@ -3,15 +3,17 @@
 The forward pass unrolls the network over the simulation window and records
 a tape of three ``(timesteps, batch, neurons)`` arrays per layer: the
 weighted input ``x``, what the backward reads of the post-update membrane
-potential ``u``, and the emitted spikes ``o`` (``bool`` in hard mode). The
-hard backward reads ``u`` only through the surrogate window
-``|u - v_th| <= a/2``, so a hard-mode layer keeps that ``bool`` mask instead
-of ``u``, unless its model row is marked ``trained_leak`` (``plif``, whose
-leak gradient reads ``u``): 10 bytes per neuron and step rather than 17.
-Input and hidden spikes stay one byte each until a GEMM reads them, and
-:func:`spikekit.numerics.matmul` casts a tall spike operand to float64
-``GEMM_ROWS`` rows at a time. The backward pass walks the tape in reverse,
-propagating the loss gradient through space (layer to layer, within one
+potential ``u``, and the emitted spikes ``o`` (``bool`` in hard mode). Hard
+mode's GEMMs read and write :data:`spikekit.numerics.HARD_DTYPE` (float32),
+so its ``x`` is float32; each layer's weights are cast to it once per pass,
+and the potential, dL/du and every gradient stay float64. The hard backward
+reads ``u`` only through the surrogate window ``|u - v_th| <= a/2``, so a
+hard-mode layer keeps that ``bool`` mask instead of ``u``, unless its model
+row is marked ``trained_leak`` (``plif``, whose leak gradient reads ``u``):
+6 bytes per neuron and step rather than 13. Input and hidden spikes stay one
+byte each until a GEMM reads them, and :func:`spikekit.numerics.matmul`
+casts a tall spike operand to the GEMM's dtype ``GEMM_ROWS`` rows at a
+time. The backward pass walks the tape in reverse, propagating the loss gradient through space (layer to layer, within one
 timestep) and through time (the leaky membrane recurrence of each layer),
 and accumulates gradients for every trainable array.
 
@@ -46,10 +48,10 @@ share this machinery:
   training. A row marked ``hard_spatial_bare`` (``aia``) sends dL/du to the
   layer below without its site factor.
 
-* **smoothed mode** (gradient checking): the threshold becomes a logistic
-  ramp, the reset gate is differentiated exactly, the forward integrates the
-  row's smoothed drive, and each model's backward is the exact reverse-mode
-  gradient of its smoothed forward. ``aia``'s smoothed drive ``x**2 / 2``
+* **smoothed mode** (gradient checking), float64 throughout: the threshold
+  becomes a logistic ramp, the reset gate is differentiated exactly, the
+  forward integrates the row's smoothed drive, and each model's backward is
+  the exact reverse-mode gradient of its smoothed forward. ``aia``'s smoothed drive ``x**2 / 2``
   has derivative ``x``, so its drive-modulated rule is itself checkable
   against finite differences, with the site factor on the spatial path too.
 """
@@ -78,11 +80,14 @@ class BpttTape:
 
     ``x[n]``, ``membrane[n]`` and ``o[n]`` are arrays of shape
     ``(timesteps, batch, neurons of layer n)``, so ``x[n][t]`` is layer
-    ``n``'s weighted input at step ``t``. ``x`` is float64; ``o`` is
-    ``bool`` in hard mode and float64 (spike probabilities) in smoothed
-    mode. ``membrane[n]`` is the float64 potential ``u`` in smoothed mode
-    and for a ``trained_leak`` model, and otherwise the ``bool`` surrogate
-    window of ``u`` (:func:`spikekit.neurons.surrogate_window`).
+    ``n``'s weighted input at step ``t``. ``x`` is the product of the
+    forward's GEMMs: :data:`spikekit.numerics.HARD_DTYPE` (float32) in hard
+    mode, float64 in smoothed mode; the backward's GEMMs run in its dtype.
+    ``o`` is ``bool`` in hard mode and float64 (spike probabilities) in
+    smoothed mode. ``membrane[n]`` is the float64 potential ``u`` in
+    smoothed mode and for a ``trained_leak`` model, and otherwise the
+    ``bool`` surrogate window of ``u``
+    (:func:`spikekit.neurons.surrogate_window`).
     ``inputs`` keeps the dtype it was given, such as a ``uint8`` batch.
 
     ``u[n]`` is layer ``n``'s float64 potential either way: the held array,
@@ -117,10 +122,11 @@ class BpttTape:
         if any(len(series) != n_layers for series in (self.x, self.membrane, self.o)):
             raise StateError(f"tape holds {len(self.x)} layers, network has {n_layers}")
         spikes = np.float64 if self.smoothed else np.bool_
+        drive = np.float64 if self.smoothed else numerics.HARD_DTYPE
         for n, layer in enumerate(net.layers):
             expected = (self.timesteps, self.batch_size, layer.out_width)
             holds_u = self.smoothed or MODEL_TABLE[layer.neuron.model].trained_leak
-            for name, series, dtype in (("x", self.x[n], np.float64),
+            for name, series, dtype in (("x", self.x[n], drive),
                                         ("membrane", self.membrane[n],
                                          np.float64 if holds_u else np.bool_),
                                         ("o", self.o[n], spikes)):
@@ -190,12 +196,21 @@ def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
     return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 
+def _hard_weights(layer, n: int) -> np.ndarray:
+    """Layer ``n``'s weights as a hard-mode GEMM operand, cast once for the pass."""
+    w = numerics.require_hard_range(layer.w, f"layer{n}.w")
+    return w.astype(numerics.HARD_DTYPE, copy=False)
+
+
 def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
     ``inputs`` is a spike tensor of shape (batch, input_width, timesteps),
     of any real, integer or boolean dtype; :func:`spikekit.numerics.matmul`
-    casts it to float64 as each GEMM reads it, in row blocks once it is tall.
+    casts it to the GEMM's dtype as it reads it, in row blocks once it is
+    tall. Hard mode casts each layer's weights to
+    :data:`spikekit.numerics.HARD_DTYPE` once, so its GEMMs and ``x`` are in
+    that dtype; smoothed mode stays float64.
     All membrane potentials start at 0 with no prior spike. The readout is
     the output layer's per-class firing rate, averaged over the window.
     In hard mode a layer's scan writes its surrogate-window mask straight
@@ -219,8 +234,9 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     tape = BpttTape(inputs=inputs, x=[], membrane=[], o=[], readout=None, smoothed=smoothed,
                     neurons=None if smoothed else [])
     pre = _time_major(inputs, 0, timesteps)
-    for layer in net.layers:
-        x = numerics.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
+    for n, layer in enumerate(net.layers):
+        w = layer.w if smoothed else _hard_weights(layer, n)
+        x = numerics.matmul(pre, w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
         p = layer.params()
         window = not smoothed and not MODEL_TABLE[p.model].trained_leak
@@ -240,15 +256,17 @@ def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]
     """Hard-mode readout and per-layer spike totals of a spike set that fits ``net``.
 
     Keeps no tape: each chunk of ``ceil(GEMM_ROWS / timesteps)`` samples is cast
-    straight to its float64 time-major GEMM operand, each layer's drive is freed
-    once its spikes exist, and every GEMM reads what :func:`forward_record`'s would.
+    straight to its :data:`spikekit.numerics.HARD_DTYPE` time-major GEMM operand,
+    each layer's drive is freed once its spikes exist, and every GEMM reads what
+    :func:`forward_record`'s would; the weights are cast once, for every chunk.
     """
     chunk = -(-GEMM_ROWS // net.timesteps)
     readouts, counts = [], [0] * len(net.layers)
+    weights = [_hard_weights(layer, n) for n, layer in enumerate(net.layers)]
     for start in range(0, len(data), chunk):
-        pre = data[start:start + chunk].transpose(2, 0, 1).astype(np.float64, order="C")
-        for n, layer in enumerate(net.layers):
-            x = numerics.matmul(pre.reshape(-1, layer.in_width), layer.w.T)
+        pre = data[start:start + chunk].transpose(2, 0, 1).astype(numerics.HARD_DTYPE, order="C")
+        for n, (layer, w) in enumerate(zip(net.layers, weights)):
+            x = numerics.matmul(pre.reshape(-1, layer.in_width), w.T)
             del pre
             o = scan(x.reshape(net.timesteps, -1, x.shape[1]), layer.params(), layer.beta)[1]
             del x
@@ -292,7 +310,9 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
 def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     """Gradients through the forward that recorded ``tape``, in that tape's mode.
 
-    Each layer follows its model's table row.
+    Each layer follows its model's table row. The GEMMs run in the dtype of
+    the tape's ``x``, each layer's weights cast to it once; their products
+    are added into float64 gradients, and dL/du is float64.
     """
     tape.validate(net)
     upstream = numerics.as_dense(upstream)
@@ -306,6 +326,9 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     timesteps, batch = tape.timesteps, tape.batch_size
     block_steps = -(-GEMM_ROWS // max(batch, 1))
     params = [layer.params() for layer in net.layers]
+    gemm = tape.x[0].dtype
+    # The spatial GEMMs' weights, cast once; layer 0 sends no gradient down.
+    weights = [None] + [layer.w.astype(gemm, copy=False) for layer in net.layers[1:]]
     d_w = [np.zeros_like(layer.w) for layer in net.layers]
     d_beta = [None if layer.beta is None else np.zeros_like(layer.beta) for layer in net.layers]
     leak_acc = [0.0 if layer.plif_raw is not None else None for layer in net.layers]
@@ -332,6 +355,7 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
 
             model = MODEL_TABLE[p.model]
             site = du if model.site is None else du * model.site(x, layer.beta)
+            site = site.astype(gemm, copy=False)
             if n == 0:
                 o_pre = _time_major(tape.inputs, start, stop)
             else:
@@ -343,7 +367,7 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
 
             if n > 0:
                 through = du if model.hard_spatial_bare and not tape.smoothed else site
-                do = numerics.matmul(through.reshape(-1, layer.out_width), layer.w)
+                do = numerics.matmul(through.reshape(-1, layer.out_width), weights[n])
                 do = do.reshape(stop - start, batch, layer.in_width)
             # Free this layer's block arrays before the next layer makes its own.
             du = site = through = o_pre = None

@@ -35,6 +35,7 @@ from .errors import (
     DataError,
     DimensionError,
     EmptySampleError,
+    NumericError,
     SpikeKitError,
     TrainingDiverged,
     read_json,
@@ -308,10 +309,11 @@ def _eval_split(cfg: dict) -> Dataset:
 
 
 def _naming(files: str, compute, *args):
-    """``compute(*args)``; a checkpoint that does not fit is an input error naming ``files``."""
+    """``compute(*args)``; a checkpoint that does not fit the data, or whose weights
+    do not fit a hard-mode GEMM, is an input error naming ``files``."""
     try:
         return compute(*args)
-    except DimensionError as exc:
+    except (DimensionError, NumericError) as exc:
         raise DataError(f"{files}: {exc}") from None
 
 
@@ -349,7 +351,8 @@ def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     result = _naming(f"checkpoint {cfg['checkpoint']}", evaluate, net, dataset)
     if args.merge_beta:
         plain_readout = result.readout
-        result = evaluate(merge_beta(net), dataset)
+        result = _naming(f"checkpoint {cfg['checkpoint']} with --merge-beta", evaluate,
+                         merge_beta(net), dataset)
         deviation = float(np.max(np.abs(plain_readout - result.readout)))
     print(f"loss {result.loss:.6f}")
     print(f"accuracy {result.accuracy:.4f}")

@@ -9,7 +9,7 @@ Two ways to get a binary spike tensor of shape (samples, neurons, T):
 
 Both paths end in a :class:`Dataset` whose entries are exactly 0 or 1,
 held as ``uint8``: a spike takes one byte until the engine casts a batch
-of them to float64 for its GEMM.
+of them to its GEMM's dtype (float32 in hard mode, float64 in smoothed mode).
 """
 
 from __future__ import annotations

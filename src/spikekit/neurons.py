@@ -170,7 +170,9 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
 
     ``u[t]`` and ``o[t]`` are the potential and output after step ``t``,
     starting from ``state`` (rest, with no prior spike, when None);
-    ``beta`` is the model's gain, if it has one. Hard mode fires at
+    ``beta`` is the model's gain, if it has one. A float32 drive (a hard
+    GEMM's product) is read as it is, each block's rows widened into the
+    float64 ``u``; any other is coerced to float64. Hard mode fires at
     ``u >= v_th`` and returns ``o`` as ``bool``. Smoothed mode integrates
     the row's smoothed drive and emits the float64
     ``logistic((u - v_th) / surrogate_width)``.
@@ -189,7 +191,9 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     straight into the returned arrays.
     """
     model = MODEL_TABLE[p.model]
-    x = numerics.as_dense(x)
+    x = np.asarray(x)
+    if x.dtype != np.float32:  # a float32 drive is read block by block, not copied
+        x = numerics.as_dense(x)
     numerics.require_finite(x, "weighted input")
     if model.gain:
         if beta is None:
@@ -202,11 +206,11 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     leak = model.leak(p)
     drive = model.smoothed_drive if smoothed else model.drive
     block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1)) if window else max(len(x), 1)
-    o = np.empty_like(x) if smoothed else np.empty(x.shape, dtype=bool)
+    o = np.empty(x.shape) if smoothed else np.empty(x.shape, dtype=bool)
     u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
     u_prev = u_prev if smoothed else leak * u_prev  # the start state, in the textbook grouping
     carry = np.subtract(1.0, o_prev, out=np.empty(x.shape[1:]))
-    u = np.empty_like(x[:block])
+    u = np.empty(x[:block].shape)
     held = np.empty(x.shape, dtype=bool) if window else u
     for start in range(0, len(x), block):
         stop = min(start + block, len(x))

@@ -1,12 +1,13 @@
 """Dense-array substrate used by the rest of the engine.
 
-All real-valued quantities (potentials, weighted inputs, weights, cache
-gains, gradients) are float64 numpy arrays. Binary spikes are not: they are
-``uint8`` in datasets and ``bool`` on the tape, and :func:`matmul` casts
-such an operand to float64 for BLAS, a block of rows at a time when it is
-tall. The functions here are thin contract-enforcing wrappers: shapes are checked up front and mismatches
-raise :class:`DimensionError` naming both shapes, and a histogram of an
-empty array raises :class:`EmptyInputError`.
+Real-valued state (potentials, weights, cache gains, gradients) is float64.
+Hard-mode GEMMs are not: they read and write :data:`HARD_DTYPE` (float32),
+so a hard-mode weighted input is float32 too. Binary spikes are ``uint8`` in
+datasets and ``bool`` on the tape, and :func:`matmul` casts such an operand
+to its GEMM's dtype for BLAS, a block of rows at a time when it is tall. The
+functions here are thin contract-enforcing wrappers: shapes are checked up
+front and mismatches raise :class:`DimensionError` naming both shapes, and a
+histogram of an empty array raises :class:`EmptyInputError`.
 
 Given identical inputs the results are deterministic across runs; nothing
 here depends on global state.
@@ -33,8 +34,25 @@ DTYPE = np.float64
 # no GEMM is cut into pieces of fewer than GEMM_ROWS rows, and none by time
 # step. With a C-ordered right operand even 1024-row pieces changed some narrow
 # products (K=17..256, N=2..33), so such a GEMM is never cut. On the Haswell
-# kernel, pieces of 128 rows and up reproduced every product, in either order.
+# kernel, pieces of 128 rows and up reproduced every float64 product, in either
+# order. In float32 (:data:`HARD_DTYPE`) the rule is narrower: SkylakeX's
+# SGEMM keeps the same bits in 1024-row pieces, but the Haswell and Zen SGEMMs
+# give a row bits that depend on its place in a 768-row block, so 1024-row
+# pieces, and ``forward_rates``'s chunks, change products with K >= 16 and
+# N >= 9 in their last bits there (on 35 of 72 shapes of 3000 rows, K=1..700,
+# N=1..256); only cuts at multiples of 768 rows kept every product.
 GEMM_ROWS = 1024
+
+# The dtype of every hard-mode GEMM's operands and product, so also of a hard
+# tape's weighted input ``x``. Spikes are exact in float32, and a float32 GEMM
+# runs about twice as fast as a float64 one and halves the tape's ``x``. Its
+# rounding (about K * 6e-8 relative) moved no per-seed outcome of the Poisson
+# toy beyond the spread over seeds (tools/precision_sweep.py). Potentials,
+# dL/du, gradient accumulators, Adam's state and the weights themselves stay
+# float64 (mixed precision: Micikevicius et al., ICLR 2018). Smoothed mode,
+# which gradcheck checks at about 1e-8, is float64 throughout. Set to
+# ``np.float64``, every GEMM and tape is float64, as the exact tests pin it.
+HARD_DTYPE = np.float32
 
 
 def as_dense(values) -> np.ndarray:
@@ -50,6 +68,24 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
+def require_hard_range(w: np.ndarray, what: str) -> np.ndarray:
+    """``w``, checked to fit a hard-mode GEMM: no row's sum of magnitudes past
+    :data:`HARD_DTYPE`'s range.
+
+    A drive over 0/1 spikes is at most its weight row's sum of magnitudes, so
+    weights that pass cannot overflow a hard-mode GEMM over spikes, and no
+    entry is past the range that the cast would make infinite. A row that
+    fails raises :class:`NumericError` naming ``what``, such as ``layer0.w``.
+    A NaN passes: finiteness is checked where the drive forms.
+    """
+    with np.errstate(over="ignore"):  # a sum past float64's range is inf, and fails
+        peak = np.max(np.sum(np.abs(w), axis=-1), initial=0.0)
+    if peak > np.finfo(HARD_DTYPE).max:
+        raise NumericError(f"{what} has a row of weights whose magnitudes sum to {peak:g}, "
+                           f"past the {np.dtype(HARD_DTYPE).name} range of hard-mode GEMMs")
+    return w
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product of a (m, k) and (k, n) array.
 
@@ -58,14 +94,16 @@ def matmul(a, b) -> np.ndarray:
     memory order: np.matmul hands a transposed view such as ``w.T`` to BLAS
     as a transpose flag instead of copying it.
 
-    A binary (``uint8`` or ``bool``) operand is cast to float64 for BLAS. A
-    binary ``a`` of at least ``2 * GEMM_ROWS`` rows times a Fortran-ordered
-    ``b`` (a transposed view such as ``w.T``) is cast ``GEMM_ROWS`` rows at a
-    time, the remainder joining the last block, and each block's product
-    goes straight into its rows of the result. So the cast never holds more
-    than ``2 * GEMM_ROWS - 1`` rows, and no piece is cut where cutting was
-    seen to change the result (see ``GEMM_ROWS``). Other operands, and
-    ``b``, are cast whole, for the length of the call.
+    The GEMM runs in float32 when either operand is float32 and in float64
+    otherwise; the other operand is cast to that dtype, and so is the
+    product. A binary (``uint8`` or ``bool``) ``a`` of at least
+    ``2 * GEMM_ROWS`` rows times a Fortran-ordered ``b`` (a transposed view
+    such as ``w.T``) is cast ``GEMM_ROWS`` rows at a time, the remainder
+    joining the last block, and each block's product goes straight into its
+    rows of the result. So the cast never holds more than
+    ``2 * GEMM_ROWS - 1`` rows, and no piece is cut where cutting was seen to
+    change a float64 result (see ``GEMM_ROWS``). Other operands, and ``b``,
+    are cast whole, for the length of the call.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -73,17 +111,18 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    # The result is allocated before the float64 copies, so freeing a copy
-    # returns memory above the result rather than leaving a hole below it;
-    # with such holes a chunked evaluate grows the heap past glibc's trim
-    # threshold and page-faults it back in on every chunk.
-    out = np.empty((a.shape[0], b.shape[1]), dtype=DTYPE)
-    b = b.astype(DTYPE, copy=False)
+    dtype = np.float32 if np.float32 in (a.dtype, b.dtype) else DTYPE
+    # The result is allocated before the casts, so freeing a cast returns
+    # memory above the result rather than leaving a hole below it; with such
+    # holes a chunked evaluate grows the heap past glibc's trim threshold and
+    # page-faults it back in on every chunk.
+    out = np.empty((a.shape[0], b.shape[1]), dtype=dtype)
+    b = b.astype(dtype, copy=False)
     if a.dtype.kind not in "bu" or len(a) < 2 * GEMM_ROWS or not b.flags.f_contiguous:
-        return np.matmul(a.astype(DTYPE, copy=False), b, out=out)
+        return np.matmul(a.astype(dtype, copy=False), b, out=out)
     edges = [*range(0, len(a) // GEMM_ROWS * GEMM_ROWS, GEMM_ROWS), len(a)]
     for start, stop in zip(edges, edges[1:]):
-        np.matmul(a[start:stop].astype(DTYPE), b, out=out[start:stop])
+        np.matmul(a[start:stop].astype(dtype), b, out=out[start:stop])
     return out
 
 

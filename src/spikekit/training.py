@@ -112,10 +112,17 @@ class Adam:
             p[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _first_nonfinite(net: Network):
+def _divergence(net: Network) -> TrainingDiverged | None:
+    """The divergence naming the first parameter that is non-finite, or a weight
+    that no longer fits a hard-mode GEMM; None while every parameter is sound."""
     for name, p in net.parameter_items():
         if not np.all(np.isfinite(p)):
-            return name
+            return TrainingDiverged(name)
+        if name.endswith(".w"):
+            try:
+                numerics.require_hard_range(p, name)
+            except NumericError as exc:
+                return TrainingDiverged(name, f"training diverged: {exc}")
     return None
 
 
@@ -147,8 +154,9 @@ def evaluate(net: Network, dataset: Dataset) -> EvalResult:
 
     Evaluation keeps no tape: :func:`spikekit.bptt.forward_rates` runs the
     hard forward on chunks of ``ceil(GEMM_ROWS / timesteps)`` samples, and a
-    chunk holds about rows x max(in + out, 2 x out) x 8 bytes at its largest
-    layer, plus its spikes, whatever the set's size.
+    chunk holds about rows x max(4 x (in + out), 12 x out) bytes at its
+    largest layer (float32 GEMM operands and drive, float64 potential), plus
+    its spikes, whatever the set's size.
     """
     _check_dataset(net, dataset, "dataset")
     readout, counts = bptt.forward_rates(net, dataset.data)
@@ -172,11 +180,11 @@ def _train_step(net: Network, opt: Adam, batch: np.ndarray, labels: np.ndarray):
         tape, readout = bptt.forward_record(net, batch)
         loss, upstream, predictions = readout_and_loss(readout, labels)
     except (NumericError, ConfigError):
-        # Blown-up parameters surface as non-finite drive mid-forward, or as
-        # a non-finite plif leak parameter.
-        raise TrainingDiverged(_first_nonfinite(net) or "loss") from None
+        # Blown-up parameters surface mid-forward as weights past the GEMMs'
+        # range, non-finite drive or a non-finite plif leak parameter.
+        raise _divergence(net) or TrainingDiverged("loss") from None
     if not np.isfinite(loss):
-        raise TrainingDiverged(_first_nonfinite(net) or "loss")
+        raise _divergence(net) or TrainingDiverged("loss")
     opt.step(bptt.backward(tape, upstream, net))
     return loss, predictions
 
@@ -220,9 +228,9 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Datase
             loss_sum += float(loss) * len(idx)
             correct += int(np.sum(predictions == labels))
 
-        bad = _first_nonfinite(net)
-        if bad is not None:
-            raise TrainingDiverged(bad)
+        diverged = _divergence(net)
+        if diverged is not None:
+            raise diverged
 
         metrics.shuffle_seeds.append(shuffle_seed)
         metrics.train_loss.append(loss_sum / n)

@@ -33,12 +33,15 @@ class TestForwardRecord:
         rng = np.random.default_rng(1)
         net = init_network([4, 6, 2], model="lif", timesteps=5, seed=2)
         inputs = _binary_inputs(rng, 2, 4, 5)
-        # Hard-mode spikes are bool; smoothed-mode spikes are probabilities.
-        for smoothed, spikes in ((False, np.bool_), (True, np.float64)):
+        # Hard-mode spikes are bool and its drive is its GEMMs' float32;
+        # smoothed-mode spikes are probabilities, and smoothed mode is float64.
+        assert numerics.HARD_DTYPE == np.float32
+        for smoothed, drive, spikes in ((False, np.float32, np.bool_),
+                                        (True, np.float64, np.float64)):
             tape, _ = forward_record(net, inputs, smoothed=smoothed)
             assert len(tape.x) == 2
             for n, width in enumerate([6, 2]):
-                for series, dtype in ((tape.x[n], np.float64), (tape.u[n], np.float64),
+                for series, dtype in ((tape.x[n], drive), (tape.u[n], np.float64),
                                       (tape.o[n], spikes)):
                     assert isinstance(series, np.ndarray)
                     assert series.shape == (5, 2, width)
@@ -70,6 +73,7 @@ class TestForwardRecord:
         for (_, a), (_, b) in zip(g8.items(), g64.items()):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_tape_rows_are_the_per_step_recurrence(self):
         # x[t] is the drive of step t and u follows u[t] = leak u[t-1] (1 - o[t-1]) + x[t].
         rng = np.random.default_rng(7)
@@ -125,12 +129,13 @@ def _net_off_init(model, rng, seed, widths=(5, 6, 3), timesteps=7):
 class TestTapeLayout:
     @pytest.mark.parametrize("model", MODELS)
     def test_held_bytes_per_neuron_step(self, model):
-        # Hard mode holds float64 x, bool o and, unless the backward reads u
-        # itself, u's bool surrogate window; smoothed mode holds three float64s.
+        # Hard mode holds float32 x, bool o and, unless the backward reads u
+        # itself, u's bool surrogate window, else float64 u; smoothed mode
+        # holds three float64s.
         rng = np.random.default_rng(50)
         net = _net_off_init(model, rng, seed=51)
         inputs = _binary_inputs(rng, 4, 5, 7)
-        for smoothed, per_cell in ((False, 17 if model == "plif" else 10), (True, 24)):
+        for smoothed, per_cell in ((False, 13 if model == "plif" else 6), (True, 24)):
             tape, _ = forward_record(net, inputs, smoothed=smoothed)
             assert (tape.neurons is None) == smoothed
             for n, width in enumerate([6, 3]):
@@ -173,6 +178,34 @@ class TestTapeLayout:
             else:
                 assert tape.membrane[n].dtype == np.bool_
                 assert tape.membrane[n].tobytes() == window.tobytes()
+
+    def test_float32_drive_shrinks_a_wide_tape(self, monkeypatch):
+        # At a wide shape, float32 GEMMs keep 6 bytes per neuron-step of tape
+        # instead of 10, and the forward's traced peak falls by the 4 bytes of
+        # x saved, less the float32 copy of one layer's weights that its GEMM
+        # reads.
+        rng = np.random.default_rng(56)
+        widths, batch, timesteps = (100, 256, 256, 10), 32, 100
+        net = init_network(list(widths), model="lif", timesteps=timesteps, seed=57, v_th=0.5)
+        data = (rng.random((batch, widths[0], timesteps)) < 0.2).astype(np.uint8)
+        inputs = bptt.time_major_batch(data, range(batch))
+        peak, held = {}, {}
+        for dtype in (np.float64, np.float32):
+            monkeypatch.setattr(numerics, "HARD_DTYPE", dtype)
+            tracemalloc.start()
+            try:
+                tape, _ = forward_record(net, inputs)
+                peak[dtype] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held[dtype] = sum(a.nbytes for series in (tape.x, tape.membrane, tape.o)
+                              for a in series)
+            assert 0.0 < np.mean(tape.o[-1]) < 1.0
+            del tape
+        cells = timesteps * batch * sum(widths[1:])
+        assert held[np.float64] == 10 * cells and held[np.float32] == 6 * cells
+        weights = max(layer.w.size for layer in net.layers) * 4
+        assert peak[np.float64] - peak[np.float32] >= 4 * cells - weights
 
     def test_window_gives_the_surrogate_derivative_bitwise(self):
         rng = np.random.default_rng(54)
@@ -217,6 +250,7 @@ class TestBlockedForward:
         data = (rng.random((self.BATCH, self.WIDTHS[0], self.TIMESTEPS)) < 0.3).astype(np.uint8)
         return net, data, rng.integers(0, self.WIDTHS[-1], size=self.BATCH)
 
+    @pytest.mark.usefixtures("float64_gemms")
     @pytest.mark.parametrize("smoothed", [False, True])
     @pytest.mark.parametrize("model", MODELS)
     def test_bit_equal_to_single_gemm_reference(self, model, smoothed):
@@ -236,6 +270,34 @@ class TestBlockedForward:
         want = backward(ref, upstream, net)
         for (name, a), (_, b) in zip(got.items(), want.items(), strict=True):
             assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_float32_drive_is_within_rounding_of_the_exact_product(self, model):
+        # Float32 GEMMs cut into GEMM_ROWS pieces keep the single GEMM's bits
+        # on OpenBLAS's SkylakeX kernel but not on its Haswell and Zen ones
+        # (see numerics.GEMM_ROWS), so what holds on every kernel is checked:
+        # each layer's float32 drive is within float32 rounding of the exact
+        # product of the spikes the tape holds below it, fan-in K times eps
+        # relative to the sum of the terms' sizes (each weight rounded once,
+        # K terms summed), and the rest of the tape is the scan of that drive.
+        net, data, _ = self._case(model, seed=60)
+        inputs = bptt.time_major_batch(data, range(self.BATCH))
+        tape, readout = forward_record(net, inputs)
+        eps = float(np.finfo(np.float32).eps)
+        pre = inputs.transpose(2, 0, 1).reshape(-1, self.WIDTHS[0]).astype(np.float64)
+        for n, layer in enumerate(net.layers):
+            assert tape.x[n].dtype == np.float32
+            x = tape.x[n].reshape(-1, layer.out_width)
+            error = np.abs(x - pre @ layer.w.T)
+            assert np.all(error <= layer.in_width * eps * (pre @ np.abs(layer.w).T))
+            p = layer.params()
+            membrane, o = scan(tape.x[n], p, layer.beta,
+                               window=not MODEL_TABLE[p.model].trained_leak)
+            assert 0.0 < np.mean(o) < 1.0
+            assert membrane.tobytes() == tape.membrane[n].tobytes()
+            assert o.tobytes() == tape.o[n].tobytes()
+            pre = o.reshape(-1, layer.out_width).astype(np.float64)
+        assert readout.tobytes() == (np.sum(tape.o[-1], axis=0) / self.TIMESTEPS).tobytes()
 
     @pytest.mark.parametrize("model", MODELS)
     def test_hard_forward_scratch_is_bounded_by_gemm_rows(self, model):
@@ -357,6 +419,7 @@ def _single_step_pieces(net, inputs, labels):
     return o_pre, x, dv
 
 
+@pytest.mark.usefixtures("float64_gemms")
 class TestHardBackwardClosedForms:
     """One layer, one timestep: the chain collapses to a hand-checkable product."""
 
@@ -445,6 +508,7 @@ class TestAssociationUpdateForms:
         update = aia_update_from_drive(w, o_pre, dldu)
         npt.assert_array_equal(update[:, o_pre == 0.0], 0.0)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_engine_matches_drive_form_per_sample(self):
         # For one layer and one timestep the engine's association update is
         # exactly the closed drive form evaluated with dL/du at the spike site.

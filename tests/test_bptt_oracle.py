@@ -15,8 +15,10 @@ It follows the hard-mode rules in the :mod:`spikekit.bptt` docstring:
   ``beta`` for ``cached-aia``; ``beta`` accumulates dL/du * x; a ``plif``
   leak accumulates dL/du[t] * u[t-1] * (1 - o[t-1]).
 
-Summation orders differ from the engine's GEMMs, so the comparison uses a
-tolerance of 1e-12 relative to the largest reference entry.
+Summation orders differ from the engine's GEMMs, so with float64 GEMMs
+(the ``float64_gemms`` fixture) the comparison uses a tolerance of 1e-12
+relative to the largest reference entry. The engine's default float32 GEMMs
+are checked against the same float64 reference with :data:`RTOL_FLOAT32`.
 """
 
 import math
@@ -24,10 +26,29 @@ import math
 import numpy as np
 import pytest
 
-from spikekit import bptt
+from spikekit import bptt, numerics
 from spikekit.network import Network, init_network, readout_and_loss
 
 RTOL = 1e-12
+
+
+def _float32_rtol(net) -> float:
+    """The bound on float32 GEMMs: 2 * float32 eps * the net's largest fan-in.
+
+    A float32 GEMM rounds each operand once and sums K terms, so a product
+    is within (K + 1) * eps / 2 of the float64 one, relative to the sum of
+    its terms' sizes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1). Each weight gradient entry passes through such
+    products whose K is a layer width: the forward drive (the ``aia`` site,
+    ``d_beta`` and ``plif``'s potential read it) and the spatial GEMM that
+    sends dL/du down. Its own ``d_w`` sum over time steps and samples rounds
+    each term's site once and accumulates in independent lanes, which in
+    these cases stayed within a few eps. Doubling covers the two chained
+    kinds of product. The worst error seen over these cases was 3.3 eps
+    (3.9e-7) at fan-in 5, against a bound of 10 eps.
+    """
+    widest = max(max(layer.w.shape) for layer in net.layers)
+    return 2.0 * float(np.finfo(np.float32).eps) * widest
 
 
 def _leak(layer) -> float:
@@ -145,7 +166,7 @@ def _network(widths, model, timesteps, seed):
     return net
 
 
-def _check_against_oracle(net, batch, seed):
+def _check_against_oracle(net, batch, seed, rtol=RTOL):
     rng = np.random.default_rng(seed + 1000)
     inputs = (rng.random((batch, net.input_width, net.timesteps)) < 0.5).astype(np.float64)
     labels = rng.integers(0, net.class_count, size=batch)
@@ -164,31 +185,57 @@ def _check_against_oracle(net, batch, seed):
         got = np.asarray(engine[name], dtype=np.float64)
         scale = max(float(np.max(np.abs(want))), 1e-300)
         err = float(np.max(np.abs(got - want))) / scale
-        assert err <= RTOL, f"{name}: relative error {err:.3e} against the naive reference"
+        assert err <= rtol, f"{name}: relative error {err:.3e} against the naive reference"
     silent = [name for name, want in reference.items() if not np.any(want != 0.0)]
     assert not silent, f"zero reference gradient for {silent}; the check would be vacuous"
 
 
-@pytest.mark.parametrize("model", ["lif", "if", "plif", "aia", "cached-aia"])
-def test_backward_matches_naive_reference(model):
-    net = _network([6, 5, 4], model, timesteps=5, seed=3)
-    _check_against_oracle(net, batch=3, seed=3)
-
-
-@pytest.mark.parametrize("tags", [
+# (widths, model or per-layer tags, timesteps, seed, batch), with the test ids of
+# the float64 tests.
+SINGLE = [pytest.param([6, 5, 4], model, 5, 3, 3, id=model)
+          for model in ["lif", "if", "plif", "aia", "cached-aia"]]
+MIXED = [pytest.param([5, 6, 4, 3], list(tags), 4, 11, 3, id=f"tags{i}") for i, tags in enumerate([
     ("plif", "cached-aia", "aia"),
     ("aia", "lif", "if"),
     ("cached-aia", "plif", "lif"),
-])
-def test_mixed_per_layer_tags_match_naive_reference(tags):
-    net = _network([5, 6, 4, 3], list(tags), timesteps=4, seed=11)
-    _check_against_oracle(net, batch=3, seed=11)
+])]
+# B * T spans more than one backward block, with a shorter last block.
+BLOCKED = [pytest.param([5, 4, 3], model, 20, 11, 64, id=model)
+           for model in ["aia", "plif", "cached-aia"]]
+CASE = "widths, model, timesteps, seed, batch"
 
 
-@pytest.mark.parametrize("model", ["aia", "plif", "cached-aia"])
-def test_several_backward_blocks_match_naive_reference(model):
-    # B * T spans more than one backward block, with a shorter last block.
-    block_steps = -(-bptt.GEMM_ROWS // 64)
-    assert block_steps < 20 and 20 % block_steps != 0
-    net = _network([5, 4, 3], model, timesteps=20, seed=11)
-    _check_against_oracle(net, batch=64, seed=11)
+def _check_case(widths, model, timesteps, seed, batch, rtol=None):
+    net = _network(widths, model, timesteps=timesteps, seed=seed)
+    _check_against_oracle(net, batch=batch, seed=seed, rtol=rtol or RTOL)
+
+
+@pytest.mark.usefixtures("float64_gemms")
+@pytest.mark.parametrize(CASE, SINGLE)
+def test_backward_matches_naive_reference(widths, model, timesteps, seed, batch):
+    _check_case(widths, model, timesteps, seed, batch)
+
+
+@pytest.mark.usefixtures("float64_gemms")
+@pytest.mark.parametrize(CASE, MIXED)
+def test_mixed_per_layer_tags_match_naive_reference(widths, model, timesteps, seed, batch):
+    _check_case(widths, model, timesteps, seed, batch)
+
+
+@pytest.mark.usefixtures("float64_gemms")
+@pytest.mark.parametrize(CASE, BLOCKED)
+def test_several_backward_blocks_match_naive_reference(widths, model, timesteps, seed, batch):
+    block_steps = -(-bptt.GEMM_ROWS // batch)
+    assert block_steps < timesteps and timesteps % block_steps != 0
+    _check_case(widths, model, timesteps, seed, batch)
+
+
+@pytest.mark.parametrize(CASE, [pytest.param(*case.values, id=f"{kind}-{case.id}")
+                                for kind, cases in (("single", SINGLE), ("mixed", MIXED),
+                                                    ("blocked", BLOCKED))
+                                for case in cases])
+def test_float32_backward_matches_naive_reference(widths, model, timesteps, seed, batch):
+    # The same cases, with the engine's default float32 GEMMs.
+    assert numerics.HARD_DTYPE == np.float32
+    net = _network(widths, model, timesteps=timesteps, seed=seed)
+    _check_case(widths, model, timesteps, seed, batch, rtol=_float32_rtol(net))

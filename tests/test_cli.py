@@ -309,6 +309,19 @@ class TestTrainCommand:
         assert rc == 3
         assert "layer0.w" in capsys.readouterr().err
 
+    def test_weights_past_float32_range_are_divergence(self, tmp_path, capsys, recwarn):
+        # A step of 1e39 moves every weight past the float32 range of the next
+        # forward's GEMMs: training stops by name, before any cast overflows.
+        doc = {**TINY, "train": {**TINY["train"], "learning_rate": 1e39}}
+        cfg = _write_config(tmp_path, doc)
+        rc = main(["train", "--config", cfg, "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert re.search(r"^error: training diverged: layer0\.w has a row of weights whose "
+                         r"magnitudes sum to \S+, past the float32 range of hard-mode GEMMs$",
+                         err, re.MULTILINE), err
+        assert not recwarn.list
+
 
 def _stdout_value(out, prefix):
     for line in out.splitlines():
@@ -350,6 +363,23 @@ class TestEvalCommand:
         if expect_zero:
             assert deviation == 0.0
 
+    def test_merge_beta_past_float32_range_names_the_parameter(self, tmp_path, capsys,
+                                                               recwarn):
+        # A gain of 1e39 is float64 arithmetic in the plain forward, but folded
+        # into layer 1's weights it is past the float32 range of their GEMM.
+        path = tmp_path / "net.json"
+        net = init_network([8, 6, 2], model="cached-aia", timesteps=3, seed=0)
+        net.layers[1].beta[0] = 1e39
+        save_checkpoint(net, path)
+        cfg = _write_config(tmp_path, TINY)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(path), "--merge-beta"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {path} with --merge-beta: layer1.w has a row of weights" in err
+        assert "past the float32 range of hard-mode GEMMs" in err
+        assert not recwarn.list
+
 
 class TestMalformedInputs:
     """Bad files end in exit 2 with a message naming the file and the field."""
@@ -384,6 +414,25 @@ class TestMalformedInputs:
             doc["layers"][0]["w"] = w.astype("<f8").tobytes().hex()
         err = self._eval_checkpoint(tmp_path, capsys, corrupt)
         assert "layer0.w contains non-finite values" in err
+
+    @pytest.mark.parametrize("weight, rc", [(1e39, 2), (3e38, 0)])
+    def test_checkpoint_weight_past_float32_range(self, tmp_path, capsys, recwarn, weight, rc):
+        # A row of layer0.w summing past float32's range is refused by name
+        # before any GEMM; one just inside it evaluates, its drive finite in
+        # float32.
+        path = tmp_path / "net.json"
+        net = init_network([8, 6, 2], model="lif", timesteps=3, seed=0)
+        net.layers[0].w[2] = 0.0
+        net.layers[0].w[2, 3] = weight
+        save_checkpoint(net, path)
+        cfg = _write_config(tmp_path, TINY)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == (f"error: checkpoint {path}: layer0.w has a row of weights whose "
+                           f"magnitudes sum to 1e+39, past the float32 range of hard-mode "
+                           f"GEMMs\n")
+        assert not recwarn.list
 
     def test_checkpoint_that_does_not_fit_the_dataset(self, tmp_path, capsys):
         err = self._eval_checkpoint(tmp_path, capsys, lambda doc: doc.update(timesteps=4))

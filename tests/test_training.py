@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikekit import neurons, training
+from spikekit import neurons, numerics, training
 from spikekit.data import Dataset, gen_poisson_patterns
 from spikekit.errors import ConfigError, DimensionError, StateError, TrainingDiverged
 from spikekit.network import init_network
@@ -313,16 +313,17 @@ class TestEvaluate:
         assert calls == {"forward_record": 0, "surrogate_window": 0}
 
     def test_peak_is_one_chunks_gemm_operands(self):
-        # The layer-0 GEMM holds the chunk's float64 time-major input and its
-        # drive; the input width is the larger, so that GEMM sets the peak.
-        # Another copy of the chunk, in any dtype, breaks the bound.
+        # The layer-0 GEMM holds the chunk's time-major input and its drive,
+        # both in the hard GEMMs' dtype; the input width is the larger, so
+        # that GEMM sets the peak. Another copy of the chunk, in any dtype,
+        # breaks the bound.
         timesteps, width, hidden = 16, 96, 16
         chunk = -(-training.bptt.GEMM_ROWS // timesteps)
         kw = dict(class_count=2, neurons=width, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
                   seed=4)
         ds = gen_poisson_patterns(n_per_class=3 * chunk // 2, split="test", **kw)
         net = init_network([width, hidden, 2], model="lif", timesteps=timesteps, seed=5)
-        operands = chunk * timesteps * (width + hidden) * 8
+        operands = chunk * timesteps * (width + hidden) * np.dtype(numerics.HARD_DTYPE).itemsize
 
         tracemalloc.start()
         try:

@@ -9,13 +9,15 @@ The command set is ``train`` for all five models on configs/toy_poisson.json
 and on configs/events_grid.json, ``eval`` and ``eval --merge-beta`` of every
 trained checkpoint, ``analyze`` (lif against aia), ``gradcheck`` with the
 default config and configs/gradcheck_wide.json, demos 01-05 and a fixed list
-of bad configs. Each command's stdout, stderr and exit code are recorded, and
-every file of its run directory except the wall-clock ``metrics.json``. In
-text, the ``<stamp>`` of a ``<stamp>-<command>`` run directory and the
-temporary directory's path are normalized first. Beside the commands, the
-record holds the datasets ``train`` builds from both configs (each split's
-spikes and labels, the class count, the empty samples skipped and the
-loader's warnings) and the ``bin_events`` frames of tests/data/events.
+of bad configs (one names a checkpoint whose weight lies past the float32
+range of hard-mode GEMMs). Each command's stdout, stderr and exit code are
+recorded, and every file of its run directory except the wall-clock
+``metrics.json``. In text, the ``<stamp>`` of a ``<stamp>-<command>`` run
+directory and the temporary directory's path are normalized first. Beside
+the commands, the record holds the datasets ``train`` builds from both
+configs (each split's spikes and labels, the class count, the empty samples
+skipped and the loader's warnings) and the ``bin_events`` frames of
+tests/data/events.
 
 The record holds the environment: Python, numpy, the BLAS numpy was built
 with and the BLAS kernel. GEMM results can change with the BLAS build and CPU
@@ -104,6 +106,8 @@ BAD_CONFIGS = {
     "eval-without-checkpoint": ("eval", "{}"),
     "huge-integer": ("gradcheck", '{"seed": ' + "9" * 5000 + "}"),
     "nul-in-path": ("train", '{"dataset": {"kind": "events", "manifest": "a\\u0000b"}}'),
+    "weight-past-float32": ("eval", '{"checkpoint": "tests/data/checkpoints/weight_past_float32'
+                                    '.json", "dataset": {"neurons": 2, "class_count": 2}}'),
 }
 
 
