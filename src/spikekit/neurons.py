@@ -170,9 +170,10 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
 
     ``u[t]`` and ``o[t]`` are the potential and output after step ``t``,
     starting from ``state`` (rest, with no prior spike, when None);
-    ``beta`` is the model's gain, if it has one. A float32 drive (a hard
-    GEMM's product) is read as it is, each block's rows widened into the
-    float64 ``u``; any other is coerced to float64. Hard mode fires at
+    ``beta`` is the model's gain, if it has one. A drive in
+    :data:`~spikekit.numerics.HARD_DTYPE` (a hard GEMM's product) is read as
+    it is, each block's rows widened into the float64 ``u``; any other is
+    coerced to float64. Hard mode fires at
     ``u >= v_th`` and returns ``o`` as ``bool``. Smoothed mode integrates
     the row's smoothed drive and emits the float64
     ``logistic((u - v_th) / surrogate_width)``.
@@ -192,7 +193,7 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     """
     model = MODEL_TABLE[p.model]
     x = np.asarray(x)
-    if x.dtype != np.float32:  # a float32 drive is read block by block, not copied
+    if x.dtype != numerics.HARD_DTYPE:  # a hard GEMM's drive is read by blocks, not copied
         x = numerics.as_dense(x)
     numerics.require_finite(x, "weighted input")
     if model.gain:

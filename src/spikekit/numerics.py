@@ -70,17 +70,20 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
 
 def require_hard_range(w: np.ndarray, what: str) -> np.ndarray:
     """``w``, checked to fit a hard-mode GEMM: no row's sum of magnitudes past
-    :data:`HARD_DTYPE`'s range.
+    :data:`HARD_DTYPE`'s range, less room for the GEMM's rounding.
 
-    A drive over 0/1 spikes is at most its weight row's sum of magnitudes, so
-    weights that pass cannot overflow a hard-mode GEMM over spikes, and no
-    entry is past the range that the cast would make infinite. A row that
-    fails raises :class:`NumericError` naming ``what``, such as ``layer0.w``.
-    A NaN passes: finiteness is checked where the drive forms.
+    A drive over 0/1 spikes is at most its weight row's sum of magnitudes,
+    grown by the rounding of the K casts and K additions of a K-input GEMM by
+    at most a factor ``1 + (K + 1) * eps``. So weights that pass cannot
+    overflow a hard-mode GEMM over spikes, and no entry is past the range
+    that the cast would make infinite. A row that fails raises
+    :class:`NumericError` naming ``what``, such as ``layer0.w``. A NaN passes:
+    finiteness is checked where the drive forms.
     """
     with np.errstate(over="ignore"):  # a sum past float64's range is inf, and fails
         peak = np.max(np.sum(np.abs(w), axis=-1), initial=0.0)
-    if peak > np.finfo(HARD_DTYPE).max:
+    info = np.finfo(HARD_DTYPE)
+    if peak > info.max / (1 + (w.shape[-1] + 1) * info.eps):
         raise NumericError(f"{what} has a row of weights whose magnitudes sum to {peak:g}, "
                            f"past the {np.dtype(HARD_DTYPE).name} range of hard-mode GEMMs")
     return w
@@ -94,8 +97,8 @@ def matmul(a, b) -> np.ndarray:
     memory order: np.matmul hands a transposed view such as ``w.T`` to BLAS
     as a transpose flag instead of copying it.
 
-    The GEMM runs in float32 when either operand is float32 and in float64
-    otherwise; the other operand is cast to that dtype, and so is the
+    The GEMM runs in :data:`HARD_DTYPE` when either operand has that dtype
+    and in float64 otherwise; the other operand is cast to that dtype, and so is the
     product. A binary (``uint8`` or ``bool``) ``a`` of at least
     ``2 * GEMM_ROWS`` rows times a Fortran-ordered ``b`` (a transposed view
     such as ``w.T``) is cast ``GEMM_ROWS`` rows at a time, the remainder
@@ -111,7 +114,7 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    dtype = np.float32 if np.float32 in (a.dtype, b.dtype) else DTYPE
+    dtype = HARD_DTYPE if HARD_DTYPE in (a.dtype, b.dtype) else DTYPE
     # The result is allocated before the casts, so freeing a cast returns
     # memory above the result rather than leaving a hole below it; with such
     # holes a chunked evaluate grows the heap past glibc's trim threshold and

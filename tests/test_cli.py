@@ -23,6 +23,8 @@ from spikekit.neurons import NeuronParams
 from spikekit.training import Adam, TrainConfig
 from test_public_api import _entry_points
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 EVENTS_MANIFEST = Path(__file__).parent / "data" / "events" / "manifest.json"
 TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_poisson.json"
 
@@ -415,23 +417,31 @@ class TestMalformedInputs:
         err = self._eval_checkpoint(tmp_path, capsys, corrupt)
         assert "layer0.w contains non-finite values" in err
 
-    @pytest.mark.parametrize("weight, rc", [(1e39, 2), (3e38, 0)])
-    def test_checkpoint_weight_past_float32_range(self, tmp_path, capsys, recwarn, weight, rc):
-        # A row of layer0.w summing past float32's range is refused by name
-        # before any GEMM; one just inside it evaluates, its drive finite in
-        # float32.
+    @pytest.mark.parametrize("row, rc", [
+        pytest.param([1e39], 2, id="1e+39-2"),
+        # Inside float32's range in float64 (their sum is 2**75 - 2**78 short
+        # of its max), but the cast rounds them to the max and 2**103, whose
+        # float32 sum rounds to infinity: the margin for rounding refuses it.
+        pytest.param([FLOAT32_MAX - 2.0**103 + 2.0**75, 2.0**103 - 2.0**78], 2,
+                     id="rounding-edge-2"),
+        pytest.param([3e38], 0, id="3e+38-0"),
+    ])
+    def test_checkpoint_weight_past_float32_range(self, tmp_path, capsys, recwarn, row, rc):
+        # A row of layer0.w summing past float32's range, less room for the
+        # GEMM's rounding, is refused by name before any GEMM; one inside it
+        # evaluates, its drive finite in float32.
         path = tmp_path / "net.json"
         net = init_network([8, 6, 2], model="lif", timesteps=3, seed=0)
         net.layers[0].w[2] = 0.0
-        net.layers[0].w[2, 3] = weight
+        net.layers[0].w[2, 3:3 + len(row)] = row
         save_checkpoint(net, path)
         cfg = _write_config(tmp_path, TINY)
         assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == rc
         err = capsys.readouterr().err
         if rc:
             assert err == (f"error: checkpoint {path}: layer0.w has a row of weights whose "
-                           f"magnitudes sum to 1e+39, past the float32 range of hard-mode "
-                           f"GEMMs\n")
+                           f"magnitudes sum to {sum(row):g}, past the float32 range of "
+                           f"hard-mode GEMMs\n")
         assert not recwarn.list
 
     def test_checkpoint_that_does_not_fit_the_dataset(self, tmp_path, capsys):

@@ -70,6 +70,15 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             numerics.matmul(np.zeros(3), np.zeros((3, 2)))
 
+    def test_gemm_dtype_is_hard_dtype_when_an_operand_has_it(self):
+        spikes, w = np.ones((3, 4), dtype=np.uint8), np.ones((4, 2))
+        assert numerics.matmul(spikes, w.astype(np.float32)).dtype == np.float32
+        assert numerics.matmul(spikes, w).dtype == np.float64
+
+    def test_float64_gemms_widen_a_float32_operand(self, float64_gemms):
+        out = numerics.matmul(np.ones((3, 4), dtype=np.uint8), np.ones((4, 2), dtype=np.float32))
+        assert out.dtype == np.float64
+
 
 class TestHistogram:
     def test_counts_match_manual_binning(self):
@@ -107,3 +116,28 @@ def test_require_finite():
     with pytest.raises(NumericError):
         numerics.require_finite(np.array([np.inf]))
     numerics.require_finite(np.array([0, 1], dtype=np.uint8))  # integers are finite
+
+
+class TestRequireHardRange:
+    MAX = float(np.finfo(np.float32).max)
+
+    def test_refuses_a_row_whose_float32_gemm_overflows_by_rounding(self):
+        # The float64 sum is inside float32's range, but the cast rounds the
+        # first weight up to the max and the second to 2**103, and their
+        # float32 sum, a tie, rounds to infinity.
+        w = np.array([[self.MAX - 2.0**103 + 2.0**75, 2.0**103 - 2.0**78]])
+        assert np.sum(w) <= self.MAX
+        with np.errstate(over="ignore"):
+            assert np.isinf(numerics.matmul(np.ones((1, 2), dtype=np.uint8), w.T.astype(np.float32)))
+        with pytest.raises(NumericError, match="layer0.w has a row of weights"):
+            numerics.require_hard_range(w, "layer0.w")
+
+    def test_passes_a_row_inside_the_rounding_margin(self):
+        k = 64
+        w = np.full((3, k), self.MAX / k * (1 - (k + 2) * np.finfo(np.float32).eps))
+        assert numerics.require_hard_range(w, "w") is w
+        assert np.all(np.isfinite(numerics.matmul(np.ones((5, k), dtype=np.uint8),
+                                                  w.T.astype(np.float32))))
+
+    def test_float64_gemms_keep_float64_range(self, float64_gemms):
+        numerics.require_hard_range(np.array([[1e39, 1e300]]), "w")

@@ -1,6 +1,6 @@
 """Precision gate: the Poisson-toy audit run with float64 and with float32 hard-mode GEMMs.
 
-Trains every seed x model x surrogate width at demo 04's settings (64-32-4,
+Trains seeds 0-9 x every model x surrogate width at demo 04's settings (64-32-4,
 T=10, 15 epochs, batch 20, Adam lr 1e-3, v_th 1, 200 train and 100 test
 samples, one seed for the data, the initial weights and the batch order)
 once per precision of ``spikekit.numerics.HARD_DTYPE``, and writes every
@@ -13,9 +13,9 @@ the float64 spread over seeds (the interquartile range). The gate passes when
 no move exceeds its spread, that is, when precision moves no per-seed outcome
 further than the seeds alone move it; exit code 0 if it passes, 1 if not.
 
-    python tools/precision_sweep.py --out precision.json [--seeds 10]
+    python tools/precision_sweep.py --out precision.json
 
-About 15 s at 10 seeds on one core of an x86-64 host; BLAS runs on one thread.
+About 15 s on one core of an x86-64 host; BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from spikekit.training import TrainConfig, train  # noqa: E402
 WIDTHS, TIMESTEPS = [64, 32, 4], 10
 MODELS = ("lif", "aia", "cached-aia")
 SURROGATE_WIDTHS = (1.0, 2.0)
+SEEDS = range(10)
 PRECISIONS = {"float64": np.float64, "float32": np.float32}
 FIGURES = ("accuracy", "hidden_spikes", "loss")
 
@@ -66,7 +67,6 @@ def _iqr(values) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, metavar="PATH", help="JSON of every run")
-    parser.add_argument("--seeds", type=int, default=10, metavar="N", help="seeds 0..N-1")
     args = parser.parse_args(argv)
 
     runs = []
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         numerics.HARD_DTYPE = dtype
         for model in MODELS:
             for width in SURROGATE_WIDTHS:
-                for seed in range(args.seeds):
+                for seed in SEEDS:
                     runs.append({"precision": precision, "model": model,
                                  "surrogate_width": width, "seed": seed,
                                  **run(model, width, seed)})
