@@ -24,7 +24,9 @@ membrane recurrence over the window, giving the layer's ``o`` and ``u`` or,
 for a layer that keeps only the window mask, that mask: such a scan holds
 ``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps at a time. So,
 beyond the tape it keeps, the forward's working memory scales with
-``GEMM_ROWS``, not with timesteps x batch. The
+``GEMM_ROWS``, not with timesteps x batch. :func:`forward_rates`, which
+keeps no tape, asks the scan for the spikes alone, so each of its scans
+holds one ``(batch, neurons)`` row of potential. The
 backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)`` steps,
 latest block first. Within a block it takes each layer from the top down:
 an elementwise reverse scan of dL/du, then one GEMM for the weight gradient
@@ -239,8 +241,8 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         x = numerics.matmul(pre, w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
         p = layer.params()
-        window = not smoothed and not MODEL_TABLE[p.model].trained_leak
-        membrane, o = scan(x, p, layer.beta, smoothed=smoothed, window=window)
+        keep = "u" if smoothed or MODEL_TABLE[p.model].trained_leak else "window"
+        membrane, o = scan(x, p, layer.beta, smoothed=smoothed, keep=keep)
         if not smoothed:
             tape.neurons.append((p, None if layer.beta is None else layer.beta.copy()))
         tape.x.append(x)
@@ -259,6 +261,7 @@ def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]
     straight to its :data:`spikekit.numerics.HARD_DTYPE` time-major GEMM operand,
     each layer's drive is freed once its spikes exist, and every GEMM reads what
     :func:`forward_record`'s would; the weights are cast once, for every chunk.
+    Each layer's scan returns only its spikes, holding one row of potential.
     """
     chunk = -(-GEMM_ROWS // net.timesteps)
     readouts, counts = [], [0] * len(net.layers)
@@ -268,7 +271,8 @@ def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]
         for n, (layer, w) in enumerate(zip(net.layers, weights)):
             x = numerics.matmul(pre.reshape(-1, layer.in_width), w.T)
             del pre
-            o = scan(x.reshape(net.timesteps, -1, x.shape[1]), layer.params(), layer.beta)[1]
+            o = scan(x.reshape(net.timesteps, -1, x.shape[1]), layer.params(), layer.beta,
+                     keep=None)[1]
             del x
             counts[n] += int(o.sum())
             pre = o
@@ -332,7 +336,9 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     d_w = [np.zeros_like(layer.w) for layer in net.layers]
     d_beta = [None if layer.beta is None else np.zeros_like(layer.beta) for layer in net.layers]
     leak_acc = [0.0 if layer.plif_raw is not None else None for layer in net.layers]
-    # dL/du of each layer at the first step of the block processed last.
+    # dL/du of each layer at the first step of the block processed last, a
+    # copy of one row: a view would keep the layer's whole block alive while
+    # the layers below make theirs.
     du_carry = [None] * n_layers
 
     for stop in range(timesteps, 0, -block_steps):
@@ -344,7 +350,7 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
             x = tape.x[n][steps]
             du = _block_du(do, tape.membrane[n][steps], tape.o[n][steps], p, tape.smoothed,
                            du_carry[n])
-            du_carry[n] = du[0]
+            du_carry[n] = du[0].copy()
             do = None  # consumed: freed before this layer's GEMMs make their own arrays
 
             if leak_acc[n] is not None:

@@ -165,31 +165,37 @@ class NeuronState:
 
 
 def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
-         smoothed: bool = False, window: bool = False):
-    """Run the model named by ``p.model`` over a ``(T, ...)`` drive; returns ``(u, o)``.
+         smoothed: bool = False, keep: str | None = "u"):
+    """Run the model named by ``p.model`` over a ``(T, ...)`` drive; returns ``(held, o)``.
 
-    ``u[t]`` and ``o[t]`` are the potential and output after step ``t``,
-    starting from ``state`` (rest, with no prior spike, when None);
-    ``beta`` is the model's gain, if it has one. A drive in
-    :data:`~spikekit.numerics.HARD_DTYPE` (a hard GEMM's product) is read as
-    it is, each block's rows widened into the float64 ``u``; any other is
-    coerced to float64. Hard mode fires at
+    ``o[t]`` is the output after step ``t``, starting from ``state`` (rest,
+    with no prior spike, when None); ``beta`` is the model's gain, if it has
+    one. A drive in :data:`~spikekit.numerics.HARD_DTYPE` (a hard GEMM's
+    product) is read as it is, each block's rows widened into the float64
+    potential; any other is coerced to float64. Hard mode fires at
     ``u >= v_th`` and returns ``o`` as ``bool``. Smoothed mode integrates
     the row's smoothed drive and emits the float64
     ``logistic((u - v_th) / surrogate_width)``.
 
+    ``keep`` names what ``held`` is, and so how much potential the scan
+    holds. Every call runs one loop over blocks of steps, each block's drive
+    formed on its own, the potential ``u`` held in one buffer of a block's
+    steps:
+
+    * ``"u"``: ``held`` is the float64 ``u``, ``u[t]`` the potential after
+      step ``t``; one block holds the whole window.
+    * ``"window"``: ``held`` is ``u``'s ``bool`` :func:`surrogate_window`. A
+      block is ``ceil(GEMM_ROWS / batch)`` steps, and each block's mask goes
+      straight into ``held``.
+    * None: ``held`` is None. A block is one step, so the scan holds one
+      ``(batch..., neurons)`` row of potential, updated in place, and a gain
+      model's drive is formed one row at a time.
+
     Each step writes its preallocated rows with ``out=`` ufuncs. Hard mode
     carries one factor ``leak * (1 - o)``, exactly ``leak`` or ``+0.0`` for
     its 0/1 spikes, so ``u * carry`` equals ``(leak * u) * (1 - o)`` bit for
-    bit; smoothed mode keeps that grouping.
-
-    With ``window``, the first array returned is ``u``'s ``bool``
-    :func:`surrogate_window` in place of ``u``. Every call runs one loop over
-    blocks of steps, each block's drive formed on its own. Without
-    ``window`` one block holds the whole window. With it a block is
-    ``ceil(GEMM_ROWS / batch)`` steps: the potential lives only in one
-    reused buffer of a block's steps, and each block's mask and spikes go
-    straight into the returned arrays.
+    bit; smoothed mode keeps that grouping. The spikes are the same bits
+    whatever ``keep`` is.
     """
     model = MODEL_TABLE[p.model]
     x = np.asarray(x)
@@ -206,13 +212,20 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
             )
     leak = model.leak(p)
     drive = model.smoothed_drive if smoothed else model.drive
-    block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1)) if window else max(len(x), 1)
+    if keep == "u":
+        block = max(len(x), 1)
+    elif keep == "window":
+        block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1))
+    elif keep is None:
+        block = 1
+    else:
+        raise ConfigError(f"scan keeps 'u', 'window' or None, got {keep!r}")
     o = np.empty(x.shape) if smoothed else np.empty(x.shape, dtype=bool)
     u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
     u_prev = u_prev if smoothed else leak * u_prev  # the start state, in the textbook grouping
     carry = np.subtract(1.0, o_prev, out=np.empty(x.shape[1:]))
     u = np.empty(x[:block].shape)
-    held = np.empty(x.shape, dtype=bool) if window else u
+    held = u if keep == "u" else None if keep is None else np.empty(x.shape, dtype=bool)
     for start in range(0, len(x), block):
         stop = min(start + block, len(x))
         for k, d in enumerate(drive(x[start:stop], beta)):
@@ -226,7 +239,7 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
             else:
                 np.logical_not(np.greater_equal(u_prev, p.v_th, out=o[start + k]), out=carry)
                 carry *= leak
-        if window:
+        if keep == "window":
             u_prev = u_prev.copy()  # the buffer becomes the mask's scratch
             surrogate_window(u[:stop - start], p, out=held[start:stop])
     return held, o

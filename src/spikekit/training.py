@@ -154,9 +154,11 @@ def evaluate(net: Network, dataset: Dataset) -> EvalResult:
 
     Evaluation keeps no tape: :func:`spikekit.bptt.forward_rates` runs the
     hard forward on chunks of ``ceil(GEMM_ROWS / timesteps)`` samples, and a
-    chunk holds about rows x max(4 x (in + out), 12 x out) bytes at its
-    largest layer (float32 GEMM operands and drive, float64 potential), plus
-    its spikes, whatever the set's size.
+    chunk holds about rows x (4 x (in + out) + in) bytes at its largest GEMM
+    (the float32 operand and product, and the ``bool`` spikes the operand
+    was cast from), whatever the set's size. Its scans hold the float32
+    drive, the spikes and a few ``(chunk, neurons)`` rows of float64
+    potential.
     """
     _check_dataset(net, dataset, "dataset")
     readout, counts = bptt.forward_rates(net, dataset.data)

@@ -292,7 +292,7 @@ class TestBlockedForward:
             assert np.all(error <= layer.in_width * eps * (pre @ np.abs(layer.w).T))
             p = layer.params()
             membrane, o = scan(tape.x[n], p, layer.beta,
-                               window=not MODEL_TABLE[p.model].trained_leak)
+                               keep="u" if MODEL_TABLE[p.model].trained_leak else "window")
             assert 0.0 < np.mean(o) < 1.0
             assert membrane.tobytes() == tape.membrane[n].tobytes()
             assert o.tobytes() == tape.o[n].tobytes()
@@ -314,6 +314,45 @@ class TestBlockedForward:
         held = sum(a.nbytes for series in (tape.x, tape.membrane, tape.o) for a in series)
         block = 2 * bptt.GEMM_ROWS * max(self.WIDTHS) * 8
         assert peak < held + data.nbytes + block
+
+
+class TestBlockedBackward:
+    """The backward walks time in blocks of ceil(GEMM_ROWS / batch) steps."""
+
+    WIDTHS, BATCH, TIMESTEPS = (32, 64, 64, 64, 4), 64, 48
+
+    # plif is left out: its leak gradient forms float64 blocks of its own.
+    @pytest.mark.parametrize("model", [m for m in MODELS if not MODEL_TABLE[m].trained_leak])
+    def test_scratch_is_one_layers_block(self, model):
+        # Three blocks of 16 steps, R = 1024 rows, four layers. At its widest
+        # layer (W = 64) a block needs 20 bytes per row and neuron: the float32
+        # dL/do from above and the float64 dL/du and through-time factor made
+        # from it (what the site factor, the casts and the GEMMs add later is
+        # at most that). Beyond it the backward holds its float64 d_w, the
+        # float32 weights of the spatial GEMMs and one float64 dL/du row per
+        # layer carried to the next block, plus one temporary row. The bound
+        # allows one more float64 block; keeping each upper layer's whole
+        # dL/du block alive (a view as the carry) holds three more.
+        rng = np.random.default_rng(62)
+        net = init_network(list(self.WIDTHS), model=model, timesteps=self.TIMESTEPS, seed=63,
+                           v_th=0.5)
+        data = (rng.random((self.BATCH, self.WIDTHS[0], self.TIMESTEPS)) < 0.3).astype(np.uint8)
+        tape, readout = forward_record(net, bptt.time_major_batch(data, range(self.BATCH)))
+        assert all(0.0 < np.mean(o) < 1.0 for o in tape.o)
+        _, upstream, _ = readout_and_loss(readout, rng.integers(0, self.WIDTHS[-1], self.BATCH))
+        tracemalloc.start()
+        try:
+            backward(tape, upstream, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, widest = -(-bptt.GEMM_ROWS // self.BATCH) * self.BATCH, max(self.WIDTHS)
+        assert self.TIMESTEPS * self.BATCH >= 3 * rows
+        d_w = sum(layer.w.nbytes for layer in net.layers)
+        weights = sum(layer.w.size * 4 for layer in net.layers[1:])
+        carried = (len(net.layers) + 1) * self.BATCH * widest * 8
+        bound = (20 + 8) * rows * widest + d_w + weights + carried
+        assert peak < bound, f"peak {peak} B, bound {bound} B"
 
 
 class TestForwardChecks:

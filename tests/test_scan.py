@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spikekit.errors import ConfigError
 from spikekit.neurons import MODELS, NeuronParams, NeuronState, scan, step
 
 from step_oracles import masked_sigmoid, textbook_scan
@@ -55,20 +56,22 @@ def test_smoothed_scan_is_the_logistic_recurrence(model):
 
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+KEEPS = ["u", "window", None]
 
 
 @settings(max_examples=300, deadline=None)
-@given(model=st.sampled_from(MODELS), smoothed=st.booleans(), window=st.booleans(),
+@given(model=st.sampled_from(MODELS), smoothed=st.booleans(), keep=st.sampled_from(KEEPS),
        started=st.booleans(), data=st.data(),
        steps=st.integers(1, 6), batch=st.sampled_from([1, 2, 3, 400, 700]),
        neurons=st.integers(1, 3),
        leak=SIGNED_ZEROS.map(abs) | st.just(1.0) | st.floats(0.0, 1.0),
        plif_raw=st.sampled_from([-800.0, 40.0]) | st.floats(-5.0, 5.0),
        v_th=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0))
-def test_scan_is_the_textbook_loop_byte_for_byte(model, smoothed, window, started, data,
+def test_scan_is_the_textbook_loop_byte_for_byte(model, smoothed, keep, started, data,
                                                  steps, batch, neurons, leak, plif_raw,
                                                  v_th, width):
-    # Batches of 400 and 700 rows make a window run in blocks of 3 and 2 steps.
+    # Batches of 400 and 700 rows make a window run in blocks of 3 and 2 steps;
+    # a scan that keeps nothing runs in blocks of one step whatever the batch.
     # plif_raw -800 and 40 give plif a leak of exactly 0 and 1.
     values = st.floats(-3.0, 3.0) | SIGNED_ZEROS
     x = data.draw(hnp.arrays(np.float64, (steps, batch, neurons), elements=values))
@@ -86,13 +89,38 @@ def test_scan_is_the_textbook_loop_byte_for_byte(model, smoothed, window, starte
     drive = 0.5 * x * x if model == "aia" and smoothed else x if beta is None else beta * x
     start = {} if state is None else {"u": state.u, "o": state.o}
     u, o = textbook_scan(drive, p.effective_leak(), v_th, width, smoothed, **start)
-    if window:
-        u = np.abs(u - v_th) <= width / 2.0
+    held = {"u": u, "window": np.abs(u - v_th) <= width / 2.0, None: None}[keep]
 
-    got_u, got_o = scan(x, p, beta, state, smoothed=smoothed, window=window)
-    for got, want in ((got_u, u), (got_o, o)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    got_held, got_o = scan(x, p, beta, state, smoothed=smoothed, keep=keep)
+    assert (got_held is None) == (held is None)
+    for got, want in ((got_held, held), (got_o, o)):
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [400, 700])
+@pytest.mark.parametrize("model", MODELS)
+def test_keeping_nothing_gives_the_textbook_spikes(model, batch):
+    # The hard scan that keeps no potential, from a started state, at the
+    # batches that make a window scan run in blocks of 3 and 2 steps.
+    rng = np.random.default_rng(batch)
+    p = NeuronParams(model=model, leak=LEAK, v_th=V_TH, plif_raw=PLIF_RAW,
+                     surrogate_width=WIDTH)
+    beta = rng.uniform(0.5, 1.5, size=N) if model == "cached-aia" else None
+    x = rng.normal(size=(T, batch, N))
+    state = NeuronState(u=rng.normal(size=(batch, N)),
+                        o=(rng.random((batch, N)) < 0.5).astype(float))
+    _, o = textbook_scan(x if beta is None else beta * x, p.effective_leak(), V_TH, WIDTH,
+                         False, u=state.u, o=state.o)
+    held, got = scan(x, p, beta, state, keep=None)
+    assert held is None and 0.0 < np.mean(o) < 1.0
+    assert got.dtype == o.dtype and got.tobytes() == o.tobytes()
+
+
+def test_unknown_keep_is_refused():
+    with pytest.raises(ConfigError, match="'mask'"):
+        scan(np.zeros((T, B, N)), NeuronParams(), keep="mask")
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ from spikekit import neurons, numerics, training
 from spikekit.data import Dataset, gen_poisson_patterns
 from spikekit.errors import ConfigError, DimensionError, StateError, TrainingDiverged
 from spikekit.network import init_network
+from spikekit.neurons import MODELS
 from spikekit.training import (
     Adam,
     RunMetrics,
@@ -333,6 +334,35 @@ class TestEvaluate:
             tracemalloc.stop()
         bound = operands + chunk * timesteps * width // 2
         assert peak < bound, f"peak {peak / 1e6:.3f} MB, bound {bound / 1e6:.3f} MB"
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_scan_holds_rows_of_potential_not_a_window(self, model):
+        # Two chunks of 16 samples, R = 1024 rows. The widest layer's GEMM
+        # (64 -> 64) holds its float32 operand and product, R x (in + out) x 4
+        # bytes, beside the bool spikes it was cast from, R x in. The scans
+        # hold rows of float64, batch x neurons x 8 bytes each: the potential,
+        # its carry factor and a gain model's drive. The float32 weights are
+        # cast once for every chunk. A whole-window float64 potential is
+        # R x 64 x 8 bytes, and a whole-window gain drive as much again.
+        timesteps, widths = 64, [16, 64, 64, 2]
+        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        kw = dict(class_count=2, neurons=widths[0], timesteps=timesteps, rate_lo=0.2,
+                  rate_hi=0.8, seed=9)
+        ds = gen_poisson_patterns(n_per_class=chunk, split="test", **kw)
+        net = init_network(widths, model=model, timesteps=timesteps, seed=10)
+        tracemalloc.start()
+        try:
+            result = evaluate(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 2 * chunk and all(count > 0 for count in result.spike_counts[:-1])
+        rows, itemsize = chunk * timesteps, np.dtype(numerics.HARD_DTYPE).itemsize
+        gemm = max(rows * ((a + b) * itemsize + a) for a, b in zip(widths, widths[1:]))
+        weights = sum(layer.w.size * itemsize for layer in net.layers)
+        potential = 3 * chunk * max(widths) * 8
+        bound = gemm + weights + potential
+        assert peak < bound, f"peak {peak} B, bound {bound} B"
 
     def test_memory_bounded_by_one_chunk(self):
         # Five chunks: a whole-set tape would be five times one chunk's.
