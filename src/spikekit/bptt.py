@@ -1,28 +1,34 @@
 """Backpropagation through time for spiking layers.
 
 The forward pass unrolls the network over the simulation window and records
-a tape of three ``(timesteps, batch, neurons)`` arrays per layer: the
-weighted input ``x``, what the backward reads of the post-update membrane
-potential ``u``, and the emitted spikes ``o`` (``bool`` in hard mode). Hard
-mode's GEMMs read and write :data:`spikekit.numerics.HARD_DTYPE` (float32),
-so its ``x`` is float32; each layer's weights are cast to it once per pass,
-and the potential, dL/du and every gradient stay float64. The hard backward
-reads ``u`` only through the surrogate window ``|u - v_th| <= a/2``, so a
-hard-mode layer keeps that ``bool`` mask instead of ``u``, unless its model
-row is marked ``trained_leak`` (``plif``, whose leak gradient reads ``u``):
-6 bytes per neuron and step rather than 13. Input and hidden spikes stay one
-byte each until a GEMM reads them, and :func:`spikekit.numerics.matmul`
-casts a tall spike operand to the GEMM's dtype ``GEMM_ROWS`` rows at a
-time. The backward pass walks the tape in reverse, propagating the loss gradient through space (layer to layer, within one
-timestep) and through time (the leaky membrane recurrence of each layer),
-and accumulates gradients for every trainable array.
+a tape of three series per layer: the weighted input ``x``, what the
+backward reads of the post-update membrane potential ``u``, and the emitted
+spikes ``o``. Hard mode's GEMMs read and write
+:data:`spikekit.numerics.HARD_DTYPE` (float32), so its ``x`` is float32;
+each layer's weights are cast to it once per pass, and the potential, dL/du
+and every gradient stay float64. The hard backward reads ``u`` only through
+the surrogate window ``|u - v_th| <= a/2``, so a hard-mode layer keeps that
+mask instead of ``u``, unless its model row is marked ``trained_leak``
+(``plif``, whose leak gradient reads ``u``). The spikes and the window are
+binary, and the tape keeps them at one bit per neuron and step,
+``np.packbits`` along the neuron axis: ``4 * N + 2 * ceil(N / 8)`` bytes per
+step and sample for a layer of ``N`` neurons (``plif``: ``12 * N +
+ceil(N / 8)``), against ``6 * N`` at a byte per bit. Spikes stay ``bool``
+until the GEMM of the layer above has read them, and
+:func:`spikekit.numerics.matmul` casts a tall spike operand to the GEMM's
+dtype ``GEMM_ROWS`` rows at a time. The backward pass walks the
+tape in reverse, propagating the loss gradient through space (layer to
+layer, within one timestep) and through time (the leaky membrane recurrence
+of each layer), and accumulates gradients for every trainable array. It
+unpacks one block of rows at a time, ``N`` bits per row, so the padding bits
+of a row never reach a GEMM.
 
 The engine is layer-major. There are no recurrent weights, so a layer's
 drive for every timestep comes from one GEMM over the spikes of the layer
 below, and one :func:`spikekit.neurons.scan` call then runs the elementwise
 membrane recurrence over the window, giving the layer's ``o`` and ``u`` or,
-for a layer that keeps only the window mask, that mask: such a scan holds
-``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps at a time. So,
+for a layer that keeps only the window mask, that mask, packed: such a scan
+holds ``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps at a time. So,
 beyond the tape it keeps, the forward's working memory scales with
 ``GEMM_ROWS``, not with timesteps x batch. :func:`forward_rates`, which
 keeps no tape, asks the scan for the spikes alone, so each of its scans
@@ -80,29 +86,38 @@ GEMM_ROWS = numerics.GEMM_ROWS
 class BpttTape:
     """Forward record consumed by the backward pass.
 
-    ``x[n]``, ``membrane[n]`` and ``o[n]`` are arrays of shape
-    ``(timesteps, batch, neurons of layer n)``, so ``x[n][t]`` is layer
-    ``n``'s weighted input at step ``t``. ``x`` is the product of the
-    forward's GEMMs: :data:`spikekit.numerics.HARD_DTYPE` (float32) in hard
-    mode, float64 in smoothed mode; the backward's GEMMs run in its dtype.
-    ``o`` is ``bool`` in hard mode and float64 (spike probabilities) in
-    smoothed mode. ``membrane[n]`` is the float64 potential ``u`` in
-    smoothed mode and for a ``trained_leak`` model, and otherwise the
-    ``bool`` surrogate window of ``u``
-    (:func:`spikekit.neurons.surrogate_window`).
-    ``inputs`` keeps the dtype it was given, such as a ``uint8`` batch.
+    ``x[n]`` is layer ``n``'s weighted input, of shape ``(timesteps, batch,
+    neurons of layer n)``, so ``x[n][t]`` is its drive at step ``t``: the
+    product of the forward's GEMMs, :data:`spikekit.numerics.HARD_DTYPE`
+    (float32) in hard mode and float64 in smoothed mode; the backward's
+    GEMMs run in its dtype. ``inputs`` keeps the dtype it was given, such as
+    a ``uint8`` batch.
 
-    ``u[n]`` is layer ``n``'s float64 potential either way: the held array,
-    or one re-run of :func:`spikekit.neurons.scan` over ``x[n]`` with the
-    layer's neuron parameters and ``beta`` as they were at forward time
-    (``neurons``, kept by hard-mode tapes only). Each access derives only
-    layer ``n`` and nothing is cached.
+    ``held_o[n]`` and ``held_membrane[n]`` are what the tape keeps of the
+    spikes and of the potential. Smoothed mode keeps both as float64 arrays
+    of ``x[n]``'s shape: spike probabilities and the potential ``u``. Hard
+    mode keeps bits, ``np.packbits`` along the neuron axis, ``(timesteps,
+    batch, ceil(neurons / 8))`` ``uint8``: the spikes, and the surrogate
+    window of ``u`` (:func:`spikekit.neurons.surrogate_window`), unless the
+    layer's model is ``trained_leak``, whose hard ``held_membrane`` is the
+    float64 ``u``. So a hard layer holds ``4 * neurons + 2 * ceil(neurons /
+    8)`` bytes per step and sample, and a ``plif`` layer ``12 * neurons +
+    ceil(neurons / 8)``.
+
+    Readers see ``o[n]``, ``membrane[n]`` and ``u[n]`` with ``x[n]``'s shape:
+    ``o`` is ``bool`` in hard mode and float64 in smoothed mode,
+    ``membrane`` is ``bool`` where the window is held and float64 ``u``
+    elsewhere, and ``u`` is float64 either way: the held potential, or one
+    re-run of :func:`spikekit.neurons.scan` over ``x[n]`` with the layer's
+    neuron parameters and ``beta`` as they were at forward time
+    (``neurons``, kept by hard-mode tapes only). Each access unpacks or
+    derives layer ``n`` alone, and nothing is cached.
     """
 
     inputs: np.ndarray
     x: list[np.ndarray]
-    membrane: list[np.ndarray]
-    o: list[np.ndarray]
+    held_membrane: list[np.ndarray]
+    held_o: list[np.ndarray]
     readout: np.ndarray
     smoothed: bool = False
     neurons: list[tuple[NeuronParams, np.ndarray | None]] | None = None
@@ -116,22 +131,32 @@ class BpttTape:
         return self.inputs.shape[0]
 
     @property
-    def u(self) -> "_Potentials":
-        return _Potentials(self)
+    def o(self) -> "_Layers":
+        return _Layers(self, "o")
+
+    @property
+    def membrane(self) -> "_Layers":
+        return _Layers(self, "membrane")
+
+    @property
+    def u(self) -> "_Layers":
+        return _Layers(self, "u")
 
     def validate(self, net: Network) -> None:
         n_layers = len(net.layers)
-        if any(len(series) != n_layers for series in (self.x, self.membrane, self.o)):
-            raise StateError(f"tape holds {len(self.x)} layers, network has {n_layers}")
-        spikes = np.float64 if self.smoothed else np.bool_
+        lengths = [len(series) for series in (self.x, self.held_membrane, self.held_o)]
+        if lengths != [n_layers] * 3:
+            raise StateError(f"tape holds x, held_membrane and held_o of {lengths} layers, "
+                             f"network has {n_layers}")
         drive = np.float64 if self.smoothed else numerics.HARD_DTYPE
         for n, layer in enumerate(net.layers):
-            expected = (self.timesteps, self.batch_size, layer.out_width)
+            dense = (self.timesteps, self.batch_size, layer.out_width)
+            floats, bits = (np.float64, dense), (np.uint8, (*dense[:2], -(-dense[2] // 8)))
             holds_u = self.smoothed or MODEL_TABLE[layer.neuron.model].trained_leak
-            for name, series, dtype in (("x", self.x[n], drive),
-                                        ("membrane", self.membrane[n],
-                                         np.float64 if holds_u else np.bool_),
-                                        ("o", self.o[n], spikes)):
+            for name, series, (dtype, expected) in (
+                    ("x", self.x[n], (drive, dense)),
+                    ("held_membrane", self.held_membrane[n], floats if holds_u else bits),
+                    ("held_o", self.held_o[n], floats if self.smoothed else bits)):
                 if not isinstance(series, np.ndarray) or series.dtype != dtype:
                     raise StateError(f"tape {name}[{n}] must be a {np.dtype(dtype)} array")
                 if series.shape != expected:
@@ -140,21 +165,32 @@ class BpttTape:
                     )
 
 
-class _Potentials(Sequence):
-    """``BpttTape.u``: each layer's float64 potential, held or re-derived on access."""
+def _unpacked(held: np.ndarray, width: int) -> np.ndarray:
+    """Rows of a held series as readers see them: packed bits as ``bool``, floats as they are."""
+    if held.dtype != np.uint8:
+        return held
+    return np.unpackbits(held, axis=-1, count=width).view(np.bool_)
 
-    def __init__(self, tape: BpttTape):
-        self._tape = tape
+
+class _Layers(Sequence):
+    """``BpttTape.o``, ``.membrane`` or ``.u``: one layer unpacked or re-derived per access."""
+
+    def __init__(self, tape: BpttTape, name: str):
+        self._tape, self._name = tape, name
 
     def __len__(self) -> int:
-        return len(self._tape.membrane)
+        return len(self._tape.x)
 
     def __getitem__(self, n: int) -> np.ndarray:
-        held = self._tape.membrane[n]
-        if held.dtype != np.bool_:
-            return held
-        p, beta = self._tape.neurons[n]
-        return scan(self._tape.x[n], p, beta)[0]
+        tape = self._tape
+        width = tape.x[n].shape[-1]
+        if self._name == "o":
+            return _unpacked(tape.held_o[n], width)
+        held = tape.held_membrane[n]
+        if self._name == "membrane" or held.dtype == np.float64:
+            return _unpacked(held, width)
+        p, beta = tape.neurons[n]
+        return scan(tape.x[n], p, beta)[0]
 
 
 @dataclass
@@ -215,9 +251,11 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     that dtype; smoothed mode stays float64.
     All membrane potentials start at 0 with no prior spike. The readout is
     the output layer's per-class firing rate, averaged over the window.
-    In hard mode a layer's scan writes its surrogate-window mask straight
-    into the tape, block by block, and never holds the whole ``u``, unless
-    its model's hard backward reads ``u`` itself.
+    In hard mode a layer's scan packs its surrogate-window mask into the
+    tape block by block, and never holds the whole ``u``, unless its model's
+    hard backward reads ``u`` itself; a layer's ``bool`` spikes are packed
+    once the layer above has read them in its GEMM (the output layer's once
+    the readout is summed).
     """
     inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
@@ -233,24 +271,31 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         )
     numerics.require_finite(inputs, "inputs")
 
-    tape = BpttTape(inputs=inputs, x=[], membrane=[], o=[], readout=None, smoothed=smoothed,
-                    neurons=None if smoothed else [])
+    tape = BpttTape(inputs=inputs, x=[], held_membrane=[], held_o=[], readout=None,
+                    smoothed=smoothed, neurons=None if smoothed else [])
+
+    def hold(o):  # a layer's spikes as the tape keeps them
+        tape.held_o.append(o if smoothed else np.packbits(o, axis=-1))
+
     pre = _time_major(inputs, 0, timesteps)
     for n, layer in enumerate(net.layers):
         w = layer.w if smoothed else _hard_weights(layer, n)
         x = numerics.matmul(pre, w.T).reshape(timesteps, batch, layer.out_width)
         del pre  # layer 0's time-major input copy is not kept past its GEMM
+        if n:
+            hold(o)  # the spikes below, read by this layer's GEMM
+            del o
         p = layer.params()
         keep = "u" if smoothed or MODEL_TABLE[p.model].trained_leak else "window"
         membrane, o = scan(x, p, layer.beta, smoothed=smoothed, keep=keep)
         if not smoothed:
             tape.neurons.append((p, None if layer.beta is None else layer.beta.copy()))
         tape.x.append(x)
-        tape.membrane.append(membrane)
-        tape.o.append(o)
+        tape.held_membrane.append(membrane)
         pre = o.reshape(-1, layer.out_width)
 
-    tape.readout = np.sum(tape.o[-1], axis=0) / float(timesteps)
+    tape.readout = np.sum(o, axis=0) / float(timesteps)
+    hold(o)
     return tape, tape.readout
 
 
@@ -286,7 +331,8 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
     ``do`` is dL/do for the block (or one (batch, neurons) slice broadcast
     over it) and ``carry`` is dL/du at the step after the block, or None at
     the end of the window. ``u`` is the block of the tape's ``membrane``:
-    the potential, or in hard mode possibly its surrogate-window mask.
+    the potential, or in hard mode possibly its unpacked surrogate-window
+    mask.
     """
     leak = p.effective_leak()
     if smoothed:
@@ -315,8 +361,10 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     """Gradients through the forward that recorded ``tape``, in that tape's mode.
 
     Each layer follows its model's table row. The GEMMs run in the dtype of
-    the tape's ``x``, each layer's weights cast to it once; their products
-    are added into float64 gradients, and dL/du is float64.
+    the tape's ``x``, each layer's weights cast to it once, and a site
+    factor's product with dL/du is written straight in that dtype; the
+    GEMMs' products are added into float64 gradients, and dL/du is float64.
+    A block's packed spikes and window are unpacked for that block alone.
     """
     tape.validate(net)
     upstream = numerics.as_dense(upstream)
@@ -347,8 +395,10 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
         do = upstream / float(timesteps)  # dL/do of the layer being processed
         for n in reversed(range(n_layers)):
             layer, p = net.layers[n], params[n]
+            width = layer.out_width
             x = tape.x[n][steps]
-            du = _block_du(do, tape.membrane[n][steps], tape.o[n][steps], p, tape.smoothed,
+            du = _block_du(do, _unpacked(tape.held_membrane[n][steps], width),
+                           _unpacked(tape.held_o[n][steps], width), p, tape.smoothed,
                            du_carry[n])
             du_carry[n] = du[0].copy()
             do = None  # consumed: freed before this layer's GEMMs make their own arrays
@@ -356,16 +406,25 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
             if leak_acc[n] is not None:
                 first = max(start, 1)
                 prev = slice(first - 1, stop - 1)
-                carried = tape.membrane[n][prev] * (1.0 - tape.o[n][prev])
-                leak_acc[n] += float(np.sum(du[first - start:] * carried))
+                o_prev = _unpacked(tape.held_o[n][prev], width)
+                # One float64 block: u * (1 - o), formed with the gate as a bool.
+                carried = np.multiply(tape.held_membrane[n][prev],
+                                      1.0 - o_prev if tape.smoothed else ~o_prev)
+                carried *= du[first - start:]
+                leak_acc[n] += float(np.sum(carried))
+                carried = None
 
             model = MODEL_TABLE[p.model]
-            site = du if model.site is None else du * model.site(x, layer.beta)
-            site = site.astype(gemm, copy=False)
+            if model.site is None:
+                site = du.astype(gemm, copy=False)
+            else:  # formed straight in the GEMM's dtype, with no float64 block of its own
+                site = np.multiply(du, model.site(x, layer.beta), out=np.empty(du.shape, gemm),
+                                   casting="same_kind")
             if n == 0:
                 o_pre = _time_major(tape.inputs, start, stop)
             else:
-                o_pre = tape.o[n - 1][steps].reshape(-1, layer.in_width)
+                o_pre = _unpacked(tape.held_o[n - 1][steps], layer.in_width).reshape(
+                    -1, layer.in_width)
             d_w[n] += numerics.matmul(site.reshape(-1, layer.out_width).T, o_pre)
 
             if d_beta[n] is not None:
@@ -434,7 +493,7 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
     analytic_by_name = dict(backward(tape, upstream, work).items())
-    spikes, tape = tape.o[:-1], None  # all the suffixes read of the tape
+    spikes, tape = list(tape.o)[:-1], None  # all the suffixes read of the tape
     labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above
     timesteps, batch = net.timesteps, len(inputs)
 

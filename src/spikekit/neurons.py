@@ -8,10 +8,11 @@ input ``x``
 
 The `(1 - o)` factor implements the hard reset: a neuron that fired on the
 previous step carries no potential forward. Hard-mode spikes are ``bool``
-arrays, one byte per neuron and step. :func:`scan` is the one place this
-update is written: it runs a neuron's whole ``(T, ...)`` window in one call,
-checking its input once, and its smoothed mode swaps the threshold for a
-logistic ramp (see :mod:`spikekit.bptt`). :func:`step` is its one-step case.
+arrays, one byte per neuron and step (a BPTT tape packs them to one bit).
+:func:`scan` is the one place this update is written: it runs a neuron's
+whole ``(T, ...)`` window in one call, checking its input once, and its
+smoothed mode swaps the threshold for a logistic ramp (see
+:mod:`spikekit.bptt`). :func:`step` is its one-step case.
 
 :data:`MODEL_TABLE` holds one :class:`Model` row per tag, and the rows are
 all that tells the models apart:
@@ -184,9 +185,13 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
 
     * ``"u"``: ``held`` is the float64 ``u``, ``u[t]`` the potential after
       step ``t``; one block holds the whole window.
-    * ``"window"``: ``held`` is ``u``'s ``bool`` :func:`surrogate_window`. A
-      block is ``ceil(GEMM_ROWS / batch)`` steps, and each block's mask goes
-      straight into ``held``.
+    * ``"window"``: ``held`` is ``u``'s :func:`surrogate_window`, bit-packed
+      along the neuron axis by ``np.packbits``: ``uint8``, ``ceil(neurons /
+      8)`` bytes per row, one bit per neuron and step;
+      ``np.unpackbits(held, axis=-1, count=neurons)`` gives the ``bool``
+      mask. A block is ``ceil(GEMM_ROWS / batch)`` steps, and each block's
+      mask is packed into ``held`` as it forms, so no whole-window ``bool``
+      mask exists.
     * None: ``held`` is None. A block is one step, so the scan holds one
       ``(batch..., neurons)`` row of potential, updated in place, and a gain
       model's drive is formed one row at a time.
@@ -225,7 +230,10 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     u_prev = u_prev if smoothed else leak * u_prev  # the start state, in the textbook grouping
     carry = np.subtract(1.0, o_prev, out=np.empty(x.shape[1:]))
     u = np.empty(x[:block].shape)
-    held = u if keep == "u" else None if keep is None else np.empty(x.shape, dtype=bool)
+    held = u if keep == "u" else None
+    if keep == "window":
+        held = np.empty((*x.shape[:-1], -(-x.shape[-1] // 8)), dtype=np.uint8)
+        mask = np.empty(u.shape, dtype=bool)
     for start in range(0, len(x), block):
         stop = min(start + block, len(x))
         for k, d in enumerate(drive(x[start:stop], beta)):
@@ -241,7 +249,8 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
                 carry *= leak
         if keep == "window":
             u_prev = u_prev.copy()  # the buffer becomes the mask's scratch
-            surrogate_window(u[:stop - start], p, out=held[start:stop])
+            window = surrogate_window(u[:stop - start], p, out=mask[:stop - start])
+            held[start:stop] = np.packbits(window, axis=-1)
     return held, o
 
 

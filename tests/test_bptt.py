@@ -48,8 +48,9 @@ class TestForwardRecord:
                     assert series.dtype == dtype
                     assert len(series) == 5
                     assert all(entry.shape == (2, width) for entry in series)
-                if not smoothed:
-                    assert tape.o[n].nbytes == 5 * 2 * width  # one byte per spike
+                if not smoothed:  # one bit per spike, a row padded to whole bytes
+                    assert tape.held_o[n].dtype == np.uint8
+                    assert tape.held_o[n].shape == (5, 2, -(-width // 8))
 
     def test_uint8_batch_matches_float64_batch(self):
         # A uint8 dataset gives a uint8 time-major batch, and the forward it
@@ -66,8 +67,9 @@ class TestForwardRecord:
         tape64, readout64 = forward_record(net, data[index].astype(np.float64))
         assert tape8.inputs.dtype == np.uint8
         assert readout8.tobytes() == readout64.tobytes()
-        for a, b in zip(tape8.x + tape8.membrane + tape8.o, tape64.x + tape64.membrane + tape64.o):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip(tape8.x + tape8.held_membrane + tape8.held_o,
+                        tape64.x + tape64.held_membrane + tape64.held_o, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         g8 = backward(tape8, np.ones((3, 3)), net)
         g64 = backward(tape64, np.ones((3, 3)), net)
         for (_, a), (_, b) in zip(g8.items(), g64.items()):
@@ -129,18 +131,23 @@ def _net_off_init(model, rng, seed, widths=(5, 6, 3), timesteps=7):
 class TestTapeLayout:
     @pytest.mark.parametrize("model", MODELS)
     def test_held_bytes_per_neuron_step(self, model):
-        # Hard mode holds float32 x, bool o and, unless the backward reads u
-        # itself, u's bool surrogate window, else float64 u; smoothed mode
-        # holds three float64s.
+        # Per step and sample, a hard layer of N neurons holds float32 x (4 N
+        # bytes), its spikes packed to ceil(N / 8) bytes and, unless the
+        # backward reads u itself, u's surrogate window packed as much again,
+        # else float64 u (8 N); smoothed mode holds three float64s.
         rng = np.random.default_rng(50)
-        net = _net_off_init(model, rng, seed=51)
+        widths = (5, 6, 3, 9, 8, 1)
+        net = _net_off_init(model, rng, seed=51, widths=widths)
         inputs = _binary_inputs(rng, 4, 5, 7)
-        for smoothed, per_cell in ((False, 13 if model == "plif" else 6), (True, 24)):
+        for smoothed in (False, True):
             tape, _ = forward_record(net, inputs, smoothed=smoothed)
             assert (tape.neurons is None) == smoothed
-            for n, width in enumerate([6, 3]):
-                held = sum(series[n].nbytes for series in (tape.x, tape.membrane, tape.o))
-                assert held == per_cell * 7 * 4 * width
+            for n, width in enumerate(widths[1:]):
+                bits = -(-width // 8)
+                per_row = (24 * width if smoothed
+                           else 4 * width + bits + (8 * width if model == "plif" else bits))
+                held = sum(series[n].nbytes for series in (tape.x, tape.held_membrane, tape.held_o))
+                assert held == per_row * 7 * 4
 
     @pytest.mark.parametrize("model", MODELS)
     def test_potentials_are_the_scanned_ones(self, model):
@@ -180,10 +187,14 @@ class TestTapeLayout:
                 assert tape.membrane[n].tobytes() == window.tobytes()
 
     def test_float32_drive_shrinks_a_wide_tape(self, monkeypatch):
-        # At a wide shape, float32 GEMMs keep 6 bytes per neuron-step of tape
-        # instead of 10, and the forward's traced peak falls by the 4 bytes of
-        # x saved, less the float32 copy of one layer's weights that its GEMM
-        # reads.
+        # At a wide shape, float32 GEMMs keep 4 bytes of x per neuron-step
+        # instead of 8, beside two bits of packed spikes and window. What the
+        # tape keeps alive after the forward is its held arrays and no dense
+        # copy: within 64 KB of their bytes. The forward's traced peak comes
+        # in the last hidden layer's scan, which holds the unpacked spikes
+        # below it, before the output layer's x exists; it falls by the 4
+        # bytes of the hidden layers' x saved, less the float32 copy of one
+        # layer's weights that its GEMM reads.
         rng = np.random.default_rng(56)
         widths, batch, timesteps = (100, 256, 256, 10), 32, 100
         net = init_network(list(widths), model="lif", timesteps=timesteps, seed=57, v_th=0.5)
@@ -195,17 +206,44 @@ class TestTapeLayout:
             tracemalloc.start()
             try:
                 tape, _ = forward_record(net, inputs)
-                peak[dtype] = tracemalloc.get_traced_memory()[1]
+                retained, peak[dtype] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            held[dtype] = sum(a.nbytes for series in (tape.x, tape.membrane, tape.o)
+            held[dtype] = sum(a.nbytes for series in (tape.x, tape.held_membrane, tape.held_o)
                               for a in series)
+            assert held[dtype] <= retained < held[dtype] + 64 * 1024
             assert 0.0 < np.mean(tape.o[-1]) < 1.0
             del tape
         cells = timesteps * batch * sum(widths[1:])
-        assert held[np.float64] == 10 * cells and held[np.float32] == 6 * cells
+        bits = 2 * timesteps * batch * sum(-(-width // 8) for width in widths[1:])
+        assert held[np.float64] == 8 * cells + bits and held[np.float32] == 4 * cells + bits
         weights = max(layer.w.size for layer in net.layers) * 4
-        assert peak[np.float64] - peak[np.float32] >= 4 * cells - weights
+        hidden = timesteps * batch * sum(widths[1:-1])
+        assert peak[np.float64] - peak[np.float32] >= 4 * hidden - weights
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_packed_rows_read_as_the_scanned_ones(self, model):
+        # Widths of 1 and 7 to 10 neurons put a packed row at and around a
+        # byte's edge, and batch 48 over 50 steps spans three scan blocks of
+        # 22, 22 and 6 steps. Readers see the scan's spikes and surrogate
+        # window byte for byte, and no padding bit is set.
+        widths, batch, timesteps = (6, 9, 1, 7, 8, 10), 48, 50
+        assert timesteps > 2 * -(-bptt.GEMM_ROWS // batch)
+        rng = np.random.default_rng(65)
+        net = _net_off_init(model, rng, seed=66, widths=widths, timesteps=timesteps)
+        tape, _ = forward_record(net, _binary_inputs(rng, batch, widths[0], timesteps))
+        for n, layer in enumerate(net.layers):
+            p = layer.params()
+            u, o = scan(tape.x[n], p, layer.beta)
+            window = surrogate_window(u, p)
+            assert 0.0 < np.mean(o) < 1.0 and 0.0 < np.mean(window) < 1.0
+            held = u if MODEL_TABLE[p.model].trained_leak else window
+            for got, want in ((tape.o[n], o), (tape.membrane[n], held), (tape.u[n], u)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for bits in (tape.held_o[n], tape.held_membrane[n]):
+                if bits.dtype == np.uint8:
+                    assert not np.any(np.unpackbits(bits, axis=-1)[..., layer.out_width:])
 
     def test_window_gives_the_surrogate_derivative_bitwise(self):
         rng = np.random.default_rng(54)
@@ -223,7 +261,8 @@ class TestTapeLayout:
 def _reference_tape(net, inputs, smoothed):
     """The tape from one float64 ``np.matmul`` per layer and a whole-window scan."""
     batch, width, timesteps = inputs.shape
-    tape = BpttTape(inputs=inputs, x=[], membrane=[], o=[], readout=None, smoothed=smoothed)
+    tape = BpttTape(inputs=inputs, x=[], held_membrane=[], held_o=[], readout=None,
+                    smoothed=smoothed)
     pre = inputs.transpose(2, 0, 1).reshape(-1, width).astype(np.float64)
     for layer in net.layers:
         x = np.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
@@ -231,10 +270,10 @@ def _reference_tape(net, inputs, smoothed):
         u, o = scan(x, p, layer.beta, smoothed=smoothed)
         holds_u = smoothed or MODEL_TABLE[p.model].trained_leak
         tape.x.append(x)
-        tape.membrane.append(u if holds_u else surrogate_window(u, p))
-        tape.o.append(o)
+        tape.held_membrane.append(u if holds_u else np.packbits(surrogate_window(u, p), axis=-1))
+        tape.held_o.append(o if smoothed else np.packbits(o, axis=-1))
         pre = o.reshape(-1, layer.out_width).astype(np.float64)
-    tape.readout = np.sum(tape.o[-1], axis=0) / float(timesteps)
+    tape.readout = np.sum(o, axis=0) / float(timesteps)
     return tape
 
 
@@ -261,7 +300,8 @@ class TestBlockedForward:
         for n in range(len(net.layers)):
             assert 0.0 < np.mean(ref.o[n]) < 1.0
             for got, want in ((tape.x[n], ref.x[n]), (tape.membrane[n], ref.membrane[n]),
-                              (tape.o[n], ref.o[n])):
+                              (tape.o[n], ref.o[n]), (tape.held_membrane[n], ref.held_membrane[n]),
+                              (tape.held_o[n], ref.held_o[n])):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
         assert readout.tobytes() == ref.readout.tobytes()
@@ -294,7 +334,7 @@ class TestBlockedForward:
             membrane, o = scan(tape.x[n], p, layer.beta,
                                keep="u" if MODEL_TABLE[p.model].trained_leak else "window")
             assert 0.0 < np.mean(o) < 1.0
-            assert membrane.tobytes() == tape.membrane[n].tobytes()
+            assert membrane.tobytes() == tape.held_membrane[n].tobytes()
             assert o.tobytes() == tape.o[n].tobytes()
             pre = o.reshape(-1, layer.out_width).astype(np.float64)
         assert readout.tobytes() == (np.sum(tape.o[-1], axis=0) / self.TIMESTEPS).tobytes()
@@ -311,7 +351,8 @@ class TestBlockedForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for series in (tape.x, tape.membrane, tape.o) for a in series)
+        held = sum(a.nbytes for series in (tape.x, tape.held_membrane, tape.held_o)
+                   for a in series)
         block = 2 * bptt.GEMM_ROWS * max(self.WIDTHS) * 8
         assert peak < held + data.nbytes + block
 
@@ -321,14 +362,13 @@ class TestBlockedBackward:
 
     WIDTHS, BATCH, TIMESTEPS = (32, 64, 64, 64, 4), 64, 48
 
-    # plif is left out: its leak gradient forms float64 blocks of its own.
-    @pytest.mark.parametrize("model", [m for m in MODELS if not MODEL_TABLE[m].trained_leak])
+    @pytest.mark.parametrize("model", MODELS)
     def test_scratch_is_one_layers_block(self, model):
         # Three blocks of 16 steps, R = 1024 rows, four layers. At its widest
         # layer (W = 64) a block needs 20 bytes per row and neuron: the float32
         # dL/do from above and the float64 dL/du and through-time factor made
-        # from it (what the site factor, the casts and the GEMMs add later is
-        # at most that). Beyond it the backward holds its float64 d_w, the
+        # from it (what the site factor, plif's leak gradient, the casts and
+        # the GEMMs add later is at most that). Beyond it the backward holds its float64 d_w, the
         # float32 weights of the spatial GEMMs and one float64 dL/du row per
         # layer carried to the next block, plus one temporary row. The bound
         # allows one more float64 block; keeping each upper layer's whole
@@ -696,23 +736,40 @@ class TestBackwardValidation:
         other = init_network([4, 5, 3], model="lif", timesteps=2, seed=42)
         with pytest.raises(StateError):
             backward(tape, np.zeros((2, 3)), other)
+        for name in ("x", "held_membrane", "held_o"):  # one series a layer short
+            net, tape = self._tape_and_upstream()
+            getattr(tape, name).pop()
+            with pytest.raises(StateError, match=r"network has 1"):
+                backward(tape, np.zeros((2, 3)), net)
 
     def test_wrong_width_tape_entry_rejected(self):
-        net, tape = self._tape_and_upstream()
-        tape.membrane[0] = np.zeros((2, 2, 4), dtype=bool)  # (T, B, N) with one neuron too many
-        with pytest.raises(StateError, match=r"membrane\[0\]"):
-            backward(tape, np.zeros((2, 3)), net)
+        # Layer 0 has 3 neurons, so its bits take one byte per row; two bytes,
+        # or the unpacked width, is the wrong shape.
+        for name, wrong in (("held_membrane", np.zeros((2, 2, 2), dtype=np.uint8)),
+                            ("held_o", np.zeros((2, 2, 3), dtype=np.uint8)),
+                            ("x", np.zeros((2, 2, 4), dtype=numerics.HARD_DTYPE))):
+            net, tape = self._tape_and_upstream()
+            getattr(tape, name)[0] = wrong
+            with pytest.raises(StateError, match=rf"tape {name}\[0\] has shape"):
+                backward(tape, np.zeros((2, 3)), net)
 
     def test_potential_where_a_window_belongs_rejected(self):
+        # A lif layer holds its window as packed bits: neither its float64
+        # potential nor the unpacked bool mask will do.
+        for dense in ("u", "membrane"):
+            net, tape = self._tape_and_upstream()
+            tape.held_membrane[0] = getattr(tape, dense)[0]
+            with pytest.raises(StateError, match=r"held_membrane\[0\] must be a uint8 array"):
+                backward(tape, np.zeros((2, 3)), net)
         net, tape = self._tape_and_upstream()
-        tape.membrane[0] = tape.u[0]  # the float64 potential of a lif layer
-        with pytest.raises(StateError, match=r"membrane\[0\] must be a bool array"):
+        tape.held_o[0] = tape.o[0]  # spikes unpacked to one byte each
+        with pytest.raises(StateError, match=r"held_o\[0\] must be a uint8 array"):
             backward(tape, np.zeros((2, 3)), net)
 
     def test_per_timestep_list_tape_rejected(self):
         net, tape = self._tape_and_upstream()
-        tape.o[0] = list(tape.o[0])
-        with pytest.raises(StateError, match=r"o\[0\]"):
+        tape.held_o[0] = list(tape.held_o[0])
+        with pytest.raises(StateError, match=r"held_o\[0\]"):
             backward(tape, np.zeros((2, 3)), net)
 
     def test_smoothed_tape_gets_the_smoothed_gradient(self):

@@ -202,6 +202,13 @@ MIXED = [pytest.param([5, 6, 4, 3], list(tags), 4, 11, 3, id=f"tags{i}") for i, 
 # B * T spans more than one backward block, with a shorter last block.
 BLOCKED = [pytest.param([5, 4, 3], model, 20, 11, 64, id=model)
            for model in ["aia", "plif", "cached-aia"]]
+# Layer widths of 1 and 7 to 10 neurons put the tape's packed rows at and
+# around a byte's edge, over two backward blocks of 11 and 1 steps.
+PACKED = [pytest.param(*case, id=f"widths{i}") for i, case in enumerate([
+    ([6, 9, 1, 7], "lif", 12, 5, 96),
+    ([7, 10, 8, 9], "aia", 12, 5, 96),
+    ([5, 10, 1, 8], ["cached-aia", "plif", "if"], 12, 3, 96),
+])]
 CASE = "widths, model, timesteps, seed, batch"
 
 
@@ -230,9 +237,17 @@ def test_several_backward_blocks_match_naive_reference(widths, model, timesteps,
     _check_case(widths, model, timesteps, seed, batch)
 
 
+@pytest.mark.usefixtures("float64_gemms")
+@pytest.mark.parametrize(CASE, PACKED)
+def test_packed_widths_match_naive_reference(widths, model, timesteps, seed, batch):
+    block_steps = -(-bptt.GEMM_ROWS // batch)
+    assert block_steps < timesteps and timesteps % block_steps != 0
+    _check_case(widths, model, timesteps, seed, batch)
+
+
 @pytest.mark.parametrize(CASE, [pytest.param(*case.values, id=f"{kind}-{case.id}")
                                 for kind, cases in (("single", SINGLE), ("mixed", MIXED),
-                                                    ("blocked", BLOCKED))
+                                                    ("blocked", BLOCKED), ("packed", PACKED))
                                 for case in cases])
 def test_float32_backward_matches_naive_reference(widths, model, timesteps, seed, batch):
     # The same cases, with the engine's default float32 GEMMs.

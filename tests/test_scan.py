@@ -63,7 +63,7 @@ KEEPS = ["u", "window", None]
 @given(model=st.sampled_from(MODELS), smoothed=st.booleans(), keep=st.sampled_from(KEEPS),
        started=st.booleans(), data=st.data(),
        steps=st.integers(1, 6), batch=st.sampled_from([1, 2, 3, 400, 700]),
-       neurons=st.integers(1, 3),
+       neurons=st.sampled_from([1, 2, 3, 7, 8, 9, 10]),
        leak=SIGNED_ZEROS.map(abs) | st.just(1.0) | st.floats(0.0, 1.0),
        plif_raw=st.sampled_from([-800.0, 40.0]) | st.floats(-5.0, 5.0),
        v_th=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0))
@@ -89,7 +89,8 @@ def test_scan_is_the_textbook_loop_byte_for_byte(model, smoothed, keep, started,
     drive = 0.5 * x * x if model == "aia" and smoothed else x if beta is None else beta * x
     start = {} if state is None else {"u": state.u, "o": state.o}
     u, o = textbook_scan(drive, p.effective_leak(), v_th, width, smoothed, **start)
-    held = {"u": u, "window": np.abs(u - v_th) <= width / 2.0, None: None}[keep]
+    window = np.packbits(np.abs(u - v_th) <= width / 2.0, axis=-1)  # one bit per neuron
+    held = {"u": u, "window": window, None: None}[keep]
 
     got_held, got_o = scan(x, p, beta, state, smoothed=smoothed, keep=keep)
     assert (got_held is None) == (held is None)
