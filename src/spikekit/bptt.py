@@ -392,14 +392,16 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     for stop in range(timesteps, 0, -block_steps):
         start = max(stop - block_steps, 0)
         steps = slice(start, stop)
-        do = upstream / float(timesteps)  # dL/do of the layer being processed
+        # dL/do and the spikes of the layer being processed; a layer's block of
+        # spikes is unpacked once, as the operand of the d_w GEMM above it.
+        do = upstream / float(timesteps)
+        o = _unpacked(tape.held_o[-1][steps], net.layers[-1].out_width)
         for n in reversed(range(n_layers)):
             layer, p = net.layers[n], params[n]
             width = layer.out_width
             x = tape.x[n][steps]
-            du = _block_du(do, _unpacked(tape.held_membrane[n][steps], width),
-                           _unpacked(tape.held_o[n][steps], width), p, tape.smoothed,
-                           du_carry[n])
+            du = _block_du(do, _unpacked(tape.held_membrane[n][steps], width), o, p,
+                           tape.smoothed, du_carry[n])
             du_carry[n] = du[0].copy()
             do = None  # consumed: freed before this layer's GEMMs make their own arrays
 
@@ -423,8 +425,8 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
             if n == 0:
                 o_pre = _time_major(tape.inputs, start, stop)
             else:
-                o_pre = _unpacked(tape.held_o[n - 1][steps], layer.in_width).reshape(
-                    -1, layer.in_width)
+                o = _unpacked(tape.held_o[n - 1][steps], layer.in_width)
+                o_pre = o.reshape(-1, layer.in_width)
             d_w[n] += numerics.matmul(site.reshape(-1, layer.out_width).T, o_pre)
 
             if d_beta[n] is not None:
