@@ -403,7 +403,7 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
             du = _block_du(do, _unpacked(tape.held_membrane[n][steps], width), o, p,
                            tape.smoothed, du_carry[n])
             du_carry[n] = du[0].copy()
-            do = None  # consumed: freed before this layer's GEMMs make their own arrays
+            do = o = None  # consumed: freed before this layer's GEMMs make their own arrays
 
             if leak_acc[n] is not None:
                 first = max(start, 1)
