@@ -13,15 +13,15 @@ mask instead of ``u``, unless its model row is marked ``trained_leak``
 binary, and the tape keeps them at one bit per neuron and step,
 ``np.packbits`` along the neuron axis: ``4 * N + 2 * ceil(N / 8)`` bytes per
 step and sample for a layer of ``N`` neurons (``plif``: ``12 * N +
-ceil(N / 8)``), against ``6 * N`` at a byte per bit. Spikes stay ``bool``
-until the GEMM of the layer above has read them, and
+ceil(N / 8)``), against ``6 * N`` at one byte per spike and window entry.
+Spikes stay ``bool`` until the GEMM of the layer above has read them, and
 :func:`spikekit.numerics.matmul` casts a tall spike operand to the GEMM's
-dtype ``GEMM_ROWS`` rows at a time. The backward pass walks the
-tape in reverse, propagating the loss gradient through space (layer to
-layer, within one timestep) and through time (the leaky membrane recurrence
-of each layer), and accumulates gradients for every trainable array. It
-unpacks one block of rows at a time, ``N`` bits per row, so the padding bits
-of a row never reach a GEMM.
+dtype ``GEMM_ROWS`` rows at a time. The backward pass walks the tape in
+reverse, propagating the loss gradient through space (layer to layer, within
+one timestep) and through time (the leaky membrane recurrence of each
+layer), and accumulates gradients for every trainable array. It unpacks one
+block of rows at a time, ``N`` bits per row, so the padding bits of a row
+never reach a GEMM.
 
 The engine is layer-major. There are no recurrent weights, so a layer's
 drive for every timestep comes from one GEMM over the spikes of the layer
