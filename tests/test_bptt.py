@@ -368,9 +368,10 @@ class TestBlockedBackward:
         # layer (W = 64) a block needs 20 bytes per row and neuron: the float32
         # dL/do from above and the float64 dL/du and through-time factor made
         # from it (what the site factor, plif's leak gradient, the casts and
-        # the GEMMs add later is at most that). Beyond it the backward holds its float64 d_w, the
-        # float32 weights of the spatial GEMMs and one float64 dL/du row per
-        # layer carried to the next block, plus one temporary row. The bound
+        # the GEMMs add later is at most that). Beyond it the backward holds
+        # its float64 d_w, the float32 weights of the spatial GEMMs and one
+        # float64 dL/du row per layer carried to the next block, plus one
+        # temporary row. The bound
         # allows one more float64 block; keeping each upper layer's whole
         # dL/du block alive (a view as the carry) holds three more.
         rng = np.random.default_rng(62)

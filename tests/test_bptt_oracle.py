@@ -230,16 +230,8 @@ def test_mixed_per_layer_tags_match_naive_reference(widths, model, timesteps, se
 
 
 @pytest.mark.usefixtures("float64_gemms")
-@pytest.mark.parametrize(CASE, BLOCKED)
+@pytest.mark.parametrize(CASE, BLOCKED + PACKED)
 def test_several_backward_blocks_match_naive_reference(widths, model, timesteps, seed, batch):
-    block_steps = -(-bptt.GEMM_ROWS // batch)
-    assert block_steps < timesteps and timesteps % block_steps != 0
-    _check_case(widths, model, timesteps, seed, batch)
-
-
-@pytest.mark.usefixtures("float64_gemms")
-@pytest.mark.parametrize(CASE, PACKED)
-def test_packed_widths_match_naive_reference(widths, model, timesteps, seed, batch):
     block_steps = -(-bptt.GEMM_ROWS // batch)
     assert block_steps < timesteps and timesteps % block_steps != 0
     _check_case(widths, model, timesteps, seed, batch)
@@ -247,7 +239,7 @@ def test_packed_widths_match_naive_reference(widths, model, timesteps, seed, bat
 
 @pytest.mark.parametrize(CASE, [pytest.param(*case.values, id=f"{kind}-{case.id}")
                                 for kind, cases in (("single", SINGLE), ("mixed", MIXED),
-                                                    ("blocked", BLOCKED), ("packed", PACKED))
+                                                    ("blocked", BLOCKED + PACKED))
                                 for case in cases])
 def test_float32_backward_matches_naive_reference(widths, model, timesteps, seed, batch):
     # The same cases, with the engine's default float32 GEMMs.
