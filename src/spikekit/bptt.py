@@ -167,13 +167,14 @@ class BpttTape:
 
 def _unpacked(held: np.ndarray, width: int) -> np.ndarray:
     """Rows of a held series as readers see them: packed bits as ``bool``, floats as they are."""
-    if held.dtype != np.uint8:
-        return held
-    return np.unpackbits(held, axis=-1, count=width).view(np.bool_)
+    return numerics.unpack_rows(held, width) if held.dtype == np.uint8 else held
 
 
 class _Layers(Sequence):
-    """``BpttTape.o``, ``.membrane`` or ``.u``: one layer unpacked or re-derived per access."""
+    """``BpttTape.o``, ``.membrane`` or ``.u``: one layer unpacked or re-derived per access.
+
+    A slice gives a list of the layers it names, each read so.
+    """
 
     def __init__(self, tape: BpttTape, name: str):
         self._tape, self._name = tape, name
@@ -181,7 +182,9 @@ class _Layers(Sequence):
     def __len__(self) -> int:
         return len(self._tape.x)
 
-    def __getitem__(self, n: int) -> np.ndarray:
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(len(self))[n]]
         tape = self._tape
         width = tape.x[n].shape[-1]
         if self._name == "o":
@@ -275,13 +278,13 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
                     smoothed=smoothed, neurons=None if smoothed else [])
 
     def hold(o):  # a layer's spikes as the tape keeps them
-        tape.held_o.append(o if smoothed else np.packbits(o, axis=-1))
+        tape.held_o.append(o if smoothed else numerics.pack_rows(o))
 
     pre = _time_major(inputs, 0, timesteps)
     for n, layer in enumerate(net.layers):
         w = layer.w if smoothed else _hard_weights(layer, n)
         x = numerics.matmul(pre, w.T).reshape(timesteps, batch, layer.out_width)
-        del pre  # layer 0's time-major input copy is not kept past its GEMM
+        del pre, w  # layer 0's time-major input copy and a weight cast end with the GEMM
         if n:
             hold(o)  # the spikes below, read by this layer's GEMM
             del o
@@ -495,7 +498,7 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
     analytic_by_name = dict(backward(tape, upstream, work).items())
-    spikes, tape = list(tape.o)[:-1], None  # all the suffixes read of the tape
+    spikes, tape = tape.o[:-1], None  # all the suffixes read of the tape
     labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above
     timesteps, batch = net.timesteps, len(inputs)
 

@@ -186,12 +186,12 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     * ``"u"``: ``held`` is the float64 ``u``, ``u[t]`` the potential after
       step ``t``; one block holds the whole window.
     * ``"window"``: ``held`` is ``u``'s :func:`surrogate_window`, bit-packed
-      along the neuron axis by ``np.packbits``: ``uint8``, ``ceil(neurons /
-      8)`` bytes per row, one bit per neuron and step;
-      ``np.unpackbits(held, axis=-1, count=neurons)`` gives the ``bool``
-      mask. A block is ``ceil(GEMM_ROWS / batch)`` steps, and each block's
-      mask is packed into ``held`` as it forms, so no whole-window ``bool``
-      mask exists.
+      along the neuron axis by :func:`~spikekit.numerics.pack_rows`:
+      ``uint8``, ``ceil(neurons / 8)`` bytes per row, one bit per neuron and
+      step; :func:`~spikekit.numerics.unpack_rows` gives the ``bool`` mask.
+      A block is ``ceil(GEMM_ROWS / batch)`` steps, and each block's mask is
+      packed into ``held`` as it forms, so no whole-window ``bool`` mask
+      exists.
     * None: ``held`` is None. A block is one step, so the scan holds one
       ``(batch..., neurons)`` row of potential, updated in place, and a gain
       model's drive is formed one row at a time.
@@ -233,7 +233,8 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     held = u if keep == "u" else None
     if keep == "window":
         held = np.empty((*x.shape[:-1], -(-x.shape[-1] // 8)), dtype=np.uint8)
-        mask = np.empty(u.shape, dtype=bool)
+        # Rows of whole bytes whose padding stays 0, so they pack as one run.
+        mask = np.zeros((*u.shape[:-1], 8 * held.shape[-1]), dtype=bool)
     for start in range(0, len(x), block):
         stop = min(start + block, len(x))
         for k, d in enumerate(drive(x[start:stop], beta)):
@@ -249,8 +250,8 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
                 carry *= leak
         if keep == "window":
             u_prev = u_prev.copy()  # the buffer becomes the mask's scratch
-            window = surrogate_window(u[:stop - start], p, out=mask[:stop - start])
-            held[start:stop] = np.packbits(window, axis=-1)
+            surrogate_window(u[:stop - start], p, out=mask[:stop - start, ..., :x.shape[-1]])
+            held[start:stop] = numerics.pack_rows(mask[:stop - start])
     return held, o
 
 

@@ -3,8 +3,9 @@
 Real-valued state (potentials, weights, cache gains, gradients) is float64.
 Hard-mode GEMMs are not: they read and write :data:`HARD_DTYPE` (float32),
 so a hard-mode weighted input is float32 too. Binary spikes are ``uint8`` in
-datasets and ``bool`` on the tape, and :func:`matmul` casts such an operand
-to its GEMM's dtype for BLAS, a block of rows at a time when it is tall. The
+datasets, ``bool`` in a GEMM operand and one bit each on a hard tape
+(:func:`pack_rows`), and :func:`matmul` casts such an operand to its GEMM's
+dtype for BLAS, a block of rows at a time when it is tall. The
 functions here are thin contract-enforcing wrappers: shapes are checked up
 front and mismatches raise :class:`DimensionError` naming both shapes, and a
 histogram of an empty array raises :class:`EmptyInputError`.
@@ -59,6 +60,32 @@ def as_dense(values) -> np.ndarray:
     """Coerce ``values`` to a float64 C-order array."""
     # asarray keeps scalars 0-d; ascontiguousarray would pad them to (1,).
     return np.asarray(values, dtype=DTYPE, order="C")
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """``np.packbits(bits, axis=-1)``: a ``bool`` array's rows at one bit per entry.
+
+    Packing along an axis costs numpy one call per row, so the rows are
+    packed as one flat run, each zero-padded to whole bytes first when its
+    width is not a multiple of 8; the bytes are the same.
+    """
+    width = bits.shape[-1]
+    row_bytes = -(-width // 8)
+    if width % 8:
+        padded = np.zeros((*bits.shape[:-1], 8 * row_bytes), dtype=bool)
+        padded[..., :width] = bits
+        bits = padded
+    return np.packbits(bits.reshape(-1)).reshape(*bits.shape[:-1], row_bytes)
+
+
+def unpack_rows(packed: np.ndarray, width: int) -> np.ndarray:
+    """The ``bool`` rows, ``width`` entries each, of a :func:`pack_rows` array.
+
+    One flat unpack; where ``width`` is not a multiple of 8 the result is a
+    view that skips each row's padding bits.
+    """
+    bits = np.unpackbits(packed.reshape(-1)).view(np.bool_)
+    return bits.reshape(*packed.shape[:-1], 8 * packed.shape[-1])[..., :width]
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:

@@ -109,6 +109,21 @@ class TestHistogram:
             numerics.histogram(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 10, 16, 17])
+@pytest.mark.parametrize("rows", [(3, 5), (0, 4), (6,)])
+def test_pack_rows_packs_each_row_as_packbits_does(rows, width):
+    # Packed as one flat run, each row still gets bytes of its own, with
+    # its padding bits 0, and unpacking gives back the rows alone.
+    bits = np.random.default_rng(width).random((*rows, width)) < 0.5
+    packed = numerics.pack_rows(bits)
+    assert packed.dtype == np.uint8
+    assert packed.tobytes() == np.packbits(bits, axis=-1).tobytes()
+    assert packed.shape == (*rows, -(-width // 8))
+    unpacked = numerics.unpack_rows(packed, width)
+    assert unpacked.dtype == np.bool_ and unpacked.shape == bits.shape
+    assert unpacked.tobytes() == bits.tobytes()
+
+
 def test_require_finite():
     numerics.require_finite(np.array([1.0, -2.0]))
     with pytest.raises(NumericError, match="potential"):

@@ -27,8 +27,8 @@ from spikekit.training import (
 
 
 def _held_bytes(tape) -> int:
-    """Bytes the tape holds; ``tape.u`` is derived on access, not held."""
-    return sum(a.nbytes for series in (tape.x, tape.membrane, tape.o) for a in series)
+    """Bytes the tape holds; ``tape.o``, ``.membrane`` and ``.u`` are read from these on access."""
+    return sum(a.nbytes for series in (tape.x, tape.held_membrane, tape.held_o) for a in series)
 
 
 def _toy():
