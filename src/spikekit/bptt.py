@@ -1,44 +1,32 @@
 """Backpropagation through time for spiking layers.
 
-The forward pass unrolls the network over the simulation window and records
-a tape of three series per layer: the weighted input ``x``, what the
-backward reads of the post-update membrane potential ``u``, and the emitted
-spikes ``o``. Hard mode's GEMMs read and write
-:data:`spikekit.numerics.HARD_DTYPE` (float32), so its ``x`` is float32;
-each layer's weights are cast to it once per pass, and the potential, dL/du
-and every gradient stay float64. The hard backward reads ``u`` only through
-the surrogate window ``|u - v_th| <= a/2``, so a hard-mode layer keeps that
-mask instead of ``u``, unless its model row is marked ``trained_leak``
-(``plif``, whose leak gradient reads ``u``). The spikes and the window are
-binary, and the tape keeps them at one bit per neuron and step,
-``np.packbits`` along the neuron axis: ``4 * N + 2 * ceil(N / 8)`` bytes per
-step and sample for a layer of ``N`` neurons (``plif``: ``12 * N +
-ceil(N / 8)``), against ``6 * N`` at one byte per spike and window entry.
-Spikes stay ``bool`` until the GEMM of the layer above has read them, and
-:func:`spikekit.numerics.matmul` casts a tall spike operand to the GEMM's
-dtype ``GEMM_ROWS`` rows at a time. The backward pass walks the tape in
-reverse, propagating the loss gradient through space (layer to layer, within
-one timestep) and through time (the leaky membrane recurrence of each
-layer), and accumulates gradients for every trainable array. It unpacks one
-block of rows at a time, ``N`` bits per row, so the padding bits of a row
-never reach a GEMM.
-
 The engine is layer-major. There are no recurrent weights, so a layer's
-drive for every timestep comes from one GEMM over the spikes of the layer
-below, and one :func:`spikekit.neurons.scan` call then runs the elementwise
-membrane recurrence over the window, giving the layer's ``o`` and ``u`` or,
-for a layer that keeps only the window mask, that mask, packed: such a scan
-holds ``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps at a time. So,
-beyond the tape it keeps, the forward's working memory scales with
-``GEMM_ROWS``, not with timesteps x batch. :func:`forward_rates`, which
-keeps no tape, asks the scan for the spikes alone, so each of its scans
-holds one ``(batch, neurons)`` row of potential. The
-backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)`` steps,
-latest block first. Within a block it takes each layer from the top down:
-an elementwise reverse scan of dL/du, then one GEMM for the weight gradient
-and one for the gradient sent to the layer below. The scan carries dL/du
-from one block to the next, so the blocking changes only how the sums are
-grouped, and the block size bounds the backward's working memory.
+drive ``x`` for every timestep comes from one GEMM over the spikes of the
+layer below, and one :func:`spikekit.neurons.scan` call then runs the
+elementwise membrane recurrence over the window. One loop runs this chain
+for every forward pass, and each caller states only what it keeps:
+:func:`forward_record` a tape for the backward (:class:`BpttTape`),
+:func:`forward_rates` per-layer spike totals, and :func:`gradcheck` a
+weight entry's ``+h`` and ``-h`` forwards, on an axis after time. Hard
+mode's GEMMs read and write :data:`spikekit.numerics.HARD_DTYPE` (float32),
+each layer's weights cast to it once per pass, and the potential ``u``,
+dL/du and every gradient stay float64. The hard backward reads ``u`` only
+through its surrogate window, so a hard tape keeps that mask (``u`` for a
+``trained_leak`` row) and the spikes at one bit per neuron and step. Beyond
+what it keeps, a forward's working memory scales with ``GEMM_ROWS``, not
+with timesteps x batch: :func:`spikekit.numerics.matmul` casts a tall spike
+operand ``GEMM_ROWS`` rows at a time, a scan that keeps the window holds
+``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps, and one that keeps
+only the spikes holds one row.
+
+The backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)``
+steps, latest block first. Within a block it takes each layer from the top
+down: an elementwise reverse scan of dL/du, then one GEMM for the weight
+gradient and one for the gradient sent to the layer below. The scan carries
+dL/du from one block to the next, so the blocking changes only how the sums
+are grouped, and the block size bounds the backward's working memory. It
+unpacks one block of the tape's bits at a time, ``N`` bits per row, so the
+padding bits of a row never reach a GEMM.
 
 The layer's row of :data:`spikekit.neurons.MODEL_TABLE` is all that tells
 the models apart here: its leak and drive shape the forward, and its site
@@ -237,10 +225,42 @@ def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
     return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 
-def _hard_weights(layer, n: int) -> np.ndarray:
-    """Layer ``n``'s weights as a hard-mode GEMM operand, cast once for the pass."""
+def _weights(layer, n: int, smoothed: bool = False) -> np.ndarray:
+    """Layer ``n``'s weights as a GEMM operand: smoothed mode's float64 ``layer.w``
+    itself, or hard mode's cast to :data:`spikekit.numerics.HARD_DTYPE`, checked
+    first by :func:`spikekit.numerics.require_hard_range`."""
+    if smoothed:
+        return layer.w
     w = numerics.require_hard_range(layer.w, f"layer{n}.w")
     return w.astype(numerics.HARD_DTYPE, copy=False)
+
+
+def _layer_loop(layers, timesteps: int, pre, gemm, keep, take, smoothed: bool = False):
+    """The one layer loop of every forward pass; returns the output layer's readout.
+
+    ``pre``, layer 0's GEMM operand of ``timesteps * rows`` rows, is held by
+    the loop alone. Per layer, in this order: ``gemm(n, layer, pre)`` forms
+    the drive ``x`` and ``pre`` is dropped, so the operand and a weight cast
+    made for that GEMM alone are freed before the scan; one
+    :func:`spikekit.neurons.scan` of ``x`` keeps ``keep`` (``"window"``: the
+    packed surrogate window, or ``u`` for a ``trained_leak`` row);
+    ``take(n, x, held, o)`` gets the layer's arrays, and what it does not
+    keep is freed before the next GEMM, whose operand is the spikes ``o``.
+
+    A GEMM's row grouping can change its products' last bits, so an
+    ``evaluate`` chunk may differ in last bits from a whole-batch forward in
+    a layer of 1 or 2 neurons, and in a float32 layer of 9 or more neurons
+    on OpenBLAS's Haswell and Zen kernels (see ``numerics.GEMM_ROWS``).
+    """
+    for n, layer in enumerate(layers):
+        x = gemm(n, layer, pre.reshape(-1, layer.in_width)).reshape(timesteps, -1, layer.out_width)
+        del pre
+        p = layer.params()
+        kept = "u" if keep == "window" and MODEL_TABLE[p.model].trained_leak else keep
+        held, pre = scan(x, p, layer.beta, smoothed=smoothed, keep=kept)
+        take(n, x, held, pre)
+        del x, held
+    return np.sum(pre, axis=0) / float(timesteps)
 
 
 def forward_record(net: Network, inputs, smoothed: bool = False):
@@ -248,17 +268,11 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
 
     ``inputs`` is a spike tensor of shape (batch, input_width, timesteps),
     of any real, integer or boolean dtype; :func:`spikekit.numerics.matmul`
-    casts it to the GEMM's dtype as it reads it, in row blocks once it is
-    tall. Hard mode casts each layer's weights to
-    :data:`spikekit.numerics.HARD_DTYPE` once, so its GEMMs and ``x`` are in
-    that dtype; smoothed mode stays float64.
-    All membrane potentials start at 0 with no prior spike. The readout is
-    the output layer's per-class firing rate, averaged over the window.
-    In hard mode a layer's scan packs its surrogate-window mask into the
-    tape block by block, and never holds the whole ``u``, unless its model's
-    hard backward reads ``u`` itself; a layer's ``bool`` spikes are packed
-    once the layer above has read them in its GEMM (the output layer's once
-    the readout is summed).
+    casts it to the GEMM's dtype as it reads it. All membrane potentials
+    start at 0 with no prior spike. The tape keeps each layer's drive, its
+    surrogate window or potential, and its spikes, a hard layer's bits
+    packed as its scan returns them. The readout is the output layer's
+    per-class firing rate, averaged over the window.
     """
     inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
@@ -275,56 +289,42 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     numerics.require_finite(inputs, "inputs")
 
     tape = BpttTape(inputs=inputs, x=[], held_membrane=[], held_o=[], readout=None,
-                    smoothed=smoothed, neurons=None if smoothed else [])
+                    smoothed=smoothed, neurons=None if smoothed else [
+                        (layer.params(), None if layer.beta is None else layer.beta.copy())
+                        for layer in net.layers])
 
-    def hold(o):  # a layer's spikes as the tape keeps them
+    def record(n, x, held, o):
+        tape.x.append(x)
+        tape.held_membrane.append(held)
         tape.held_o.append(o if smoothed else numerics.pack_rows(o))
 
-    pre = _time_major(inputs, 0, timesteps)
-    for n, layer in enumerate(net.layers):
-        w = layer.w if smoothed else _hard_weights(layer, n)
-        x = numerics.matmul(pre, w.T).reshape(timesteps, batch, layer.out_width)
-        del pre, w  # layer 0's time-major input copy and a weight cast end with the GEMM
-        if n:
-            hold(o)  # the spikes below, read by this layer's GEMM
-            del o
-        p = layer.params()
-        keep = "u" if smoothed or MODEL_TABLE[p.model].trained_leak else "window"
-        membrane, o = scan(x, p, layer.beta, smoothed=smoothed, keep=keep)
-        if not smoothed:
-            tape.neurons.append((p, None if layer.beta is None else layer.beta.copy()))
-        tape.x.append(x)
-        tape.held_membrane.append(membrane)
-        pre = o.reshape(-1, layer.out_width)
-
-    tape.readout = np.sum(o, axis=0) / float(timesteps)
-    hold(o)
+    tape.readout = _layer_loop(
+        net.layers, timesteps, _time_major(inputs, 0, timesteps),
+        lambda n, layer, pre: numerics.matmul(pre, _weights(layer, n, smoothed).T),
+        "u" if smoothed else "window", record, smoothed)
     return tape, tape.readout
 
 
 def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Hard-mode readout and per-layer spike totals of a spike set that fits ``net``.
 
-    Keeps no tape: each chunk of ``ceil(GEMM_ROWS / timesteps)`` samples is cast
-    straight to its :data:`spikekit.numerics.HARD_DTYPE` time-major GEMM operand,
-    each layer's drive is freed once its spikes exist, and every GEMM reads what
-    :func:`forward_record`'s would; the weights are cast once, for every chunk.
-    Each layer's scan returns only its spikes, holding one row of potential.
+    Keeps no tape, only the spike totals: each chunk of ``ceil(GEMM_ROWS /
+    timesteps)`` samples is cast straight to its
+    :data:`spikekit.numerics.HARD_DTYPE` time-major GEMM operand, the weights
+    are cast once for every chunk, and each scan keeps only the spikes.
     """
     chunk = -(-GEMM_ROWS // net.timesteps)
     readouts, counts = [], [0] * len(net.layers)
-    weights = [_hard_weights(layer, n) for n, layer in enumerate(net.layers)]
+    weights = [_weights(layer, n) for n, layer in enumerate(net.layers)]
+
+    def count(n, x, held, o):
+        counts[n] += int(o.sum())
+
     for start in range(0, len(data), chunk):
-        pre = data[start:start + chunk].transpose(2, 0, 1).astype(numerics.HARD_DTYPE, order="C")
-        for n, (layer, w) in enumerate(zip(net.layers, weights)):
-            x = numerics.matmul(pre.reshape(-1, layer.in_width), w.T)
-            del pre
-            o = scan(x.reshape(net.timesteps, -1, x.shape[1]), layer.params(), layer.beta,
-                     keep=None)[1]
-            del x
-            counts[n] += int(o.sum())
-            pre = o
-        readouts.append(np.sum(o, axis=0) / float(net.timesteps))
+        readouts.append(_layer_loop(
+            net.layers, net.timesteps,
+            data[start:start + chunk].transpose(2, 0, 1).astype(numerics.HARD_DTYPE, order="C"),
+            lambda n, layer, pre: numerics.matmul(pre, weights[n].T), None, count))
     return np.concatenate(readouts), counts
 
 
@@ -383,7 +383,8 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     params = [layer.params() for layer in net.layers]
     gemm = tape.x[0].dtype
     # The spatial GEMMs' weights, cast once; layer 0 sends no gradient down.
-    weights = [None] + [layer.w.astype(gemm, copy=False) for layer in net.layers[1:]]
+    weights = [_weights(layer, n, tape.smoothed) if n else None
+               for n, layer in enumerate(net.layers)]
     d_w = [np.zeros_like(layer.w) for layer in net.layers]
     d_beta = [None if layer.beta is None else np.zeros_like(layer.beta) for layer in net.layers]
     leak_acc = [0.0 if layer.plif_raw is not None else None for layer in net.layers]
@@ -502,26 +503,16 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above
     timesteps, batch = net.timesteps, len(inputs)
 
-    def loss_at(suffix: Network, suffix_inputs) -> float:
-        _, readout = forward_record(suffix, suffix_inputs, smoothed=True)
-        return readout_and_loss(readout, labels)[0]
-
-    def loss_pair(suffix: Network, idx, pre: np.ndarray) -> np.ndarray:
-        """The losses at ``w[idx] + h`` and ``w[idx] - h`` of the suffix's first layer."""
-        w = suffix.layers[0].w
-        saved, o = w[idx], None
-        for layer in suffix.layers:
-            x = np.empty((timesteps, 2, batch, layer.out_width))
-            for k, value in enumerate((saved + step_size, saved - step_size)):
-                if o is None:  # the first layer: moved weights over the spikes below
-                    w[idx], below = value, pre
-                else:
-                    below = o[:, k].reshape(-1, layer.in_width)
-                x[:, k] = numerics.matmul(below, layer.w.T).reshape(timesteps, batch, -1)
-            w[idx] = saved
-            o = scan(x, layer.params(), layer.beta, smoothed=True)[1]
-        probs = softmax(np.sum(o, axis=0) / float(timesteps))
-        return -np.mean(np.log(probs[:, np.arange(batch), labels]), axis=-1)
+    def two_signs(n, layer, pre):
+        """The suffix's layer ``n`` drive at ``moved[0]`` and ``moved[1]``, each
+        sign by a GEMM of its own, on an axis after time."""
+        x = np.empty((timesteps, 2, batch, layer.out_width))
+        signs = pre.reshape(timesteps, -1, batch, layer.in_width)  # one sign below layer 0
+        for k in range(2):
+            below = signs[:, k].reshape(-1, layer.in_width) if n else pre
+            x[:, k] = numerics.matmul(below, (layer.w if n else moved[k]).T).reshape(
+                timesteps, batch, -1)
+        return x.reshape(-1, layer.out_width)
 
     entries = []
     for name, param in work.parameter_items():
@@ -529,18 +520,26 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
         suffix = Network(net.timesteps, work.layers[n:])
         suffix_inputs = spikes[n - 1].transpose(1, 2, 0) if n else inputs
         pre = _time_major(suffix_inputs, 0, timesteps)
+        # A weight entry's two signs read two copies of the suffix's first weights.
+        moved = (param.copy(), param.copy()) if param is suffix.layers[0].w else None
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)
         numeric = np.zeros_like(param)
         for idx in np.ndindex(param.shape):
-            if param is suffix.layers[0].w:
-                loss_plus, loss_minus = loss_pair(suffix, idx, pre)
+            saved = param[idx]
+            if moved:
+                moved[0][idx], moved[1][idx] = saved + step_size, saved - step_size
+                readout = _layer_loop(suffix.layers, timesteps, pre, two_signs, "u",
+                                      lambda *_: None, smoothed=True)
+                moved[0][idx] = moved[1][idx] = saved
             else:
-                saved = param[idx]
-                param[idx] = saved + step_size
-                loss_plus = loss_at(suffix, suffix_inputs)
-                param[idx] = saved - step_size
-                loss_minus = loss_at(suffix, suffix_inputs)
+                readout = []
+                for value in (saved + step_size, saved - step_size):
+                    param[idx] = value
+                    readout.append(forward_record(suffix, suffix_inputs, smoothed=True)[1])
                 param[idx] = saved
+            # readout_and_loss's loss at both signs: np.mean's sum and division
+            probs = softmax(np.reshape(readout, (2, batch, -1)))
+            loss_plus, loss_minus = -np.log(probs[:, np.arange(batch), labels]).sum(axis=-1) / batch
             numeric[idx] = (loss_plus - loss_minus) / (2.0 * step_size)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         err = float(np.max(np.abs(analytic - numeric) / denom))

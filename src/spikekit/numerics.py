@@ -108,7 +108,7 @@ def require_hard_range(w: np.ndarray, what: str) -> np.ndarray:
     finiteness is checked where the drive forms.
     """
     with np.errstate(over="ignore"):  # a sum past float64's range is inf, and fails
-        peak = np.max(np.sum(np.abs(w), axis=-1), initial=0.0)
+        peak = np.abs(w).sum(axis=-1).max(initial=0.0)
     info = np.finfo(HARD_DTYPE)
     if peak > info.max / (1 + (w.shape[-1] + 1) * info.eps):
         raise NumericError(f"{what} has a row of weights whose magnitudes sum to {peak:g}, "

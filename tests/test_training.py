@@ -296,7 +296,8 @@ class TestEvaluate:
         assert result.loss == loss
 
     def test_keeps_no_tape_and_forms_no_surrogate_window(self, monkeypatch):
-        calls = {"forward_record": 0, "surrogate_window": 0}
+        # Beside keeping no tape, each chunk runs one GEMM and one scan per layer.
+        calls = {"forward_record": 0, "surrogate_window": 0, "scan": 0, "matmul": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -308,10 +309,22 @@ class TestEvaluate:
 
         counting(training.bptt, "forward_record")
         counting(neurons, "surrogate_window")
+        counting(training.bptt, "scan")
+        counting(numerics, "matmul")
         train_ds, _ = _toy()
+        chunk = -(-training.bptt.GEMM_ROWS // train_ds.timesteps)
+        three_chunks = gen_poisson_patterns(n_per_class=chunk + 1, split="test", class_count=2,
+                                            neurons=8, timesteps=3, rate_lo=0.1, rate_hi=0.9,
+                                            seed=2)
+        per_layer_and_chunk = 0
         for model in ("lif", "plif", "cached-aia"):
-            evaluate(_toy_net(model), train_ds)
-        assert calls == {"forward_record": 0, "surrogate_window": 0}
+            net = _toy_net(model)
+            for ds in (train_ds, three_chunks):
+                evaluate(net, ds)
+                per_layer_and_chunk += len(net.layers) * -(-len(ds) // chunk)
+        assert per_layer_and_chunk == 3 * 2 * (1 + 3)
+        assert calls == {"forward_record": 0, "surrogate_window": 0,
+                         "scan": per_layer_and_chunk, "matmul": per_layer_and_chunk}
 
     def test_peak_is_one_chunks_gemm_operands(self):
         # The layer-0 GEMM holds the chunk's time-major input and its drive,
