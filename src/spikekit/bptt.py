@@ -12,12 +12,14 @@ mode's GEMMs read and write :data:`spikekit.numerics.HARD_DTYPE` (float32),
 each layer's weights cast to it once per pass, and the potential ``u``,
 dL/du and every gradient stay float64. The hard backward reads ``u`` only
 through its surrogate window, so a hard tape keeps that mask (``u`` for a
-``trained_leak`` row) and the spikes at one bit per neuron and step. Beyond
-what it keeps, a forward's working memory scales with ``GEMM_ROWS``, not
-with timesteps x batch: :func:`spikekit.numerics.matmul` casts a tall spike
-operand ``GEMM_ROWS`` rows at a time, a scan that keeps the window holds
-``u`` for one block of ``ceil(GEMM_ROWS / batch)`` steps, and one that keeps
-only the spikes holds one row.
+``trained_leak`` row) and the spikes at one bit per neuron and step. Any
+tape keeps binary inputs at one bit too, and the dense input batch, layer
+0's GEMM operand, is freed after that GEMM. Beyond what it keeps, a
+forward's working memory scales with ``GEMM_ROWS``, not with timesteps x
+batch: :func:`spikekit.numerics.matmul` casts a tall spike operand
+``GEMM_ROWS`` rows at a time, a scan that keeps the window holds ``u`` for
+one block of ``ceil(GEMM_ROWS / batch)`` steps, and one that keeps only the
+spikes holds one row.
 
 The backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)``
 steps, latest block first. Within a block it takes each layer from the top
@@ -26,7 +28,8 @@ gradient and one for the gradient sent to the layer below. The scan carries
 dL/du from one block to the next, so the blocking changes only how the sums
 are grouped, and the block size bounds the backward's working memory. It
 unpacks one block of the tape's bits at a time, ``N`` bits per row, so the
-padding bits of a row never reach a GEMM.
+padding bits of a row never reach a GEMM; every layer's weight-gradient
+GEMM, layer 0's included, reads the spikes below it so.
 
 The layer's row of :data:`spikekit.neurons.MODEL_TABLE` is all that tells
 the models apart here: its leak and drive shape the forward, and its site
@@ -78,8 +81,15 @@ class BpttTape:
     neurons of layer n)``, so ``x[n][t]`` is its drive at step ``t``: the
     product of the forward's GEMMs, :data:`spikekit.numerics.HARD_DTYPE`
     (float32) in hard mode and float64 in smoothed mode; the backward's
-    GEMMs run in its dtype. ``inputs`` keeps the dtype it was given, such as
-    a ``uint8`` batch.
+    GEMMs run in its dtype.
+
+    ``inputs`` is the input batch, time-major, ``(timesteps, batch, ...)``.
+    Binary inputs (a ``bool`` batch, or an integer batch of 0s and 1s such
+    as a ``uint8`` dataset's) are held as bits the way the hidden spikes
+    are, ``(timesteps, batch, ceil(width / 8))`` ``uint8``, so they add
+    ``ceil(width / 8)`` bytes per step and sample, not ``width``. Any other
+    batch is held as ``(timesteps, batch, width)`` in ``x``'s dtype, the
+    dtype the GEMM casts it to.
 
     ``held_o[n]`` and ``held_membrane[n]`` are what the tape keeps of the
     spikes and of the potential. Smoothed mode keeps both as float64 arrays
@@ -112,11 +122,11 @@ class BpttTape:
 
     @property
     def timesteps(self) -> int:
-        return self.inputs.shape[2]
+        return self.inputs.shape[0]
 
     @property
     def batch_size(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.shape[1]
 
     @property
     def o(self) -> "_Layers":
@@ -137,6 +147,14 @@ class BpttTape:
             raise StateError(f"tape holds x, held_membrane and held_o of {lengths} layers, "
                              f"network has {n_layers}")
         drive = np.float64 if self.smoothed else numerics.HARD_DTYPE
+        inputs = self.inputs
+        if not isinstance(inputs, np.ndarray) or inputs.dtype not in (np.uint8, drive):
+            raise StateError(f"tape inputs must be a uint8 (bits) or {np.dtype(drive)} array")
+        width = net.input_width
+        row = -(-width // 8) if inputs.dtype == np.uint8 else width
+        if inputs.ndim != 3 or inputs.shape[2] != row:
+            raise StateError(f"tape inputs has shape {inputs.shape}, expected (timesteps, "
+                             f"batch, {row}) for {width} inputs held as {inputs.dtype}")
         for n, layer in enumerate(net.layers):
             dense = (self.timesteps, self.batch_size, layer.out_width)
             floats, bits = (np.float64, dense), (np.uint8, (*dense[:2], -(-dense[2] // 8)))
@@ -213,16 +231,15 @@ def time_major_batch(data, index) -> np.ndarray:
     return out.transpose(1, 2, 0)
 
 
-def _time_major(inputs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Input spikes of steps ``[start, stop)`` as a ``(steps * batch, width)`` matrix.
+def _time_major(inputs: np.ndarray) -> np.ndarray:
+    """A (batch, width, timesteps) tensor as a ``(timesteps * batch, width)`` matrix.
 
     The matrix keeps the inputs' dtype; :func:`spikekit.numerics.matmul`
-    makes the float64 copy that BLAS reads.
+    makes the copy in the GEMM's dtype that BLAS reads.
     """
-    block = inputs[:, :, start:stop]
-    if not block.transpose(2, 0, 1).flags.c_contiguous:
-        block = time_major_batch(block, range(len(block)))
-    return block.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
+    if not inputs.transpose(2, 0, 1).flags.c_contiguous:
+        inputs = time_major_batch(inputs, range(len(inputs)))
+    return inputs.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
 
 
 def _weights(layer, n: int, smoothed: bool = False) -> np.ndarray:
@@ -267,12 +284,19 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
     ``inputs`` is a spike tensor of shape (batch, input_width, timesteps),
-    of any real, integer or boolean dtype; :func:`spikekit.numerics.matmul`
-    casts it to the GEMM's dtype as it reads it. All membrane potentials
-    start at 0 with no prior spike. The tape keeps each layer's drive, its
-    surrogate window or potential, and its spikes, a hard layer's bits
-    packed as its scan returns them. The readout is the output layer's
-    per-class firing rate, averaged over the window.
+    of any real, integer or boolean dtype. All membrane potentials start at
+    0 with no prior spike. The tape keeps the inputs, each layer's drive,
+    its surrogate window or potential, and its spikes, a hard layer's bits
+    packed as its scan returns them and binary inputs packed the same way
+    (see :class:`BpttTape`). The readout is the output layer's per-class
+    firing rate, averaged over the window.
+
+    The dense batch is layer 0's GEMM operand, which
+    :func:`spikekit.numerics.matmul` casts to the GEMM's dtype as it reads
+    it. This call drops its own reference before the layer loop takes the
+    operand, and the loop drops it after that GEMM, so a caller that passes
+    the batch as a temporary, as :func:`spikekit.training.train` does, has
+    it freed there, before the tape grows.
     """
     inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
@@ -287,9 +311,18 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
             f"input window {timesteps} does not match network timesteps {net.timesteps}"
         )
     numerics.require_finite(inputs, "inputs")
+    pre = _time_major(inputs)
+    del inputs
+    kind = pre.dtype.kind  # 0/1 inputs are held as bits
+    if kind == "b" or (kind in "iu" and pre.max(initial=0) <= 1
+                       and (kind == "u" or pre.min(initial=0) >= 0)):
+        held = numerics.pack_rows(pre)
+    else:  # held as the GEMM reads it, so the tape is layer 0's operand
+        held = pre = pre.astype(np.float64 if smoothed else numerics.HARD_DTYPE, copy=False)
 
-    tape = BpttTape(inputs=inputs, x=[], held_membrane=[], held_o=[], readout=None,
-                    smoothed=smoothed, neurons=None if smoothed else [
+    tape = BpttTape(inputs=held.reshape(timesteps, batch, held.shape[-1]), x=[],
+                    held_membrane=[], held_o=[], readout=None, smoothed=smoothed,
+                    neurons=None if smoothed else [
                         (layer.params(), None if layer.beta is None else layer.beta.copy())
                         for layer in net.layers])
 
@@ -298,8 +331,14 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
         tape.held_membrane.append(held)
         tape.held_o.append(o if smoothed else numerics.pack_rows(o))
 
+    # The operand goes to the loop as a temporary, which CPython 3.11 and
+    # later give to the callee alone; 3.10 keeps it on this frame's stack
+    # until the loop returns, which costs the forward's peak the dense batch
+    # and changes no output.
+    operand = [pre]
+    del pre
     tape.readout = _layer_loop(
-        net.layers, timesteps, _time_major(inputs, 0, timesteps),
+        net.layers, timesteps, operand.pop(),
         lambda n, layer, pre: numerics.matmul(pre, _weights(layer, n, smoothed).T),
         "u" if smoothed else "window", record, smoothed)
     return tape, tape.readout
@@ -383,8 +422,11 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     params = [layer.params() for layer in net.layers]
     gemm = tape.x[0].dtype
     # The spatial GEMMs' weights, cast once; layer 0 sends no gradient down.
-    weights = [_weights(layer, n, tape.smoothed) if n else None
+    # The forward that recorded the tape checked their range.
+    weights = [layer.w.astype(gemm, copy=False) if n else None
                for n, layer in enumerate(net.layers)]
+    # Each layer's input spikes as the tape holds them: bits, or floats.
+    below = [tape.inputs, *tape.held_o]
     d_w = [np.zeros_like(layer.w) for layer in net.layers]
     d_beta = [None if layer.beta is None else np.zeros_like(layer.beta) for layer in net.layers]
     leak_acc = [0.0 if layer.plif_raw is not None else None for layer in net.layers]
@@ -399,7 +441,7 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
         # dL/do and the spikes of the layer being processed; a layer's block of
         # spikes is unpacked once, as the operand of the d_w GEMM above it.
         do = upstream / float(timesteps)
-        o = _unpacked(tape.held_o[-1][steps], net.layers[-1].out_width)
+        o = _unpacked(below[-1][steps], net.layers[-1].out_width)
         for n in reversed(range(n_layers)):
             layer, p = net.layers[n], params[n]
             width = layer.out_width
@@ -426,12 +468,9 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
             else:  # formed straight in the GEMM's dtype, with no float64 block of its own
                 site = np.multiply(du, model.site(x, layer.beta), out=np.empty(du.shape, gemm),
                                    casting="same_kind")
-            if n == 0:
-                o_pre = _time_major(tape.inputs, start, stop)
-            else:
-                o = _unpacked(tape.held_o[n - 1][steps], layer.in_width)
-                o_pre = o.reshape(-1, layer.in_width)
-            d_w[n] += numerics.matmul(site.reshape(-1, layer.out_width).T, o_pre)
+            o = _unpacked(below[n][steps], layer.in_width)
+            d_w[n] += numerics.matmul(site.reshape(-1, layer.out_width).T,
+                                      o.reshape(-1, layer.in_width))
 
             if d_beta[n] is not None:
                 d_beta[n] += np.sum(du * x, axis=(0, 1))
@@ -441,7 +480,7 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
                 do = numerics.matmul(through.reshape(-1, layer.out_width), weights[n])
                 do = do.reshape(stop - start, batch, layer.in_width)
             # Free this layer's block arrays before the next layer makes its own.
-            du = site = through = o_pre = None
+            du = site = through = None
 
     d_plif_raw = []
     for n, layer in enumerate(net.layers):
@@ -519,7 +558,7 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
         n = int(name.partition(".")[0].removeprefix("layer"))
         suffix = Network(net.timesteps, work.layers[n:])
         suffix_inputs = spikes[n - 1].transpose(1, 2, 0) if n else inputs
-        pre = _time_major(suffix_inputs, 0, timesteps)
+        pre = _time_major(suffix_inputs)
         # A weight entry's two signs read two copies of the suffix's first weights.
         moved = (param.copy(), param.copy()) if param is suffix.layers[0].w else None
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)

@@ -172,14 +172,19 @@ def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(3, epoch)).generate_state(1)[0])
 
 
-def _train_step(net: Network, opt: Adam, batch: np.ndarray, labels: np.ndarray):
-    """Forward, backward and one Adam update on a batch; returns ``(loss, predictions)``.
+def _train_step(net: Network, opt: Adam, data: np.ndarray, index: np.ndarray,
+                labels: np.ndarray):
+    """Forward, backward and one Adam update on samples ``index`` of ``data``,
+    whose labels are ``labels``; returns ``(loss, predictions)``.
 
-    The batch, its tape and its gradients live only in this frame, so they
-    are freed before the next batch's forward and before any evaluation.
+    The dense batch is built time-major as a temporary argument of
+    :func:`spikekit.bptt.forward_record`, so no frame here holds it, and it
+    is freed after layer 0's GEMM; the tape holds binary inputs as bits. The
+    tape and the gradients live only in this frame, so they are freed before
+    the next batch's forward and before any evaluation.
     """
     try:
-        tape, readout = bptt.forward_record(net, batch)
+        tape, readout = bptt.forward_record(net, bptt.time_major_batch(data, index))
         loss, upstream, predictions = readout_and_loss(readout, labels)
     except (NumericError, ConfigError):
         # Blown-up parameters surface mid-forward as weights past the GEMMs'
@@ -225,8 +230,7 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig, test_dataset: Datase
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             labels = dataset.labels[idx]
-            loss, predictions = _train_step(net, opt, bptt.time_major_batch(dataset.data, idx),
-                                            labels)
+            loss, predictions = _train_step(net, opt, dataset.data, idx, labels)
             loss_sum += float(loss) * len(idx)
             correct += int(np.sum(predictions == labels))
 

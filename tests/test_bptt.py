@@ -65,7 +65,12 @@ class TestForwardRecord:
         net = init_network([5, 4, 3], model="plif", timesteps=6, seed=12)
         tape8, readout8 = forward_record(net, batch)
         tape64, readout64 = forward_record(net, data[index].astype(np.float64))
-        assert tape8.inputs.dtype == np.uint8
+        # The uint8 batch is held as bits, time-major; the float64 batch as the
+        # floats its GEMM reads.
+        assert tape8.inputs.dtype == np.uint8 and tape8.inputs.shape == (6, 3, 1)
+        npt.assert_array_equal(numerics.unpack_rows(tape8.inputs, 5), batch.transpose(2, 0, 1))
+        assert tape64.inputs.dtype == numerics.HARD_DTYPE
+        npt.assert_array_equal(tape64.inputs, batch.transpose(2, 0, 1))
         assert readout8.tobytes() == readout64.tobytes()
         for a, b in zip(tape8.x + tape8.held_membrane + tape8.held_o,
                         tape64.x + tape64.held_membrane + tape64.held_o, strict=True):
@@ -73,6 +78,31 @@ class TestForwardRecord:
         g8 = backward(tape8, np.ones((3, 3)), net)
         g64 = backward(tape64, np.ones((3, 3)), net)
         for (_, a), (_, b) in zip(g8.items(), g64.items()):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("off", [2, -1])
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_non_binary_integer_batch_matches_its_float64_copy(self, off, smoothed):
+        # An integer batch holding a value other than 0 or 1 is not packed: the
+        # tape holds it as the GEMM's floats, and the forward and gradients are
+        # its float64 copy's.
+        rng = np.random.default_rng(13)
+        data = (rng.random((3, 5, 6)) < 0.5).astype(np.int64)
+        data[1, 2, 3] = off
+        net = init_network([5, 4, 3], model="aia", timesteps=6, seed=14)
+        tape_int, readout_int = forward_record(net, data, smoothed=smoothed)
+        tape64, readout64 = forward_record(net, data.astype(np.float64), smoothed=smoothed)
+        assert tape_int.inputs.dtype == tape_int.x[0].dtype
+        assert tape_int.inputs.shape == (6, 3, 5)
+        npt.assert_array_equal(tape_int.inputs, data.transpose(2, 0, 1))
+        assert readout_int.tobytes() == readout64.tobytes()
+        for a, b in zip([tape_int.inputs, *tape_int.x, *tape_int.held_membrane, *tape_int.held_o],
+                        [tape64.inputs, *tape64.x, *tape64.held_membrane, *tape64.held_o],
+                        strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        upstream = rng.standard_normal((3, 3))
+        for (_, a), (_, b) in zip(backward(tape_int, upstream, net).items(),
+                                  backward(tape64, upstream, net).items(), strict=True):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.usefixtures("float64_gemms")
@@ -259,10 +289,11 @@ class TestTapeLayout:
 
 
 def _reference_tape(net, inputs, smoothed):
-    """The tape from one float64 ``np.matmul`` per layer and a whole-window scan."""
+    """The tape from one float64 ``np.matmul`` per layer and a whole-window scan;
+    ``inputs`` is a ``uint8`` spike batch, held as bits."""
     batch, width, timesteps = inputs.shape
-    tape = BpttTape(inputs=inputs, x=[], held_membrane=[], held_o=[], readout=None,
-                    smoothed=smoothed)
+    tape = BpttTape(inputs=np.packbits(inputs.transpose(2, 0, 1), axis=-1), x=[],
+                    held_membrane=[], held_o=[], readout=None, smoothed=smoothed)
     pre = inputs.transpose(2, 0, 1).reshape(-1, width).astype(np.float64)
     for layer in net.layers:
         x = np.matmul(pre, layer.w.T).reshape(timesteps, batch, layer.out_width)
@@ -297,6 +328,8 @@ class TestBlockedForward:
         inputs = bptt.time_major_batch(data, range(self.BATCH))
         tape, readout = forward_record(net, inputs, smoothed=smoothed)
         ref = _reference_tape(net, inputs, smoothed)
+        assert tape.inputs.dtype == ref.inputs.dtype == np.uint8
+        assert tape.inputs.tobytes() == ref.inputs.tobytes()
         for n in range(len(net.layers)):
             assert 0.0 < np.mean(ref.o[n]) < 1.0
             for got, want in ((tape.x[n], ref.x[n]), (tape.membrane[n], ref.membrane[n]),
@@ -766,6 +799,41 @@ class TestBackwardValidation:
         tape.held_o[0] = tape.o[0]  # spikes unpacked to one byte each
         with pytest.raises(StateError, match=r"held_o\[0\] must be a uint8 array"):
             backward(tape, np.zeros((2, 3)), net)
+
+    def test_malformed_inputs_rejected(self):
+        # The tape holds its 4 inputs as one byte of bits per row, or as
+        # float32 (x's dtype) rows of 4; float64 0/1 inputs give the latter.
+        net, tape = self._tape_and_upstream()
+        held = tape.inputs
+        assert held.dtype == numerics.HARD_DTYPE and held.shape == (2, 2, 4)
+        for wrong, message in ((held.astype(np.uint8), r"tape inputs has shape \(2, 2, 4\)"),
+                               (held[..., :3], r"tape inputs has shape \(2, 2, 3\)"),
+                               (held[0], r"tape inputs has shape \(2, 4\)"),
+                               (held.astype(np.float64), r"tape inputs must be a uint8"),
+                               (list(held), r"tape inputs must be a uint8")):
+            tape.inputs = wrong
+            with pytest.raises(StateError, match=message):
+                backward(tape, np.zeros((2, 3)), net)
+
+    def test_weights_checked_by_the_forward_alone(self, monkeypatch):
+        # backward casts the weights that the forward which recorded its tape
+        # checked, without checking their range again.
+        checked = []
+
+        def counting(w, what):
+            checked.append(what)
+            return real(w, what)
+
+        real = numerics.require_hard_range
+        monkeypatch.setattr(numerics, "require_hard_range", counting)
+        rng = np.random.default_rng(45)
+        for model in MODELS:
+            net = init_network([4, 5, 3], model=model, timesteps=3, seed=46)
+            tape, readout = forward_record(net, _binary_inputs(rng, 2, 4, 3))
+            assert checked == ["layer0.w", "layer1.w"]
+            backward(tape, np.ones(readout.shape), net)
+            assert checked == ["layer0.w", "layer1.w"]
+            checked.clear()
 
     def test_per_timestep_list_tape_rejected(self):
         net, tape = self._tape_and_upstream()

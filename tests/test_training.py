@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,51 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak < 1.5 * tape_bytes, (
             f"peak {peak / 1e6:.1f} MB, one tape {tape_bytes / 1e6:.1f} MB")
+
+    def test_dense_batch_is_freed_after_layer_0s_gemm(self, monkeypatch):
+        # 512 inputs, T=64, B=32: the uint8 batch (1.05 MB) outweighs the tape.
+        # Its layer-0 GEMM, whose operand the batch is, sets train's peak, so
+        # what is checked is the memory live when each of a step's scans and
+        # its backward start: the tape, whose inputs are bits, and the
+        # parameter state (the trained copy, Adam's two moments and the
+        # gradients), but not the batch.
+        width, timesteps, batch = 512, 64, 32
+        kw = dict(class_count=2, neurons=width, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
+                  seed=5)
+        data = gen_poisson_patterns(n_per_class=batch, split="train", **kw)
+        net = init_network([width, 16, 2], model="lif", timesteps=timesteps, seed=6)
+        tape, _ = training.bptt.forward_record(net, data.data[:batch])
+        bits = timesteps * batch * -(-width // 8)
+        state = 4 * sum(p.nbytes for _, p in net.parameter_items())
+        allowed = _held_bytes(tape) + bits + state + 64_000
+        del tape
+        dense = timesteps * batch * width
+        assert dense > 1.5 * allowed
+
+        live = []
+
+        def traced(name, fn):
+            def call(*args, **kwargs):
+                # The training forward's scans keep the window; evaluate's keep nothing.
+                if name == "backward" or (kwargs.get("keep") and sys.version_info >= (3, 11)):
+                    live.append((name, tracemalloc.get_traced_memory()[0]))
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("scan", "backward"):
+            monkeypatch.setattr(training.bptt, name, traced(name, getattr(training.bptt, name)))
+        tracemalloc.start()
+        try:
+            train(net, data, TrainConfig(epochs=1, batch_size=batch, seed=0))
+        finally:
+            tracemalloc.stop()
+        # Two steps; before 3.11 the caller's stack keeps a temporary argument,
+        # and with it the batch, until the forward returns.
+        assert [name for name, _ in live].count("backward") == 2
+        assert len(live) == (6 if sys.version_info >= (3, 11) else 2)
+        for name, held in live:
+            assert held < allowed, (f"{held / 1e6:.3f} MB live at {name}, allowed "
+                                    f"{allowed / 1e6:.3f} MB; the dense batch is {dense / 1e6:.3f} MB")
 
     def test_width_mismatch_rejected(self):
         train_ds, _ = _toy()
