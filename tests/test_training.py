@@ -249,9 +249,9 @@ class TestTrainLoop:
         data = gen_poisson_patterns(n_per_class=batch, split="train", **kw)
         net = init_network([width, 16, 2], model="lif", timesteps=timesteps, seed=6)
         tape, _ = training.bptt.forward_record(net, data.data[:batch])
-        bits = timesteps * batch * -(-width // 8)
+        bits = timesteps * batch * -(-width // 8)  # the inputs, held as bits
         state = 4 * sum(p.nbytes for _, p in net.parameter_items())
-        allowed = _held_bytes(tape) + bits + state + 64_000
+        allowed = _held_bytes(tape) + bits + state + 64_000  # and a step's small objects
         del tape
         dense = timesteps * batch * width
         assert dense > 1.5 * allowed
@@ -260,7 +260,10 @@ class TestTrainLoop:
 
         def traced(name, fn):
             def call(*args, **kwargs):
-                # The training forward's scans keep the window; evaluate's keep nothing.
+                # The training forward's scans keep the window; evaluate's keep
+                # nothing. Before 3.11 the forward's caller keeps its temporary
+                # argument, the batch, until the forward returns, so there only
+                # the backward is checked.
                 if name == "backward" or (kwargs.get("keep") and sys.version_info >= (3, 11)):
                     live.append((name, tracemalloc.get_traced_memory()[0]))
                 return fn(*args, **kwargs)
@@ -273,8 +276,7 @@ class TestTrainLoop:
             train(net, data, TrainConfig(epochs=1, batch_size=batch, seed=0))
         finally:
             tracemalloc.stop()
-        # Two steps; before 3.11 the caller's stack keeps a temporary argument,
-        # and with it the batch, until the forward returns.
+        # Two steps, each of two scans and a backward.
         assert [name for name, _ in live].count("backward") == 2
         assert len(live) == (6 if sys.version_info >= (3, 11) else 2)
         for name, held in live:
