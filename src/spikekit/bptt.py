@@ -1,7 +1,7 @@
 """Backpropagation through time for spiking layers.
 
 The engine is layer-major. There are no recurrent weights, so a layer's
-drive ``x`` for every timestep comes from one GEMM over the spikes of the
+drive ``x`` for every timestep comes from GEMMs over the spikes of the
 layer below, and one :func:`spikekit.neurons.scan` call then runs the
 elementwise membrane recurrence over the window. One loop runs this chain
 for every forward pass, and each caller states only what it keeps:
@@ -12,24 +12,22 @@ mode's GEMMs read and write :data:`spikekit.numerics.HARD_DTYPE` (float32),
 each layer's weights cast to it once per pass, and the potential ``u``,
 dL/du and every gradient stay float64. The hard backward reads ``u`` only
 through its surrogate window, so a hard tape keeps that mask (``u`` for a
-``trained_leak`` row) and the spikes at one bit per neuron and step. Any
-tape keeps binary inputs at one bit too, and the dense input batch, layer
-0's GEMM operand, is freed after that GEMM. Beyond what it keeps, a
-forward's working memory scales with ``GEMM_ROWS``, not with timesteps x
-batch: :func:`spikekit.numerics.matmul` casts a tall spike operand
-``GEMM_ROWS`` rows at a time, a scan that keeps the window holds ``u`` for
-one block of ``ceil(GEMM_ROWS / batch)`` steps, and one that keeps only the
-spikes holds one row.
+``trained_leak`` row) and the spikes at one bit per neuron and step, and
+binary inputs at one bit too.
 
-The backward pass walks time in blocks of ``ceil(GEMM_ROWS / batch)``
-steps, latest block first. Within a block it takes each layer from the top
-down: an elementwise reverse scan of dL/du, then one GEMM for the weight
-gradient and one for the gradient sent to the layer below. The scan carries
-dL/du from one block to the next, so the blocking changes only how the sums
-are grouped, and the block size bounds the backward's working memory. It
-unpacks one block of the tape's bits at a time, ``N`` bits per row, so the
-padding bits of a row never reach a GEMM; every layer's weight-gradient
-GEMM, layer 0's included, reads the spikes below it so.
+One block grid, :func:`spikekit.numerics.blocks`, cuts the window into
+blocks of ``ceil(GEMM_ROWS / batch)`` steps counted back from its end.
+:func:`forward_record` and :func:`gradcheck` run each layer's GEMM one
+block at a time, unpacking the block's rows of the inputs or spikes below
+it, and a scan that keeps the window holds ``u`` for one block. The
+backward walks the same blocks, latest first. Within a block it takes each
+layer from the top down: an elementwise reverse scan of dL/du, then one
+GEMM for the weight gradient and one for the gradient sent to the layer
+below, each over one block of rows. The scan carries dL/du from one block
+to the next, so the blocking changes only how the sums are grouped. So,
+beyond what the tape keeps, working memory scales with ``GEMM_ROWS``, not
+with timesteps x batch. :func:`forward_rates` runs each chunk of samples as
+one block.
 
 The layer's row of :data:`spikekit.neurons.MODEL_TABLE` is all that tells
 the models apart here: its leak and drive shape the forward, and its site
@@ -67,10 +65,6 @@ from .errors import DimensionError, StateError
 from .network import Network, named_parameters, readout_and_loss, softmax
 from .neurons import MODEL_TABLE, NeuronParams, scan, sigmoid_prime, surrogate_window
 from .neurons import step  # noqa: F401  (perfbench traces the one-step entry point here)
-
-# Rows (timesteps x batch) per backward GEMM: the time-block size is
-# ceil(GEMM_ROWS / batch) steps. One constant with the forward's blocks.
-GEMM_ROWS = numerics.GEMM_ROWS
 
 
 @dataclass
@@ -220,9 +214,9 @@ def time_major_batch(data, index) -> np.ndarray:
     The result has shape (batch, width, timesteps) but is a view of a
     (timesteps, batch, width) array of the data's own dtype, so ``uint8``
     spikes stay one byte each and the engine reads each timestep's input
-    rows in place. A C-ordered batch costs it one transposed copy in the
-    forward pass and one per backward block. The copy goes one sample at a
-    time, which keeps its reads within a cache-sized tile.
+    rows in place. A C-ordered batch costs :func:`forward_record` one
+    transposed copy before it packs the inputs. The copy goes one sample at
+    a time, which keeps its reads within a cache-sized tile.
     """
     data = np.asarray(data)
     out = np.empty((data.shape[2], len(index), data.shape[1]), dtype=data.dtype)
@@ -232,14 +226,14 @@ def time_major_batch(data, index) -> np.ndarray:
 
 
 def _time_major(inputs: np.ndarray) -> np.ndarray:
-    """A (batch, width, timesteps) tensor as a ``(timesteps * batch, width)`` matrix.
+    """A (batch, width, timesteps) tensor as C-ordered ``(timesteps, batch, width)`` rows.
 
-    The matrix keeps the inputs' dtype; :func:`spikekit.numerics.matmul`
+    The rows keep the inputs' dtype; :func:`spikekit.numerics.matmul`
     makes the copy in the GEMM's dtype that BLAS reads.
     """
     if not inputs.transpose(2, 0, 1).flags.c_contiguous:
         inputs = time_major_batch(inputs, range(len(inputs)))
-    return inputs.transpose(2, 0, 1).reshape(-1, inputs.shape[1])
+    return inputs.transpose(2, 0, 1)
 
 
 def _weights(layer, n: int, smoothed: bool = False) -> np.ndarray:
@@ -252,32 +246,44 @@ def _weights(layer, n: int, smoothed: bool = False) -> np.ndarray:
     return w.astype(numerics.HARD_DTYPE, copy=False)
 
 
-def _layer_loop(layers, timesteps: int, pre, gemm, keep, take, smoothed: bool = False):
+def _layer_loop(layers, pre, gemm, keep, take, smoothed: bool = False):
     """The one layer loop of every forward pass; returns the output layer's readout.
 
-    ``pre``, layer 0's GEMM operand of ``timesteps * rows`` rows, is held by
-    the loop alone. Per layer, in this order: ``gemm(n, layer, pre)`` forms
-    the drive ``x`` and ``pre`` is dropped, so the operand and a weight cast
-    made for that GEMM alone are freed before the scan; one
-    :func:`spikekit.neurons.scan` of ``x`` keeps ``keep`` (``"window"``: the
-    packed surrogate window, or ``u`` for a ``trained_leak`` row);
-    ``take(n, x, held, o)`` gets the layer's arrays, and what it does not
-    keep is freed before the next GEMM, whose operand is the spikes ``o``.
+    ``pre`` is layer 0's input rows, time-major. Per layer, in this order:
+    ``gemm(n, layer, pre)`` forms the drive ``x``, ``(timesteps, ...,
+    neurons)``, and ``pre`` is dropped, so a weight cast made for that GEMM
+    alone is freed before the scan; one :func:`spikekit.neurons.scan` of
+    ``x`` keeps ``keep`` (``"window"``: the packed surrogate window, or
+    ``u`` for a ``trained_leak`` row); ``take(n, x, held, o)`` gets the
+    layer's arrays, and what it does not keep is freed before the next GEMM,
+    whose operand is the spikes ``o``.
 
     A GEMM's row grouping can change its products' last bits, so an
-    ``evaluate`` chunk may differ in last bits from a whole-batch forward in
-    a layer of 1 or 2 neurons, and in a float32 layer of 9 or more neurons
-    on OpenBLAS's Haswell and Zen kernels (see ``numerics.GEMM_ROWS``).
+    ``evaluate`` chunk, one GEMM per layer, may differ in last bits from a
+    training forward, whose GEMMs run on the block grid, in a layer of 1 or 2
+    neurons, and in a float32 layer of 9 or more neurons on OpenBLAS's
+    Haswell and Zen kernels (see ``numerics.GEMM_ROWS``).
     """
     for n, layer in enumerate(layers):
-        x = gemm(n, layer, pre.reshape(-1, layer.in_width)).reshape(timesteps, -1, layer.out_width)
+        x = gemm(n, layer, pre)
         del pre
         p = layer.params()
         kept = "u" if keep == "window" and MODEL_TABLE[p.model].trained_leak else keep
         held, pre = scan(x, p, layer.beta, smoothed=smoothed, keep=kept)
         take(n, x, held, pre)
         del x, held
-    return np.sum(pre, axis=0) / float(timesteps)
+    return np.sum(pre, axis=0) / float(len(pre))
+
+
+def _blocked_drive(pre, w: np.ndarray, grid, x: np.ndarray) -> np.ndarray:
+    """``x``, written with ``pre @ w.T`` over time-major rows ``pre`` as a tape
+    holds them (bits or floats), one :func:`spikekit.numerics.matmul` per
+    block of steps in ``grid``; a block's rows are unpacked for its GEMM alone."""
+    width = w.shape[1]
+    for steps in grid:
+        rows = _unpacked(pre[steps], width).reshape(-1, width)
+        x[steps] = numerics.matmul(rows, w.T).reshape(x[steps].shape)
+    return x
 
 
 def forward_record(net: Network, inputs, smoothed: bool = False):
@@ -291,12 +297,11 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     (see :class:`BpttTape`). The readout is the output layer's per-class
     firing rate, averaged over the window.
 
-    The dense batch is layer 0's GEMM operand, which
-    :func:`spikekit.numerics.matmul` casts to the GEMM's dtype as it reads
-    it. This call drops its own reference before the layer loop takes the
-    operand, and the loop drops it after that GEMM, so a caller that passes
-    the batch as a temporary, as :func:`spikekit.training.train` does, has
-    it freed there, before the tape grows.
+    Layer 0's GEMM reads the tape's inputs, so the dense batch is freed
+    once they are held: a caller that passes it as a temporary, as
+    :func:`spikekit.training.train` does, has it freed before any GEMM.
+    Every layer's GEMM runs one block of :func:`spikekit.numerics.blocks`'
+    grid at a time, the grid the backward walks.
     """
     inputs = np.asarray(inputs)  # keeps a time-major batch's layout and its dtype
     if inputs.ndim != 3:
@@ -311,36 +316,32 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
             f"input window {timesteps} does not match network timesteps {net.timesteps}"
         )
     numerics.require_finite(inputs, "inputs")
-    pre = _time_major(inputs)
+    rows = _time_major(inputs)
     del inputs
-    kind = pre.dtype.kind  # 0/1 inputs are held as bits
-    if kind == "b" or (kind in "iu" and pre.max(initial=0) <= 1
-                       and (kind == "u" or pre.min(initial=0) >= 0)):
-        held = numerics.pack_rows(pre)
-    else:  # held as the GEMM reads it, so the tape is layer 0's operand
-        held = pre = pre.astype(np.float64 if smoothed else numerics.HARD_DTYPE, copy=False)
-
-    tape = BpttTape(inputs=held.reshape(timesteps, batch, held.shape[-1]), x=[],
-                    held_membrane=[], held_o=[], readout=None, smoothed=smoothed,
-                    neurons=None if smoothed else [
+    kind = rows.dtype.kind  # 0/1 inputs are held as bits
+    if kind == "b" or (kind in "iu" and rows.max(initial=0) <= 1
+                       and (kind == "u" or rows.min(initial=0) >= 0)):
+        held = numerics.pack_rows(rows)
+    else:  # held as the GEMM reads it
+        held = rows.astype(np.float64 if smoothed else numerics.HARD_DTYPE, copy=False)
+    del rows
+    tape = BpttTape(inputs=held, x=[], held_membrane=[], held_o=[], readout=None,
+                    smoothed=smoothed, neurons=None if smoothed else [
                         (layer.params(), None if layer.beta is None else layer.beta.copy())
                         for layer in net.layers])
+    grid = numerics.blocks(timesteps, batch)
+
+    def drive(n, layer, pre):
+        w = _weights(layer, n, smoothed)
+        return _blocked_drive(pre, w, grid, np.empty((timesteps, batch, len(w)), w.dtype))
 
     def record(n, x, held, o):
         tape.x.append(x)
         tape.held_membrane.append(held)
         tape.held_o.append(o if smoothed else numerics.pack_rows(o))
 
-    # The operand goes to the loop as a temporary, which CPython 3.11 and
-    # later give to the callee alone; 3.10 keeps it on this frame's stack
-    # until the loop returns, which costs the forward's peak the dense batch
-    # and changes no output.
-    operand = [pre]
-    del pre
-    tape.readout = _layer_loop(
-        net.layers, timesteps, operand.pop(),
-        lambda n, layer, pre: numerics.matmul(pre, _weights(layer, n, smoothed).T),
-        "u" if smoothed else "window", record, smoothed)
+    tape.readout = _layer_loop(net.layers, tape.inputs, drive, "u" if smoothed else "window",
+                               record, smoothed)
     return tape, tape.readout
 
 
@@ -352,7 +353,7 @@ def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]
     :data:`spikekit.numerics.HARD_DTYPE` time-major GEMM operand, the weights
     are cast once for every chunk, and each scan keeps only the spikes.
     """
-    chunk = -(-GEMM_ROWS // net.timesteps)
+    chunk = -(-numerics.GEMM_ROWS // net.timesteps)
     readouts, counts = [], [0] * len(net.layers)
     weights = [_weights(layer, n) for n, layer in enumerate(net.layers)]
 
@@ -361,9 +362,10 @@ def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]
 
     for start in range(0, len(data), chunk):
         readouts.append(_layer_loop(
-            net.layers, net.timesteps,
+            net.layers,
             data[start:start + chunk].transpose(2, 0, 1).astype(numerics.HARD_DTYPE, order="C"),
-            lambda n, layer, pre: numerics.matmul(pre, weights[n].T), None, count))
+            lambda n, layer, pre: numerics.matmul(pre.reshape(-1, layer.in_width), weights[n].T)
+            .reshape(len(pre), -1, layer.out_width), None, count))
     return np.concatenate(readouts), counts
 
 
@@ -418,7 +420,6 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
 
     n_layers = len(net.layers)
     timesteps, batch = tape.timesteps, tape.batch_size
-    block_steps = -(-GEMM_ROWS // max(batch, 1))
     params = [layer.params() for layer in net.layers]
     gemm = tape.x[0].dtype
     # The spatial GEMMs' weights, cast once; layer 0 sends no gradient down.
@@ -435,9 +436,8 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
     # the layers below make theirs.
     du_carry = [None] * n_layers
 
-    for stop in range(timesteps, 0, -block_steps):
-        start = max(stop - block_steps, 0)
-        steps = slice(start, stop)
+    for steps in reversed(numerics.blocks(timesteps, batch)):
+        start, stop = steps.start, steps.stop
         # dL/do and the spikes of the layer being processed; a layer's block of
         # spikes is unpacked once, as the operand of the d_w GEMM above it.
         do = upstream / float(timesteps)
@@ -454,10 +454,11 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
             if leak_acc[n] is not None:
                 first = max(start, 1)
                 prev = slice(first - 1, stop - 1)
-                o_prev = _unpacked(tape.held_o[n][prev], width)
-                # One float64 block: u * (1 - o), formed with the gate as a bool.
-                carried = np.multiply(tape.held_membrane[n][prev],
-                                      1.0 - o_prev if tape.smoothed else ~o_prev)
+                u_prev = tape.held_membrane[n][prev]
+                # One float64 block: u * (1 - o), formed with the gate as a bool,
+                # which in hard mode is 1 - o = (u < v_th): no spikes to unpack.
+                carried = np.multiply(u_prev, 1.0 - tape.held_o[n][prev] if tape.smoothed
+                                      else u_prev < p.v_th)
                 carried *= du[first - start:]
                 leak_acc[n] += float(np.sum(carried))
                 carried = None
@@ -541,17 +542,15 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     spikes, tape = tape.o[:-1], None  # all the suffixes read of the tape
     labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above
     timesteps, batch = net.timesteps, len(inputs)
+    grid = numerics.blocks(timesteps, batch)
 
     def two_signs(n, layer, pre):
         """The suffix's layer ``n`` drive at ``moved[0]`` and ``moved[1]``, each
-        sign by a GEMM of its own, on an axis after time."""
+        sign by GEMMs of its own, on an axis after time."""
         x = np.empty((timesteps, 2, batch, layer.out_width))
-        signs = pre.reshape(timesteps, -1, batch, layer.in_width)  # one sign below layer 0
-        for k in range(2):
-            below = signs[:, k].reshape(-1, layer.in_width) if n else pre
-            x[:, k] = numerics.matmul(below, (layer.w if n else moved[k]).T).reshape(
-                timesteps, batch, -1)
-        return x.reshape(-1, layer.out_width)
+        for k in range(2):  # one sign below layer 0
+            _blocked_drive(pre[:, k] if n else pre, layer.w if n else moved[k], grid, x[:, k])
+        return x
 
     entries = []
     for name, param in work.parameter_items():
@@ -567,8 +566,8 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
             saved = param[idx]
             if moved:
                 moved[0][idx], moved[1][idx] = saved + step_size, saved - step_size
-                readout = _layer_loop(suffix.layers, timesteps, pre, two_signs, "u",
-                                      lambda *_: None, smoothed=True)
+                readout = _layer_loop(suffix.layers, pre, two_signs, "u", lambda *_: None,
+                                      smoothed=True)
                 moved[0][idx] = moved[1][idx] = saved
             else:
                 readout = []

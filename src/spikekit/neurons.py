@@ -189,9 +189,9 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
       along the neuron axis by :func:`~spikekit.numerics.pack_rows`:
       ``uint8``, ``ceil(neurons / 8)`` bytes per row, one bit per neuron and
       step; :func:`~spikekit.numerics.unpack_rows` gives the ``bool`` mask.
-      A block is ``ceil(GEMM_ROWS / batch)`` steps, and each block's mask is
-      packed into ``held`` as it forms, so no whole-window ``bool`` mask
-      exists.
+      Its blocks are :func:`~spikekit.numerics.blocks`' grid, and each
+      block's mask is packed into ``held`` as it forms, so no whole-window
+      ``bool`` mask exists.
     * None: ``held`` is None. A block is one step, so the scan holds one
       ``(batch..., neurons)`` row of potential, updated in place, and a gain
       model's drive is formed one row at a time.
@@ -218,26 +218,26 @@ def scan(x, p: NeuronParams, beta=None, state: NeuronState | None = None,
     leak = model.leak(p)
     drive = model.smoothed_drive if smoothed else model.drive
     if keep == "u":
-        block = max(len(x), 1)
+        grid = [slice(0, len(x))]
     elif keep == "window":
-        block = -(-numerics.GEMM_ROWS // max(math.prod(x.shape[1:-1]), 1))
+        grid = numerics.blocks(len(x), math.prod(x.shape[1:-1]))
     elif keep is None:
-        block = 1
+        grid = [slice(t, t + 1) for t in range(len(x))]
     else:
         raise ConfigError(f"scan keeps 'u', 'window' or None, got {keep!r}")
     o = np.empty(x.shape) if smoothed else np.empty(x.shape, dtype=bool)
     u_prev, o_prev = (0.0, 0.0) if state is None else (state.u, state.o)
     u_prev = u_prev if smoothed else leak * u_prev  # the start state, in the textbook grouping
     carry = np.subtract(1.0, o_prev, out=np.empty(x.shape[1:]))
-    u = np.empty(x[:block].shape)
+    u = np.empty(x[grid[-1]].shape if grid else x.shape)  # the last block is the longest
     held = u if keep == "u" else None
     if keep == "window":
         held = np.empty((*x.shape[:-1], -(-x.shape[-1] // 8)), dtype=np.uint8)
         # Rows of whole bytes whose padding stays 0, so they pack as one run.
         mask = np.zeros((*u.shape[:-1], 8 * held.shape[-1]), dtype=bool)
-    for start in range(0, len(x), block):
-        stop = min(start + block, len(x))
-        for k, d in enumerate(drive(x[start:stop], beta)):
+    for steps in grid:
+        start, stop = steps.start, steps.stop
+        for k, d in enumerate(drive(x[steps], beta)):
             if smoothed:
                 u_prev = np.multiply(u_prev, leak, out=u[k])
             np.multiply(u_prev, carry, out=u[k])

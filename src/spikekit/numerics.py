@@ -5,10 +5,10 @@ Hard-mode GEMMs are not: they read and write :data:`HARD_DTYPE` (float32),
 so a hard-mode weighted input is float32 too. Binary spikes are ``uint8`` in
 datasets, ``bool`` in a GEMM operand and one bit each on a hard tape
 (:func:`pack_rows`), and :func:`matmul` casts such an operand to its GEMM's
-dtype for BLAS, a block of rows at a time when it is tall. The
-functions here are thin contract-enforcing wrappers: shapes are checked up
-front and mismatches raise :class:`DimensionError` naming both shapes, and a
-histogram of an empty array raises :class:`EmptyInputError`.
+dtype for BLAS. The functions here are thin contract-enforcing wrappers:
+shapes are checked up front and mismatches raise :class:`DimensionError`
+naming both shapes, and a histogram of an empty array raises
+:class:`EmptyInputError`.
 
 Given identical inputs the results are deterministic across runs; nothing
 here depends on global state.
@@ -22,26 +22,16 @@ from .errors import DimensionError, EmptyInputError, NumericError
 
 DTYPE = np.float64
 
-# Rows per GEMM piece. The engine's scratch memory scales with this, not
-# with timesteps x batch: :func:`matmul` casts a tall binary operand this
-# many rows at a time, and :func:`spikekit.neurons.scan` and the backward
-# work in blocks of ceil(GEMM_ROWS / batch) steps. It is also a correctness
-# rule. On OpenBLAS 0.3.31's SkylakeX kernel, which the numpy wheel loads on
-# an AVX-512 CPU ("Haswell" in ``np.show_config()`` is only the build target),
-# with the engine's transposed weights ``w.T`` as right operand, pieces of 1024
-# rows (the remainder folded into the last) reproduced the single GEMM bit for
-# bit on every shape tried (K=1..700, N=1..256), while pieces of 128 to 512
-# rows changed narrow products (N <= 4) and time-step pieces changed more. So
-# no GEMM is cut into pieces of fewer than GEMM_ROWS rows, and none by time
-# step. With a C-ordered right operand even 1024-row pieces changed some narrow
-# products (K=17..256, N=2..33), so such a GEMM is never cut. On the Haswell
-# kernel, pieces of 128 rows and up reproduced every float64 product, in either
-# order. In float32 (:data:`HARD_DTYPE`) the rule is narrower: SkylakeX's
-# SGEMM keeps the same bits in 1024-row pieces, but the Haswell and Zen SGEMMs
-# give a row bits that depend on its place in a 768-row block, so 1024-row
-# pieces, and ``forward_rates``'s chunks, change products with K >= 16 and
-# N >= 9 in their last bits there (on 35 of 72 shapes of 3000 rows, K=1..700,
-# N=1..256); only cuts at multiples of 768 rows kept every product.
+# Rows per block of the engine's one block grid (:func:`blocks`), counted
+# back from the end of the window: the training forward's GEMMs and window
+# scans, and the backward, work one block of ceil(GEMM_ROWS / batch) steps
+# at a time, so their scratch memory scales with this, not with timesteps x
+# batch. A GEMM's last bits can depend on its block. On OpenBLAS 0.3.31,
+# with ``w.T`` on the right, the SkylakeX kernel (AVX-512 CPUs) kept a row's
+# bits in cuts of 1024 rows, but cuts of 128 to 512 rows changed products of
+# N <= 4 columns; the Haswell and Zen SGEMMs give a row bits that depend on
+# its place in a 768-row block, so there a cut changes float32 products of
+# K >= 16 and N >= 9.
 GEMM_ROWS = 1024
 
 # The dtype of every hard-mode GEMM's operands and product, so also of a hard
@@ -126,14 +116,8 @@ def matmul(a, b) -> np.ndarray:
 
     The GEMM runs in :data:`HARD_DTYPE` when either operand has that dtype
     and in float64 otherwise; the other operand is cast to that dtype, and so is the
-    product. A binary (``uint8`` or ``bool``) ``a`` of at least
-    ``2 * GEMM_ROWS`` rows times a Fortran-ordered ``b`` (a transposed view
-    such as ``w.T``) is cast ``GEMM_ROWS`` rows at a time, the remainder
-    joining the last block, and each block's product goes straight into its
-    rows of the result. So the cast never holds more than
-    ``2 * GEMM_ROWS - 1`` rows, and no piece is cut where cutting was seen to
-    change a float64 result (see ``GEMM_ROWS``). Other operands, and ``b``,
-    are cast whole, for the length of the call.
+    product. A caller that wants bounded scratch passes one block of rows
+    (see :func:`blocks`).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -147,13 +131,18 @@ def matmul(a, b) -> np.ndarray:
     # holes a chunked evaluate grows the heap past glibc's trim threshold and
     # page-faults it back in on every chunk.
     out = np.empty((a.shape[0], b.shape[1]), dtype=dtype)
-    b = b.astype(dtype, copy=False)
-    if a.dtype.kind not in "bu" or len(a) < 2 * GEMM_ROWS or not b.flags.f_contiguous:
-        return np.matmul(a.astype(dtype, copy=False), b, out=out)
-    edges = [*range(0, len(a) // GEMM_ROWS * GEMM_ROWS, GEMM_ROWS), len(a)]
-    for start, stop in zip(edges, edges[1:]):
-        np.matmul(a[start:stop].astype(dtype), b, out=out[start:stop])
-    return out
+    return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False), out=out)
+
+
+def blocks(timesteps: int, rows_per_step: int) -> list[slice]:
+    """The engine's block grid: slices of ``ceil(GEMM_ROWS / rows_per_step)``
+    steps that tile ``[0, timesteps)``, in time order.
+
+    Blocks are counted back from the end of the window, so only the first
+    may be short. The backward walks them in reverse, from the end.
+    """
+    steps = -(-GEMM_ROWS // max(rows_per_step, 1))
+    return [slice(max(stop - steps, 0), stop) for stop in range(timesteps, 0, -steps)][::-1]
 
 
 def _check_nonempty(a: np.ndarray, op: str) -> None:

@@ -179,7 +179,8 @@ def _train_step(net: Network, opt: Adam, data: np.ndarray, index: np.ndarray,
 
     The dense batch is built time-major as a temporary argument of
     :func:`spikekit.bptt.forward_record`, so no frame here holds it, and it
-    is freed after layer 0's GEMM; the tape holds binary inputs as bits. The
+    is freed once the tape holds the inputs as bits, before any GEMM (from
+    CPython 3.11, which gives a temporary argument to the callee alone). The
     tape and the gradients live only in this frame, so they are freed before
     the next batch's forward and before any evaluation.
     """

@@ -182,9 +182,9 @@ class TestTapeLayout:
     @pytest.mark.parametrize("model", MODELS)
     def test_potentials_are_the_scanned_ones(self, model):
         # Batch 3 over 700 steps spans three scan blocks of ceil(GEMM_ROWS / 3)
-        # steps, the last one short; the tape must still be the chained steps.
+        # steps, the first one short; the tape must still be the chained steps.
         batch, timesteps = 3, 700
-        assert timesteps > 2 * -(-bptt.GEMM_ROWS // batch)
+        assert len(numerics.blocks(timesteps, batch)) >= 3
         rng = np.random.default_rng(52)
         net = _net_off_init(model, rng, seed=53, timesteps=timesteps)
         tape, _ = forward_record(net, _binary_inputs(rng, batch, 5, timesteps))
@@ -255,10 +255,10 @@ class TestTapeLayout:
     def test_packed_rows_read_as_the_scanned_ones(self, model):
         # Widths of 1 and 7 to 10 neurons put a packed row at and around a
         # byte's edge, and batch 48 over 50 steps spans three scan blocks of
-        # 22, 22 and 6 steps. Readers see the scan's spikes and surrogate
+        # 6, 22 and 22 steps. Readers see the scan's spikes and surrogate
         # window byte for byte, and no padding bit is set.
         widths, batch, timesteps = (6, 9, 1, 7, 8, 10), 48, 50
-        assert timesteps > 2 * -(-bptt.GEMM_ROWS // batch)
+        assert len(numerics.blocks(timesteps, batch)) >= 3
         rng = np.random.default_rng(65)
         net = _net_off_init(model, rng, seed=66, widths=widths, timesteps=timesteps)
         tape, _ = forward_record(net, _binary_inputs(rng, batch, widths[0], timesteps))
@@ -309,12 +309,13 @@ def _reference_tape(net, inputs, smoothed):
 
 
 class TestBlockedForward:
-    """Past 2 * GEMM_ROWS rows the forward casts in row blocks and scans in time blocks."""
+    """Past GEMM_ROWS rows the forward runs its GEMMs and scans on the block grid."""
 
     WIDTHS, BATCH, TIMESTEPS = (40, 24, 4), 32, 140
 
     def _case(self, model, seed):
-        assert self.BATCH * self.TIMESTEPS >= 2 * bptt.GEMM_ROWS
+        grid = numerics.blocks(self.TIMESTEPS, self.BATCH)
+        assert len(grid) >= 3 and grid[0].stop < grid[1].stop - grid[1].start  # a short first block
         rng = np.random.default_rng(seed)
         net = _net_off_init(model, rng, seed=seed, widths=self.WIDTHS, timesteps=self.TIMESTEPS)
         data = (rng.random((self.BATCH, self.WIDTHS[0], self.TIMESTEPS)) < 0.3).astype(np.uint8)
@@ -386,7 +387,7 @@ class TestBlockedForward:
             tracemalloc.stop()
         held = sum(a.nbytes for series in (tape.x, tape.held_membrane, tape.held_o)
                    for a in series)
-        block = 2 * bptt.GEMM_ROWS * max(self.WIDTHS) * 8
+        block = 2 * numerics.GEMM_ROWS * max(self.WIDTHS) * 8
         assert peak < held + data.nbytes + block
 
 
@@ -420,13 +421,112 @@ class TestBlockedBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows, widest = -(-bptt.GEMM_ROWS // self.BATCH) * self.BATCH, max(self.WIDTHS)
-        assert self.TIMESTEPS * self.BATCH >= 3 * rows
+        grid, widest = numerics.blocks(self.TIMESTEPS, self.BATCH), max(self.WIDTHS)
+        rows = (grid[-1].stop - grid[-1].start) * self.BATCH
+        assert len(grid) >= 3 and self.TIMESTEPS * self.BATCH >= 3 * rows
         d_w = sum(layer.w.nbytes for layer in net.layers)
         weights = sum(layer.w.size * 4 for layer in net.layers[1:])
         carried = (len(net.layers) + 1) * self.BATCH * widest * 8
         bound = (20 + 8) * rows * widest + d_w + weights + carried
         assert peak < bound, f"peak {peak} B, bound {bound} B"
+
+    def test_plif_unpacks_no_window_and_each_block_of_spikes_once(self, monkeypatch):
+        # A hard plif tape holds u, and its leak gradient's gate 1 - o is
+        # u < v_th, so its backward unpacks only spikes: each block's spikes
+        # below each layer, and the top layer's. A lif backward unpacks those
+        # and each layer's window per block besides.
+        rng = np.random.default_rng(64)
+        data = (rng.random((self.BATCH, self.WIDTHS[0], self.TIMESTEPS)) < 0.3).astype(np.uint8)
+        calls = {}
+        real = numerics.unpack_rows
+
+        def counting(packed, width):
+            calls[model] += 1
+            return real(packed, width)
+
+        for model in ("lif", "plif"):
+            net = init_network(list(self.WIDTHS), model=model, timesteps=self.TIMESTEPS, seed=63,
+                               v_th=0.5)
+            tape, readout = forward_record(net, bptt.time_major_batch(data, range(self.BATCH)))
+            _, upstream, _ = readout_and_loss(readout, rng.integers(0, self.WIDTHS[-1],
+                                                                    self.BATCH))
+            calls[model] = 0
+            monkeypatch.setattr(numerics, "unpack_rows", counting)
+            backward(tape, upstream, net)
+            monkeypatch.setattr(numerics, "unpack_rows", real)
+        blocks, layers = len(numerics.blocks(self.TIMESTEPS, self.BATCH)), len(self.WIDTHS) - 1
+        assert calls["plif"] == blocks * (layers + 1)
+        assert calls["plif"] <= calls["lif"] - blocks * layers
+
+
+class TestBlockGrid:
+    """One grid, numerics.blocks, cuts the forward's GEMMs and window scans and the backward."""
+
+    WIDTHS = (6, 5, 3)
+
+    @staticmethod
+    def _windows(batch):
+        """Windows of 1, 2 and 3 blocks, each with and without a short first block."""
+        last = numerics.blocks(10**6, batch)[-1]
+        size = last.stop - last.start
+        return [n * size - short for n in (1, 2, 3) for short in (0, size // 2)]
+
+    @pytest.mark.parametrize("batch", [1, 3, 32, 48, 128])
+    def test_blocks_tile_the_window_and_cut_every_pass(self, batch, monkeypatch):
+        rows, packed = [], []
+        real_matmul, real_pack = numerics.matmul, numerics.pack_rows
+
+        def matmul(a, b):
+            rows.append((a.shape, b.shape))
+            return real_matmul(a, b)
+
+        def pack_rows(bits):
+            packed.append(len(bits))
+            return real_pack(bits)
+
+        monkeypatch.setattr(numerics, "matmul", matmul)
+        monkeypatch.setattr(numerics, "pack_rows", pack_rows)
+        rng = np.random.default_rng(batch)
+        for timesteps in self._windows(batch):
+            grid = numerics.blocks(timesteps, batch)
+            steps = [s.stop - s.start for s in grid]
+            size = steps[-1]
+            # The blocks tile [0, T) in order, each full one the fewest steps of
+            # at least GEMM_ROWS rows, and only the first may be short.
+            assert [t for s in grid for t in range(s.start, s.stop)] == list(range(timesteps))
+            assert (size - 1) * batch < numerics.GEMM_ROWS <= size * batch or size == timesteps
+            assert all(n == size for n in steps[1:]) and 0 < steps[0] <= size
+            assert len(grid) == -(-timesteps // size)
+
+            net = init_network(list(self.WIDTHS), model="lif", timesteps=timesteps, seed=batch,
+                               v_th=0.5)
+            rows.clear(), packed.clear()
+            inputs = _binary_inputs(rng, batch, self.WIDTHS[0], timesteps, p=0.3)
+            tape, readout = forward_record(net, inputs.astype(np.uint8))
+            forward, scans = rows[:], packed[:]
+            rows.clear()
+            backward(tape, np.ones_like(readout), net)
+            layers = range(len(net.layers))
+            # Each forward GEMM is one block of the spikes below, layer by layer;
+            # each window scan packs one block at a time, between the packing
+            # of the inputs and of the layer's spikes.
+            assert forward == [((n * batch, layer.in_width), (layer.in_width, layer.out_width))
+                               for layer in net.layers for n in steps]
+            assert scans == [timesteps] + (steps + [timesteps]) * len(net.layers)
+            # The backward walks the same blocks from the end: per block and
+            # layer from the top, the weight-gradient GEMM over the block's
+            # spikes below, then (above layer 0) the gradient sent down.
+            want = []
+            for n in reversed(steps):
+                for k in reversed(layers):
+                    layer = net.layers[k]
+                    want.append(((layer.out_width, n * batch), (n * batch, layer.in_width)))
+                    if k:
+                        want.append(((n * batch, layer.out_width),
+                                     (layer.out_width, layer.in_width)))
+            assert rows == want
+            assert max(max(a[0], a[1]) for a, _ in forward + rows) <= (
+                numerics.GEMM_ROWS + batch - 1)
 
 
 class TestForwardChecks:

@@ -232,8 +232,8 @@ def test_mixed_per_layer_tags_match_naive_reference(widths, model, timesteps, se
 @pytest.mark.usefixtures("float64_gemms")
 @pytest.mark.parametrize(CASE, BLOCKED + PACKED)
 def test_several_backward_blocks_match_naive_reference(widths, model, timesteps, seed, batch):
-    block_steps = -(-bptt.GEMM_ROWS // batch)
-    assert block_steps < timesteps and timesteps % block_steps != 0
+    grid = numerics.blocks(timesteps, batch)  # several blocks, the first one short
+    assert len(grid) > 1 and grid[0].stop < grid[1].stop - grid[1].start
     _check_case(widths, model, timesteps, seed, batch)
 
 

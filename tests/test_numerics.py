@@ -17,6 +17,18 @@ class TestAsDense:
         assert numerics.as_dense(strided).flags["C_CONTIGUOUS"]
 
 
+class TestBlocks:
+    """The grid's tiling at every pass is checked in tests/test_bptt.py::TestBlockGrid."""
+
+    def test_edge_shapes(self):
+        # Past GEMM_ROWS rows a step, a block is one step; an empty window has
+        # no blocks, and an empty batch is read as one row a step.
+        assert numerics.blocks(3, numerics.GEMM_ROWS + 1) == [slice(0, 1), slice(1, 2),
+                                                              slice(2, 3)]
+        assert numerics.blocks(0, 4) == []
+        assert numerics.blocks(2, 0) == numerics.blocks(2, 1) == [slice(0, 2)]
+
+
 class TestMatmul:
     def test_against_einsum(self):
         rng = np.random.default_rng(11)
@@ -51,9 +63,9 @@ class TestMatmul:
     @pytest.mark.parametrize("rows, inner, cols", [(4480, 24, 10), (2048, 64, 10),
                                                    (4480, 128, 4), (2240, 40, 24)])
     def test_tall_binary_operand_matches_the_single_gemm(self, rows, inner, cols):
-        # Past 2 * GEMM_ROWS rows a binary operand is cast in row blocks, but
-        # only beside a transposed right operand, where the blocks were seen
-        # to keep the single GEMM's bytes; a C-ordered one is never cut.
+        # matmul never cuts its rows: a caller that wants blocks passes one
+        # (numerics.blocks). So a tall binary operand, beside a transposed or a
+        # C-ordered right operand, gives the single float64 GEMM's bytes.
         assert rows >= 2 * numerics.GEMM_ROWS
         rng = np.random.default_rng(rows + inner + cols)
         spikes = rng.random((rows, inner)) < 0.3

@@ -238,10 +238,10 @@ class TestTrainLoop:
 
     def test_dense_batch_is_freed_after_layer_0s_gemm(self, monkeypatch):
         # 512 inputs, T=64, B=32: the uint8 batch (1.05 MB) outweighs the tape.
-        # Its layer-0 GEMM, whose operand the batch is, sets train's peak, so
-        # what is checked is the memory live when each of a step's scans and
-        # its backward start: the tape, whose inputs are bits, and the
-        # parameter state (the trained copy, Adam's two moments and the
+        # The forward frees it once the tape holds it as bits, before any
+        # GEMM, so what is checked is the memory live when each of a step's
+        # scans and its backward start: the tape, whose inputs are bits, and
+        # the parameter state (the trained copy, Adam's two moments and the
         # gradients), but not the batch.
         width, timesteps, batch = 512, 64, 32
         kw = dict(class_count=2, neurons=width, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
@@ -318,7 +318,7 @@ class TestEvaluate:
         # From below one chunk to three chunks and a remainder, with an output
         # layer narrow enough (N <= 4) that GEMM row grouping has been seen to
         # change results.
-        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        chunk = -(-numerics.GEMM_ROWS // timesteps)
         n = max(whole_chunks * chunk + int(remainder * chunk), 1)
         rng = np.random.default_rng(seed)
         spikes = rng.random((n, 6, timesteps)) < 0.4
@@ -360,7 +360,7 @@ class TestEvaluate:
         counting(training.bptt, "scan")
         counting(numerics, "matmul")
         train_ds, _ = _toy()
-        chunk = -(-training.bptt.GEMM_ROWS // train_ds.timesteps)
+        chunk = -(-numerics.GEMM_ROWS // train_ds.timesteps)
         three_chunks = gen_poisson_patterns(n_per_class=chunk + 1, split="test", class_count=2,
                                             neurons=8, timesteps=3, rate_lo=0.1, rate_hi=0.9,
                                             seed=2)
@@ -380,7 +380,7 @@ class TestEvaluate:
         # that GEMM sets the peak. Another copy of the chunk, in any dtype,
         # breaks the bound.
         timesteps, width, hidden = 16, 96, 16
-        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        chunk = -(-numerics.GEMM_ROWS // timesteps)
         kw = dict(class_count=2, neurons=width, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
                   seed=4)
         ds = gen_poisson_patterns(n_per_class=3 * chunk // 2, split="test", **kw)
@@ -406,7 +406,7 @@ class TestEvaluate:
         # cast once for every chunk. A whole-window float64 potential is
         # R x 64 x 8 bytes, and a whole-window gain drive as much again.
         timesteps, widths = 64, [16, 64, 64, 2]
-        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        chunk = -(-numerics.GEMM_ROWS // timesteps)
         kw = dict(class_count=2, neurons=widths[0], timesteps=timesteps, rate_lo=0.2,
                   rate_hi=0.8, seed=9)
         ds = gen_poisson_patterns(n_per_class=chunk, split="test", **kw)
@@ -428,7 +428,7 @@ class TestEvaluate:
     def test_memory_bounded_by_one_chunk(self):
         # Five chunks: a whole-set tape would be five times one chunk's.
         timesteps = 64
-        chunk = -(-training.bptt.GEMM_ROWS // timesteps)
+        chunk = -(-numerics.GEMM_ROWS // timesteps)
         kw = dict(class_count=2, neurons=16, timesteps=timesteps, rate_lo=0.2, rate_hi=0.8,
                   seed=9)
         ds = gen_poisson_patterns(n_per_class=5 * chunk // 2, split="test", **kw)
