@@ -455,8 +455,8 @@ def backward(tape: BpttTape, upstream, net: Network) -> GradientSet:
                 first = max(start, 1)
                 prev = slice(first - 1, stop - 1)
                 u_prev = tape.held_membrane[n][prev]
-                # One float64 block: u * (1 - o), formed with the gate as a bool,
-                # which in hard mode is 1 - o = (u < v_th): no spikes to unpack.
+                # One float64 block: u * (1 - o), formed with the gate as a bool;
+                # a hard gate 1 - o is u < v_th, so no spikes are unpacked for it.
                 carried = np.multiply(u_prev, 1.0 - tape.held_o[n][prev] if tape.smoothed
                                       else u_prev < p.v_th)
                 carried *= du[first - start:]
