@@ -6,14 +6,15 @@ layer below, and one :func:`spikekit.neurons.scan` call then runs the
 elementwise membrane recurrence over the window. One loop runs this chain
 for every forward pass, and each caller states only what it keeps:
 :func:`forward_record` a tape for the backward (:class:`BpttTape`),
-:func:`forward_rates` per-layer spike totals, and :func:`gradcheck` a
-weight entry's ``+h`` and ``-h`` forwards, on an axis after time. Hard
-mode's GEMMs read and write :data:`spikekit.numerics.HARD_DTYPE` (float32),
-each layer's weights cast to it once per pass, and the potential ``u``,
-dL/du and every gradient stay float64. The hard backward reads ``u`` only
-through its surrogate window, so a hard tape keeps that mask (``u`` for a
-``trained_leak`` row) and the spikes at one bit per neuron and step, and
-binary inputs at one bit too.
+:func:`forward_rates` per-layer spike totals, and :func:`gradcheck`'s reruns
+nothing, reading the spikes of the one tape it records. Every forward takes
+0/1 spike inputs. Hard mode's GEMMs read and write
+:data:`spikekit.numerics.HARD_DTYPE` (float32), each layer's weights cast to
+it once per pass, and the potential ``u``, dL/du and every gradient stay
+float64. The hard backward reads ``u`` only through its surrogate window, so
+a hard tape keeps that mask (``u`` for a ``trained_leak`` row) and the
+spikes at one bit per neuron and step, and every tape the inputs at one bit
+too.
 
 One block grid, :func:`spikekit.numerics.blocks`, cuts the window into
 blocks of ``ceil(GEMM_ROWS / batch)`` steps counted back from its end.
@@ -77,13 +78,9 @@ class BpttTape:
     (float32) in hard mode and float64 in smoothed mode; the backward's
     GEMMs run in its dtype.
 
-    ``inputs`` is the input batch, time-major, ``(timesteps, batch, ...)``.
-    Binary inputs (a ``bool`` batch, or an integer batch of 0s and 1s such
-    as a ``uint8`` dataset's) are held as bits the way the hidden spikes
-    are, ``(timesteps, batch, ceil(width / 8))`` ``uint8``, so they add
-    ``ceil(width / 8)`` bytes per step and sample, not ``width``. Any other
-    batch is held as ``(timesteps, batch, width)`` in ``x``'s dtype, the
-    dtype the GEMM casts it to.
+    ``inputs`` is the 0/1 input batch, time-major, held as bits the way the
+    hidden spikes are, ``(timesteps, batch, ceil(width / 8))`` ``uint8``, so
+    it adds ``ceil(width / 8)`` bytes per step and sample, not ``width``.
 
     ``held_o[n]`` and ``held_membrane[n]`` are what the tape keeps of the
     spikes and of the potential. Smoothed mode keeps both as float64 arrays
@@ -96,14 +93,13 @@ class BpttTape:
     8)`` bytes per step and sample, and a ``plif`` layer ``12 * neurons +
     ceil(neurons / 8)``.
 
-    Readers see ``o[n]``, ``membrane[n]`` and ``u[n]`` with ``x[n]``'s shape:
-    ``o`` is ``bool`` in hard mode and float64 in smoothed mode,
-    ``membrane`` is ``bool`` where the window is held and float64 ``u``
-    elsewhere, and ``u`` is float64 either way: the held potential, or one
-    re-run of :func:`spikekit.neurons.scan` over ``x[n]`` with the layer's
-    neuron parameters and ``beta`` as they were at forward time
-    (``neurons``, kept by hard-mode tapes only). Each access unpacks or
-    derives layer ``n`` alone, and nothing is cached.
+    Readers see ``o[n]`` and ``u[n]`` with ``x[n]``'s shape: ``o`` is
+    ``bool`` in hard mode and float64 in smoothed mode, and ``u`` is float64
+    either way: the held potential, or one re-run of
+    :func:`spikekit.neurons.scan` over ``x[n]`` with the layer's neuron
+    parameters and ``beta`` as they were at forward time (``neurons``, kept
+    by hard-mode tapes only). Each access unpacks or derives layer ``n``
+    alone, and nothing is cached.
     """
 
     inputs: np.ndarray
@@ -127,10 +123,6 @@ class BpttTape:
         return _Layers(self, "o")
 
     @property
-    def membrane(self) -> "_Layers":
-        return _Layers(self, "membrane")
-
-    @property
     def u(self) -> "_Layers":
         return _Layers(self, "u")
 
@@ -140,15 +132,13 @@ class BpttTape:
         if lengths != [n_layers] * 3:
             raise StateError(f"tape holds x, held_membrane and held_o of {lengths} layers, "
                              f"network has {n_layers}")
-        drive = np.float64 if self.smoothed else numerics.HARD_DTYPE
-        inputs = self.inputs
-        if not isinstance(inputs, np.ndarray) or inputs.dtype not in (np.uint8, drive):
-            raise StateError(f"tape inputs must be a uint8 (bits) or {np.dtype(drive)} array")
-        width = net.input_width
-        row = -(-width // 8) if inputs.dtype == np.uint8 else width
-        if inputs.ndim != 3 or inputs.shape[2] != row:
+        inputs, width = self.inputs, net.input_width
+        if not isinstance(inputs, np.ndarray) or inputs.dtype != np.uint8:
+            raise StateError("tape inputs must be a uint8 array of bits")
+        if inputs.ndim != 3 or inputs.shape[2] != -(-width // 8):
             raise StateError(f"tape inputs has shape {inputs.shape}, expected (timesteps, "
-                             f"batch, {row}) for {width} inputs held as {inputs.dtype}")
+                             f"batch, {-(-width // 8)}) for {width} inputs held as bits")
+        drive = np.float64 if self.smoothed else numerics.HARD_DTYPE
         for n, layer in enumerate(net.layers):
             dense = (self.timesteps, self.batch_size, layer.out_width)
             floats, bits = (np.float64, dense), (np.uint8, (*dense[:2], -(-dense[2] // 8)))
@@ -171,7 +161,7 @@ def _unpacked(held: np.ndarray, width: int) -> np.ndarray:
 
 
 class _Layers(Sequence):
-    """``BpttTape.o``, ``.membrane`` or ``.u``: one layer unpacked or re-derived per access.
+    """``BpttTape.o`` or ``.u``: one layer unpacked or re-derived per access.
 
     A slice gives a list of the layers it names, each read so.
     """
@@ -186,12 +176,10 @@ class _Layers(Sequence):
         if isinstance(n, slice):
             return [self[i] for i in range(len(self))[n]]
         tape = self._tape
-        width = tape.x[n].shape[-1]
         if self._name == "o":
-            return _unpacked(tape.held_o[n], width)
-        held = tape.held_membrane[n]
-        if self._name == "membrane" or held.dtype == np.float64:
-            return _unpacked(held, width)
+            return _unpacked(tape.held_o[n], tape.x[n].shape[-1])
+        if tape.held_membrane[n].dtype == np.float64:
+            return tape.held_membrane[n]
         p, beta = tape.neurons[n]
         return scan(tape.x[n], p, beta)[0]
 
@@ -215,7 +203,7 @@ def time_major_batch(data, index) -> np.ndarray:
     (timesteps, batch, width) array of the data's own dtype, so ``uint8``
     spikes stay one byte each and the engine reads each timestep's input
     rows in place. A C-ordered batch costs :func:`forward_record` one
-    transposed copy before it packs the inputs. The copy goes one sample at
+    transposed copy as it packs the inputs. The copy here goes one sample at
     a time, which keeps its reads within a cache-sized tile.
     """
     data = np.asarray(data)
@@ -223,17 +211,6 @@ def time_major_batch(data, index) -> np.ndarray:
     for k, i in enumerate(index):
         out[:, k, :] = data[i].T
     return out.transpose(1, 2, 0)
-
-
-def _time_major(inputs: np.ndarray) -> np.ndarray:
-    """A (batch, width, timesteps) tensor as C-ordered ``(timesteps, batch, width)`` rows.
-
-    The rows keep the inputs' dtype; :func:`spikekit.numerics.matmul`
-    makes the copy in the GEMM's dtype that BLAS reads.
-    """
-    if not inputs.transpose(2, 0, 1).flags.c_contiguous:
-        inputs = time_major_batch(inputs, range(len(inputs)))
-    return inputs.transpose(2, 0, 1)
 
 
 def _weights(layer, n: int, smoothed: bool = False) -> np.ndarray:
@@ -290,12 +267,14 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
     """Unroll the network over the window; returns ``(tape, readout)``.
 
     ``inputs`` is a spike tensor of shape (batch, input_width, timesteps),
-    of any real, integer or boolean dtype. All membrane potentials start at
-    0 with no prior spike. The tape keeps the inputs, each layer's drive,
-    its surrogate window or potential, and its spikes, a hard layer's bits
-    packed as its scan returns them and binary inputs packed the same way
-    (see :class:`BpttTape`). The readout is the output layer's per-class
-    firing rate, averaged over the window.
+    of any real, integer or boolean dtype, whose entries are 0 or 1: any
+    other raises :class:`~spikekit.errors.DataError`, by the check a
+    :class:`~spikekit.data.Dataset` makes (:func:`spikekit.numerics.binary_uint8`).
+    All membrane potentials start at 0 with no prior spike. The tape keeps
+    the inputs as bits, and each layer's drive, its surrogate window or
+    potential, and its spikes, a hard layer's bits packed as its scan
+    returns them (see :class:`BpttTape`). The readout is the output layer's
+    per-class firing rate, averaged over the window.
 
     Layer 0's GEMM reads the tape's inputs, so the dense batch is freed
     once they are held: a caller that passes it as a temporary, as
@@ -316,15 +295,8 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
             f"input window {timesteps} does not match network timesteps {net.timesteps}"
         )
     numerics.require_finite(inputs, "inputs")
-    rows = _time_major(inputs)
+    held = numerics.pack_rows(numerics.binary_uint8(inputs).transpose(2, 0, 1))
     del inputs
-    kind = rows.dtype.kind  # 0/1 inputs are held as bits
-    if kind == "b" or (kind in "iu" and rows.max(initial=0) <= 1
-                       and (kind == "u" or rows.min(initial=0) >= 0)):
-        held = numerics.pack_rows(rows)
-    else:  # held as the GEMM reads it
-        held = rows.astype(np.float64 if smoothed else numerics.HARD_DTYPE, copy=False)
-    del rows
     tape = BpttTape(inputs=held, x=[], held_membrane=[], held_o=[], readout=None,
                     smoothed=smoothed, neurons=None if smoothed else [
                         (layer.params(), None if layer.beta is None else layer.beta.copy())
@@ -374,9 +346,9 @@ def _block_du(do, u: np.ndarray, o: np.ndarray, p, smoothed: bool, carry) -> np.
 
     ``do`` is dL/do for the block (or one (batch, neurons) slice broadcast
     over it) and ``carry`` is dL/du at the step after the block, or None at
-    the end of the window. ``u`` is the block of the tape's ``membrane``:
-    the potential, or in hard mode possibly its unpacked surrogate-window
-    mask.
+    the end of the window. ``u`` is the block of the tape's
+    ``held_membrane``: the potential, or in hard mode possibly its unpacked
+    surrogate-window mask.
     """
     leak = p.effective_leak()
     if smoothed:
@@ -524,29 +496,34 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     Runs in smoothed mode, where the network is genuinely differentiable,
     so the analytic backward must match the numeric derivative of the loss
     for every trainable array. Relative error per entry uses
-    ``max(|analytic|, |numeric|, 1e-6)`` in the denominator.
+    ``max(|analytic|, |numeric|, 1e-6)`` in the denominator. ``inputs`` is a
+    0/1 spike tensor, as :func:`forward_record` takes it, and that function
+    runs once, for the analytic gradients.
 
-    A layer-``n`` entry reruns only layers ``n`` and above, on the unperturbed
-    spikes of layer ``n - 1``, so every GEMM reads what a whole-network
+    A layer-``n`` entry reruns only layers ``n`` and above through the one
+    layer loop, on layer ``n - 1``'s spikes as the analytic tape holds them
+    (its input bits for ``n = 0``), so every GEMM reads what a whole-network
     forward would give it. A weight entry's ``+h`` and ``-h`` forwards share
     each layer's :func:`spikekit.neurons.scan`, which is elementwise, over a
     two-sign axis after time: each sign gets the bits of a forward of its
     own. A ``beta`` or ``plif_raw`` entry, which ``scan`` takes once per
-    call, still costs two forwards.
+    call, runs one pass of the loop per sign.
     """
     work = net.copy()
-    inputs = numerics.as_dense(inputs)
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
     analytic_by_name = dict(backward(tape, upstream, work).items())
-    spikes, tape = tape.o[:-1], None  # all the suffixes read of the tape
+    below = [tape.inputs, *tape.held_o[:-1]]  # all the suffixes read of the tape
+    timesteps, batch = tape.timesteps, tape.batch_size
+    tape = None
     labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above
-    timesteps, batch = net.timesteps, len(inputs)
     grid = numerics.blocks(timesteps, batch)
 
-    def two_signs(n, layer, pre):
-        """The suffix's layer ``n`` drive at ``moved[0]`` and ``moved[1]``, each
-        sign by GEMMs of its own, on an axis after time."""
+    def drive(n, layer, pre):
+        """The suffix's layer ``n`` drive; for a weight entry, at ``moved[0]`` and
+        ``moved[1]``, each sign by GEMMs of its own, on an axis after time."""
+        if moved is None:
+            return _blocked_drive(pre, layer.w, grid, np.empty((timesteps, batch, len(layer.w))))
         x = np.empty((timesteps, 2, batch, layer.out_width))
         for k in range(2):  # one sign below layer 0
             _blocked_drive(pre[:, k] if n else pre, layer.w if n else moved[k], grid, x[:, k])
@@ -555,25 +532,24 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
     entries = []
     for name, param in work.parameter_items():
         n = int(name.partition(".")[0].removeprefix("layer"))
-        suffix = Network(net.timesteps, work.layers[n:])
-        suffix_inputs = spikes[n - 1].transpose(1, 2, 0) if n else inputs
-        pre = _time_major(suffix_inputs)
+        layers = work.layers[n:]
         # A weight entry's two signs read two copies of the suffix's first weights.
-        moved = (param.copy(), param.copy()) if param is suffix.layers[0].w else None
+        moved = (param.copy(), param.copy()) if param is layers[0].w else None
         analytic = np.asarray(analytic_by_name[name], dtype=np.float64)
         numeric = np.zeros_like(param)
         for idx in np.ndindex(param.shape):
             saved = param[idx]
             if moved:
                 moved[0][idx], moved[1][idx] = saved + step_size, saved - step_size
-                readout = _layer_loop(suffix.layers, pre, two_signs, "u", lambda *_: None,
+                readout = _layer_loop(layers, below[n], drive, "u", lambda *_: None,
                                       smoothed=True)
                 moved[0][idx] = moved[1][idx] = saved
             else:
                 readout = []
                 for value in (saved + step_size, saved - step_size):
                     param[idx] = value
-                    readout.append(forward_record(suffix, suffix_inputs, smoothed=True)[1])
+                    readout.append(_layer_loop(layers, below[n], drive, "u", lambda *_: None,
+                                               smoothed=True))
                 param[idx] = saved
             # readout_and_loss's loss at both signs: np.mean's sum and division
             probs = softmax(np.reshape(readout, (2, batch, -1)))

@@ -298,14 +298,19 @@ def _datasets(cfg: dict, splits=("train", "test")):
                              class_count)}, skipped
 
 
+def _loaded(cfg: dict, splits=("train", "test")) -> dict:
+    """:func:`_datasets`' splits, once the empty samples it skipped are reported on stderr."""
+    datasets, skipped = _datasets(cfg, splits)
+    if skipped:
+        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
+    return datasets
+
+
 def _eval_split(cfg: dict) -> Dataset:
     """The test split when the config has one, else the train split; only that one is built."""
     ds = cfg["dataset"]
     split = "test" if ds["kind"] == "poisson" and ds["test_per_class"] > 0 else "train"
-    datasets, skipped = _datasets(cfg, (split,))
-    if skipped:
-        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
-    return datasets[split]
+    return _loaded(cfg, (split,))[split]
 
 
 def _naming(files: str, compute, *args):
@@ -319,9 +324,7 @@ def _naming(files: str, compute, *args):
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
-    datasets, skipped = _datasets(cfg)
-    if skipped:
-        print(f"skipped {skipped} empty sample(s)", file=sys.stderr)
+    datasets = _loaded(cfg)
     train_ds = datasets["train"]
     layer_cfg = dict(cfg["network"])
     widths = [train_ds.neurons, *layer_cfg.pop("hidden"), train_ds.class_count]

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, DataError, EmptySampleError, read_json
 
 log = logging.getLogger(__name__)
@@ -40,25 +41,6 @@ _ODD_LINE = re.compile(r"^(?![0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[01]$).*$", re.
 # so that the class count it implies stays within it.
 MAX_COUNT = 2**32 - 1
 _SPLITS = ("train", "test")
-
-
-def _binary_uint8(data: np.ndarray) -> np.ndarray:
-    """``data`` as ``uint8``, after checking on its own dtype that it holds only 0 and 1.
-
-    Checking before the cast keeps an integer such as 256 from wrapping to
-    a valid 0; integer input costs a reduction or two, not a full-size
-    boolean temporary.
-    """
-    kind = data.dtype.kind
-    if kind == "f":
-        binary = np.all((data == 0.0) | (data == 1.0))
-    elif kind in "iu":
-        binary = data.max(initial=0) <= 1 and (kind == "u" or data.min(initial=0) >= 0)
-    else:
-        binary = kind == "b"
-    if not binary:
-        raise DataError(f"spike tensor entries must be exactly 0 or 1 (got {data.dtype} data)")
-    return data.astype(np.uint8, copy=False)
 
 
 @dataclass
@@ -92,7 +74,7 @@ class Dataset:
                 f"labels must lie in [0, {self.class_count}), found range "
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
-        self.data = _binary_uint8(self.data)
+        self.data = numerics.binary_uint8(self.data)
 
     def __len__(self) -> int:
         return self.data.shape[0]

@@ -3,12 +3,12 @@
 Real-valued state (potentials, weights, cache gains, gradients) is float64.
 Hard-mode GEMMs are not: they read and write :data:`HARD_DTYPE` (float32),
 so a hard-mode weighted input is float32 too. Binary spikes are ``uint8`` in
-datasets, ``bool`` in a GEMM operand and one bit each on a hard tape
+datasets, ``bool`` in a GEMM operand and one bit each on a tape
 (:func:`pack_rows`), and :func:`matmul` casts such an operand to its GEMM's
-dtype for BLAS. The functions here are thin contract-enforcing wrappers:
-shapes are checked up front and mismatches raise :class:`DimensionError`
-naming both shapes, and a histogram of an empty array raises
-:class:`EmptyInputError`.
+dtype for BLAS; :func:`binary_uint8` is the one check that an array is 0/1.
+The functions here are thin contract-enforcing wrappers: shapes are checked
+up front and mismatches raise :class:`DimensionError` naming both shapes,
+and a histogram of an empty array raises :class:`EmptyInputError`.
 
 Given identical inputs the results are deterministic across runs; nothing
 here depends on global state.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, NumericError
+from .errors import DataError, DimensionError, EmptyInputError, NumericError
 
 DTYPE = np.float64
 
@@ -52,12 +52,33 @@ def as_dense(values) -> np.ndarray:
     return np.asarray(values, dtype=DTYPE, order="C")
 
 
+def binary_uint8(data: np.ndarray) -> np.ndarray:
+    """``data`` as ``uint8``, after checking on its own dtype that it holds only 0 and 1.
+
+    Checking before the cast keeps an integer such as 256 from wrapping to
+    a valid 0; integer input costs a reduction or two, not a full-size
+    boolean temporary. Any other entry raises :class:`DataError`.
+    """
+    kind = data.dtype.kind
+    if kind == "f":
+        binary = np.all((data == 0.0) | (data == 1.0))
+    elif kind in "iu":
+        binary = data.max(initial=0) <= 1 and (kind == "u" or data.min(initial=0) >= 0)
+    else:
+        binary = kind == "b"
+    if not binary:
+        raise DataError(f"spike tensor entries must be exactly 0 or 1 (got {data.dtype} data)")
+    return data.astype(np.uint8, copy=False)
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """``np.packbits(bits, axis=-1)``: a ``bool`` array's rows at one bit per entry.
+    """``np.packbits(bits, axis=-1)``: a 0/1 array's rows (``bool`` or ``uint8``,
+    of any memory order) at one bit per entry.
 
     Packing along an axis costs numpy one call per row, so the rows are
     packed as one flat run, each zero-padded to whole bytes first when its
-    width is not a multiple of 8; the bytes are the same.
+    width is not a multiple of 8; the bytes are the same. A view that is not
+    C-ordered, such as a transposed batch, is copied once on the way.
     """
     width = bits.shape[-1]
     row_bytes = -(-width // 8)

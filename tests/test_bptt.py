@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spikekit import bptt, numerics
 from spikekit.bptt import BpttTape, backward, forward_record, gradcheck
-from spikekit.errors import DimensionError, NumericError, StateError
+from spikekit.errors import DataError, DimensionError, NumericError, StateError
 from spikekit.network import init_network, readout_and_loss, softmax
 from spikekit.neurons import MODEL_TABLE, MODELS, NeuronState, scan, step, surrogate_window
 
@@ -18,6 +18,12 @@ from gradcheck_full_rerun import full_rerun_errors
 
 def _binary_inputs(rng, batch, width, timesteps, p=0.5):
     return (rng.random((batch, width, timesteps)) < p).astype(np.float64)
+
+
+def _membrane(tape, n):
+    """What layer ``n``'s tape holds of its potential: the unpacked window, or float64 ``u``."""
+    held = tape.held_membrane[n]
+    return numerics.unpack_rows(held, tape.x[n].shape[-1]) if held.dtype == np.uint8 else held
 
 
 class TestForwardRecord:
@@ -53,8 +59,9 @@ class TestForwardRecord:
                     assert tape.held_o[n].shape == (5, 2, -(-width // 8))
 
     def test_uint8_batch_matches_float64_batch(self):
-        # A uint8 dataset gives a uint8 time-major batch, and the forward it
-        # feeds is bit-identical to the float64 batch's.
+        # A uint8 dataset gives a uint8 time-major batch. It, and the same
+        # spikes as bool, int64 or float64, feed bit-identical forwards in both
+        # modes: every tape holds the batch as bits, time-major.
         rng = np.random.default_rng(11)
         data = (rng.random((9, 5, 6)) < 0.5).astype(np.uint8)
         index = [4, 0, 7]
@@ -63,47 +70,44 @@ class TestForwardRecord:
         assert batch.transpose(2, 0, 1).flags.c_contiguous
         npt.assert_array_equal(batch, data[index])
         net = init_network([5, 4, 3], model="plif", timesteps=6, seed=12)
-        tape8, readout8 = forward_record(net, batch)
-        tape64, readout64 = forward_record(net, data[index].astype(np.float64))
-        # The uint8 batch is held as bits, time-major; the float64 batch as the
-        # floats its GEMM reads.
-        assert tape8.inputs.dtype == np.uint8 and tape8.inputs.shape == (6, 3, 1)
-        npt.assert_array_equal(numerics.unpack_rows(tape8.inputs, 5), batch.transpose(2, 0, 1))
-        assert tape64.inputs.dtype == numerics.HARD_DTYPE
-        npt.assert_array_equal(tape64.inputs, batch.transpose(2, 0, 1))
-        assert readout8.tobytes() == readout64.tobytes()
-        for a, b in zip(tape8.x + tape8.held_membrane + tape8.held_o,
-                        tape64.x + tape64.held_membrane + tape64.held_o, strict=True):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        g8 = backward(tape8, np.ones((3, 3)), net)
-        g64 = backward(tape64, np.ones((3, 3)), net)
-        for (_, a), (_, b) in zip(g8.items(), g64.items()):
-            assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("off", [2, -1])
-    @pytest.mark.parametrize("smoothed", [False, True])
-    def test_non_binary_integer_batch_matches_its_float64_copy(self, off, smoothed):
-        # An integer batch holding a value other than 0 or 1 is not packed: the
-        # tape holds it as the GEMM's floats, and the forward and gradients are
-        # its float64 copy's.
-        rng = np.random.default_rng(13)
-        data = (rng.random((3, 5, 6)) < 0.5).astype(np.int64)
-        data[1, 2, 3] = off
-        net = init_network([5, 4, 3], model="aia", timesteps=6, seed=14)
-        tape_int, readout_int = forward_record(net, data, smoothed=smoothed)
-        tape64, readout64 = forward_record(net, data.astype(np.float64), smoothed=smoothed)
-        assert tape_int.inputs.dtype == tape_int.x[0].dtype
-        assert tape_int.inputs.shape == (6, 3, 5)
-        npt.assert_array_equal(tape_int.inputs, data.transpose(2, 0, 1))
-        assert readout_int.tobytes() == readout64.tobytes()
-        for a, b in zip([tape_int.inputs, *tape_int.x, *tape_int.held_membrane, *tape_int.held_o],
-                        [tape64.inputs, *tape64.x, *tape64.held_membrane, *tape64.held_o],
-                        strict=True):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         upstream = rng.standard_normal((3, 3))
-        for (_, a), (_, b) in zip(backward(tape_int, upstream, net).items(),
-                                  backward(tape64, upstream, net).items(), strict=True):
-            assert a.tobytes() == b.tobytes()
+        for smoothed in (False, True):
+            tape8, readout8 = forward_record(net, batch, smoothed=smoothed)
+            assert tape8.inputs.dtype == np.uint8 and tape8.inputs.shape == (6, 3, 1)
+            npt.assert_array_equal(numerics.unpack_rows(tape8.inputs, 5),
+                                   batch.transpose(2, 0, 1))
+            g8 = backward(tape8, upstream, net)
+            for dtype in (np.bool_, np.int64, np.float64):
+                tape, readout = forward_record(net, data[index].astype(dtype), smoothed=smoothed)
+                assert readout.tobytes() == readout8.tobytes()
+                for a, b in zip([tape.inputs, *tape.x, *tape.held_membrane, *tape.held_o],
+                                [tape8.inputs, *tape8.x, *tape8.held_membrane, *tape8.held_o],
+                                strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                for (_, a), (_, b) in zip(backward(tape, upstream, net).items(), g8.items(),
+                                          strict=True):
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("value, dtype", [(2, np.int64), (-1, np.int64), (0.5, np.float64)])
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_non_binary_batch_refused(self, value, dtype, smoothed):
+        # Inputs are spikes: an entry other than 0 or 1 is refused by the check
+        # a Dataset makes, and a NaN still fails as non-finite.
+        rng = np.random.default_rng(13)
+        data = (rng.random((3, 5, 6)) < 0.5).astype(dtype)
+        data[1, 2, 3] = value
+        labels = rng.integers(0, 3, size=3)
+        net = init_network([5, 4, 3], model="aia", timesteps=6, seed=14)
+        with pytest.raises(DataError, match="exactly 0 or 1"):
+            forward_record(net, data, smoothed=smoothed)
+        with pytest.raises(DataError, match="exactly 0 or 1"):
+            gradcheck(net, data, labels)
+        data = data.astype(np.float64)
+        data[1, 2, 3] = np.nan
+        with pytest.raises(NumericError, match="inputs contains non-finite"):
+            forward_record(net, data, smoothed=smoothed)
+        with pytest.raises(NumericError, match="inputs contains non-finite"):
+            gradcheck(net, data, labels)
 
     @pytest.mark.usefixtures("float64_gemms")
     def test_tape_rows_are_the_per_step_recurrence(self):
@@ -204,7 +208,7 @@ class TestTapeLayout:
             if layer.plif_raw is not None:
                 layer.plif_raw[...] = -1.0
         assert len(tape.u) == len(chained) == 2
-        for series in (tape.o, tape.membrane, tape.u):  # a slice reads as a list of layers
+        for series in (tape.o, tape.u):  # a slice reads as a list of layers
             assert [a.tobytes() for a in series[-1:]] == [series[1].tobytes()]
             assert [a.tobytes() for a in series[:]] == [a.tobytes() for a in series]
         for n, (p, u, o) in enumerate(chained):
@@ -214,10 +218,10 @@ class TestTapeLayout:
             window = np.abs(u - p.v_th) <= p.surrogate_width / 2.0
             assert np.any(window) and not np.all(window)
             if model == "plif":
-                assert tape.u[n] is tape.membrane[n]
+                assert tape.u[n] is tape.held_membrane[n]
             else:
-                assert tape.membrane[n].dtype == np.bool_
-                assert tape.membrane[n].tobytes() == window.tobytes()
+                assert _membrane(tape, n).dtype == np.bool_
+                assert _membrane(tape, n).tobytes() == window.tobytes()
 
     def test_float32_drive_shrinks_a_wide_tape(self, monkeypatch):
         # At a wide shape, float32 GEMMs keep 4 bytes of x per neuron-step
@@ -268,7 +272,7 @@ class TestTapeLayout:
             window = surrogate_window(u, p)
             assert 0.0 < np.mean(o) < 1.0 and 0.0 < np.mean(window) < 1.0
             held = u if MODEL_TABLE[p.model].trained_leak else window
-            for got, want in ((tape.o[n], o), (tape.membrane[n], held), (tape.u[n], u)):
+            for got, want in ((tape.o[n], o), (_membrane(tape, n), held), (tape.u[n], u)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
             for bits in (tape.held_o[n], tape.held_membrane[n]):
@@ -282,7 +286,7 @@ class TestTapeLayout:
         p = net.layers[0].params()
         do = rng.standard_normal((7, 4, 6))
         carry = rng.standard_normal((4, 6))
-        from_window = bptt._block_du(do, tape.membrane[0], tape.o[0], p, False, carry)
+        from_window = bptt._block_du(do, _membrane(tape, 0), tape.o[0], p, False, carry)
         from_u = bptt._block_du(do, tape.u[0], tape.o[0], p, False, carry)
         assert np.any(from_window != 0.0)
         assert from_window.tobytes() == from_u.tobytes()
@@ -333,7 +337,7 @@ class TestBlockedForward:
         assert tape.inputs.tobytes() == ref.inputs.tobytes()
         for n in range(len(net.layers)):
             assert 0.0 < np.mean(ref.o[n]) < 1.0
-            for got, want in ((tape.x[n], ref.x[n]), (tape.membrane[n], ref.membrane[n]),
+            for got, want in ((tape.x[n], ref.x[n]), (_membrane(tape, n), _membrane(ref, n)),
                               (tape.o[n], ref.o[n]), (tape.held_membrane[n], ref.held_membrane[n]),
                               (tape.held_o[n], ref.held_o[n])):
                 assert got.dtype == want.dtype
@@ -601,7 +605,7 @@ class TestForwardEquivalences:
         (lif_tape, lif_readout), *others = [forward_record(net, inputs) for net in nets]
         for tape, readout in others:
             assert readout.tobytes() == lif_readout.tobytes()
-            for series in ("x", "membrane", "u", "o"):
+            for series in ("x", "held_membrane", "u", "o"):
                 for got, want in zip(getattr(tape, series), getattr(lif_tape, series),
                                      strict=True):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -814,14 +818,15 @@ class TestGradcheck:
             report = gradcheck(net, inputs, labels)
             assert {e.name: e.max_rel_err for e in report.entries} == want, (sizes, batch)
 
-            # Each weight entry: one scan per layer from its own up. Each beta
-            # or plif_raw entry: two forward_record calls of those layers.
+            # forward_record runs once, for the analytic pass. Each weight
+            # entry: one scan per layer from its own up. Each beta or plif_raw
+            # entry: one pass of those layers per sign.
             n_layers = len(net.layers)
             weights, others = [], []
             for name, param in net.parameter_items():
                 (weights if name.endswith(".w") else others).append(
                     (int(name[len("layer")]), param.size))
-            assert calls["forward_record"] == 1 + 2 * sum(size for _, size in others)
+            assert calls["forward_record"] == 1
             assert calls["scan"] == n_layers + sum(
                 (n_layers - n) * size for n, size in weights) + sum(
                 2 * (n_layers - n) * size for n, size in others)
@@ -890,9 +895,9 @@ class TestBackwardValidation:
     def test_potential_where_a_window_belongs_rejected(self):
         # A lif layer holds its window as packed bits: neither its float64
         # potential nor the unpacked bool mask will do.
-        for dense in ("u", "membrane"):
+        for dense in (lambda tape: tape.u[0], lambda tape: _membrane(tape, 0)):
             net, tape = self._tape_and_upstream()
-            tape.held_membrane[0] = getattr(tape, dense)[0]
+            tape.held_membrane[0] = dense(tape)
             with pytest.raises(StateError, match=r"held_membrane\[0\] must be a uint8 array"):
                 backward(tape, np.zeros((2, 3)), net)
         net, tape = self._tape_and_upstream()
@@ -901,19 +906,28 @@ class TestBackwardValidation:
             backward(tape, np.zeros((2, 3)), net)
 
     def test_malformed_inputs_rejected(self):
-        # The tape holds its 4 inputs as one byte of bits per row, or as
-        # float32 (x's dtype) rows of 4; float64 0/1 inputs give the latter.
-        net, tape = self._tape_and_upstream()
-        held = tape.inputs
-        assert held.dtype == numerics.HARD_DTYPE and held.shape == (2, 2, 4)
-        for wrong, message in ((held.astype(np.uint8), r"tape inputs has shape \(2, 2, 4\)"),
-                               (held[..., :3], r"tape inputs has shape \(2, 2, 3\)"),
-                               (held[0], r"tape inputs has shape \(2, 4\)"),
-                               (held.astype(np.float64), r"tape inputs must be a uint8"),
-                               (list(held), r"tape inputs must be a uint8")):
-            tape.inputs = wrong
-            with pytest.raises(StateError, match=message):
-                backward(tape, np.zeros((2, 3)), net)
+        # Every tape, hard or smoothed, holds its 4 inputs as one byte of bits
+        # per row, float64 0/1 inputs too; no float array will do, whatever
+        # its shape.
+        rng = np.random.default_rng(40)
+        net = init_network([4, 3], model="lif", timesteps=2, seed=41)
+        inputs = _binary_inputs(rng, 2, 4, 2)
+        for smoothed in (False, True):
+            tape, _ = forward_record(net, inputs, smoothed=smoothed)
+            held = tape.inputs
+            assert held.dtype == np.uint8 and held.shape == (2, 2, 1)
+            dense = numerics.unpack_rows(held, 4)
+            wrongs = [(dense.astype(np.uint8), r"tape inputs has shape \(2, 2, 4\)"),
+                      (held[..., :0], r"tape inputs has shape \(2, 2, 0\)"),
+                      (held[0], r"tape inputs has shape \(2, 1\)"),
+                      (list(held), r"tape inputs must be a uint8")]
+            for dtype in (np.float16, np.float32, np.float64):
+                wrongs += [(dense.astype(dtype), r"tape inputs must be a uint8"),
+                           (held.astype(dtype), r"tape inputs must be a uint8")]
+            for wrong, message in wrongs:
+                tape.inputs = wrong
+                with pytest.raises(StateError, match=message):
+                    backward(tape, np.zeros((2, 3)), net)
 
     def test_weights_checked_by_the_forward_alone(self, monkeypatch):
         # backward casts the weights that the forward which recorded its tape

@@ -28,7 +28,7 @@ from spikekit.training import (
 
 
 def _held_bytes(tape) -> int:
-    """Bytes the tape holds; ``tape.o``, ``.membrane`` and ``.u`` are read from these on access."""
+    """Bytes the tape holds; ``tape.o`` and ``.u`` are read from these on access."""
     return sum(a.nbytes for series in (tape.x, tape.held_membrane, tape.held_o) for a in series)
 
 
