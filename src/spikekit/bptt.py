@@ -27,8 +27,8 @@ GEMM for the weight gradient and one for the gradient sent to the layer
 below, each over one block of rows. The scan carries dL/du from one block
 to the next, so the blocking changes only how the sums are grouped. So,
 beyond what the tape keeps, working memory scales with ``GEMM_ROWS``, not
-with timesteps x batch. :func:`forward_rates` runs each chunk of samples as
-one block.
+with timesteps x batch. :func:`forward_rates` cuts the samples by the same
+grid, ``timesteps`` rows each, and runs each chunk as one block.
 
 The layer's row of :data:`spikekit.neurons.MODEL_TABLE` is all that tells
 the models apart here: its leak and drive shape the forward, and its site
@@ -161,10 +161,7 @@ def _unpacked(held: np.ndarray, width: int) -> np.ndarray:
 
 
 class _Layers(Sequence):
-    """``BpttTape.o`` or ``.u``: one layer unpacked or re-derived per access.
-
-    A slice gives a list of the layers it names, each read so.
-    """
+    """``BpttTape.o`` or ``.u``: one layer unpacked or re-derived per access."""
 
     def __init__(self, tape: BpttTape, name: str):
         self._tape, self._name = tape, name
@@ -172,9 +169,7 @@ class _Layers(Sequence):
     def __len__(self) -> int:
         return len(self._tape.x)
 
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[i] for i in range(len(self))[n]]
+    def __getitem__(self, n: int):
         tape = self._tape
         if self._name == "o":
             return _unpacked(tape.held_o[n], tape.x[n].shape[-1])
@@ -253,9 +248,9 @@ def _layer_loop(layers, pre, gemm, keep, take, smoothed: bool = False):
 
 
 def _blocked_drive(pre, w: np.ndarray, grid, x: np.ndarray) -> np.ndarray:
-    """``x``, written with ``pre @ w.T`` over time-major rows ``pre`` as a tape
-    holds them (bits or floats), one :func:`spikekit.numerics.matmul` per
-    block of steps in ``grid``; a block's rows are unpacked for its GEMM alone."""
+    """``x``, written with ``pre @ w.T`` over time-major rows ``pre``, packed
+    bits or floats, one :func:`spikekit.numerics.matmul` per block of steps
+    in ``grid``; a block's bits are unpacked for its GEMM alone."""
     width = w.shape[1]
     for steps in grid:
         rows = _unpacked(pre[steps], width).reshape(-1, width)
@@ -320,22 +315,21 @@ def forward_record(net: Network, inputs, smoothed: bool = False):
 def forward_rates(net: Network, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Hard-mode readout and per-layer spike totals of a spike set that fits ``net``.
 
-    Keeps no tape, only the spike totals: each chunk of ``ceil(GEMM_ROWS /
-    timesteps)`` samples is cast straight to its
+    Keeps no tape, only the spike totals: each chunk of samples on
+    :func:`spikekit.numerics.blocks`' grid is cast straight to its
     :data:`spikekit.numerics.HARD_DTYPE` time-major GEMM operand, the weights
     are cast once for every chunk, and each scan keeps only the spikes.
     """
-    chunk = -(-numerics.GEMM_ROWS // net.timesteps)
     readouts, counts = [], [0] * len(net.layers)
     weights = [_weights(layer, n) for n, layer in enumerate(net.layers)]
 
     def count(n, x, held, o):
         counts[n] += int(o.sum())
 
-    for start in range(0, len(data), chunk):
+    for samples in numerics.blocks(len(data), net.timesteps):
         readouts.append(_layer_loop(
             net.layers,
-            data[start:start + chunk].transpose(2, 0, 1).astype(numerics.HARD_DTYPE, order="C"),
+            data[samples].transpose(2, 0, 1).astype(numerics.HARD_DTYPE, order="C"),
             lambda n, layer, pre: numerics.matmul(pre.reshape(-1, layer.in_width), weights[n].T)
             .reshape(len(pre), -1, layer.out_width), None, count))
     return np.concatenate(readouts), counts
@@ -502,18 +496,19 @@ def gradcheck(net: Network, inputs, labels, step_size: float = 1e-4,
 
     A layer-``n`` entry reruns only layers ``n`` and above through the one
     layer loop, on layer ``n - 1``'s spikes as the analytic tape holds them
-    (its input bits for ``n = 0``), so every GEMM reads what a whole-network
-    forward would give it. A weight entry's ``+h`` and ``-h`` forwards share
-    each layer's :func:`spikekit.neurons.scan`, which is elementwise, over a
-    two-sign axis after time: each sign gets the bits of a forward of its
-    own. A ``beta`` or ``plif_raw`` entry, which ``scan`` takes once per
-    call, runs one pass of the loop per sign.
+    (for ``n = 0``, its input bits unpacked once to float64), so every GEMM
+    reads what a whole-network forward would give it. A weight entry's ``+h``
+    and ``-h`` forwards share each layer's :func:`spikekit.neurons.scan`,
+    which is elementwise, over a two-sign axis after time: each sign gets
+    the bits of a forward of its own. A ``beta`` or ``plif_raw`` entry, which
+    ``scan`` takes once per call, runs one pass of the loop per sign.
     """
     work = net.copy()
     tape, readout = forward_record(work, inputs, smoothed=True)
     _, upstream, _ = readout_and_loss(readout, labels)
     analytic_by_name = dict(backward(tape, upstream, work).items())
-    below = [tape.inputs, *tape.held_o[:-1]]  # all the suffixes read of the tape
+    inputs = numerics.unpack_rows(tape.inputs, work.input_width).astype(np.float64)
+    below = [inputs, *tape.held_o[:-1]]  # all the suffixes read of the tape
     timesteps, batch = tape.timesteps, tape.batch_size
     tape = None
     labels = np.asarray(labels, dtype=np.int64)  # validated by readout_and_loss above

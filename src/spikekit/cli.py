@@ -57,17 +57,21 @@ from .training import (
 # ---------------------------------------------------------------------------
 # config schema
 
-def _chk_int(path, value, lo=None, hi=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config key {path} must be an integer")
-    if lo is not None and value < lo:
-        raise ConfigError(f"config key {path} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"config key {path} must be <= {hi}, got {value}")
+def _chk_range(path, value, lo=None, hi=None, lo_strict=False, hi_strict=False):
+    if lo is not None and (value <= lo if lo_strict else value < lo):
+        raise ConfigError(f"config key {path} must be {'>' if lo_strict else '>='} {lo}, got {value}")
+    if hi is not None and (value >= hi if hi_strict else value > hi):
+        raise ConfigError(f"config key {path} must be {'<' if hi_strict else '<='} {hi}, got {value}")
     return value
 
 
-def _chk_number(path, value, lo=None, hi=None, lo_strict=False, hi_strict=False):
+def _chk_int(path, value, lo=None, hi=None):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"config key {path} must be an integer")
+    return _chk_range(path, value, lo, hi)
+
+
+def _chk_number(path, value, **bounds):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {path} must be a number")
     try:
@@ -76,13 +80,7 @@ def _chk_number(path, value, lo=None, hi=None, lo_strict=False, hi_strict=False)
         value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"config key {path} must be a finite number, got {value}")
-    if lo is not None and (value <= lo if lo_strict else value < lo):
-        op = ">" if lo_strict else ">="
-        raise ConfigError(f"config key {path} must be {op} {lo}, got {value}")
-    if hi is not None and (value >= hi if hi_strict else value > hi):
-        op = "<" if hi_strict else "<="
-        raise ConfigError(f"config key {path} must be {op} {hi}, got {value}")
-    return value
+    return _chk_range(path, value, **bounds)
 
 
 def _chk_str(path, value, options=None):
@@ -234,9 +232,9 @@ def load_config(path) -> dict:
 def effective_config(args: argparse.Namespace) -> dict:
     """The config file with the flags given on the command line laid over it."""
     merged = load_config(args.config)
-    for key in ("seed", "model", "checkpoint", "checkpoint_a", "checkpoint_b"):
-        if vars(args).get(key) is not None:
-            merged[key] = vars(args)[key]
+    for key, value in vars(args).items():
+        if key in _TOP_SCHEMA and value is not None:
+            merged[key] = value
     return validate_config(merged)
 
 
@@ -370,8 +368,7 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
     gc = cfg["gradcheck"]
     widths = [gc["input_width"]] + gc["hidden"] + [gc["class_count"]]
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(9,)))
-    inputs = (rng.random((gc["batch"], gc["input_width"], gc["timesteps"])) < 0.5
-              ).astype(np.float64)
+    inputs = rng.random((gc["batch"], gc["input_width"], gc["timesteps"])) < 0.5
     labels = rng.integers(0, gc["class_count"], size=gc["batch"])
 
     all_passed = True

@@ -23,10 +23,11 @@ from .errors import DataError, DimensionError, EmptyInputError, NumericError
 DTYPE = np.float64
 
 # Rows per block of the engine's one block grid (:func:`blocks`), counted
-# back from the end of the window: the training forward's GEMMs and window
-# scans, and the backward, work one block of ceil(GEMM_ROWS / batch) steps
-# at a time, so their scratch memory scales with this, not with timesteps x
-# batch. A GEMM's last bits can depend on its block. On OpenBLAS 0.3.31,
+# back from the end: the training forward's GEMMs and window scans, and the
+# backward, work one block of ceil(GEMM_ROWS / batch) steps at a time, and
+# evaluation one chunk of ceil(GEMM_ROWS / timesteps) samples, so their
+# scratch memory scales with this, not with timesteps x batch or the set's
+# size. A GEMM's last bits can depend on its block. On OpenBLAS 0.3.31,
 # with ``w.T`` on the right, the SkylakeX kernel (AVX-512 CPUs) kept a row's
 # bits in cuts of 1024 rows, but cuts of 128 to 512 rows changed products of
 # N <= 4 columns; the Haswell and Zen SGEMMs give a row bits that depend on
@@ -161,14 +162,11 @@ def blocks(timesteps: int, rows_per_step: int) -> list[slice]:
 
     Blocks are counted back from the end of the window, so only the first
     may be short. The backward walks them in reverse, from the end.
+    Evaluation cuts its samples, ``timesteps`` rows each, by the same grid:
+    ``blocks(samples, timesteps)``.
     """
     steps = -(-GEMM_ROWS // max(rows_per_step, 1))
     return [slice(max(stop - steps, 0), stop) for stop in range(timesteps, 0, -steps)][::-1]
-
-
-def _check_nonempty(a: np.ndarray, op: str) -> None:
-    if a.size == 0:
-        raise EmptyInputError(f"{op} on an empty array")
 
 
 def histogram(a, edges) -> np.ndarray:
@@ -178,7 +176,8 @@ def histogram(a, edges) -> np.ndarray:
     values outside the edge range are not counted.
     """
     a = as_dense(a)
-    _check_nonempty(a, "histogram")
+    if a.size == 0:
+        raise EmptyInputError("histogram on an empty array")
     edges = as_dense(edges)
     if edges.ndim != 1 or edges.size < 2:
         raise DimensionError(f"histogram needs a 1-D array of >=2 edges, got shape {edges.shape}")

@@ -95,7 +95,7 @@ class Adam:
         self.t = 0
 
     def step(self, grads) -> None:
-        by_name = dict(grads.items() if hasattr(grads, "items") else grads)
+        by_name = dict(grads.items())
         self.t += 1
         for name, p in self.params:
             if name not in by_name:
@@ -153,12 +153,12 @@ def evaluate(net: Network, dataset: Dataset) -> EvalResult:
     """Loss, accuracy, per-layer spike totals and readout of the whole set.
 
     Evaluation keeps no tape: :func:`spikekit.bptt.forward_rates` runs the
-    hard forward on chunks of ``ceil(GEMM_ROWS / timesteps)`` samples, and a
-    chunk holds about rows x (4 x (in + out) + in) bytes at its largest GEMM
-    (the float32 operand and product, and the ``bool`` spikes the operand
-    was cast from), whatever the set's size. Its scans hold the float32
-    drive, the spikes and a few ``(chunk, neurons)`` rows of float64
-    potential.
+    hard forward on the block grid's chunks of at most ``ceil(GEMM_ROWS /
+    timesteps)`` samples, and a chunk holds about rows x (4 x (in + out) +
+    in) bytes at its largest GEMM (the float32 operand and product, and the
+    ``bool`` spikes the operand was cast from), whatever the set's size. Its
+    scans hold the float32 drive, the spikes and a few ``(chunk, neurons)``
+    rows of float64 potential.
     """
     _check_dataset(net, dataset, "dataset")
     readout, counts = bptt.forward_rates(net, dataset.data)
@@ -272,13 +272,13 @@ def weight_shift_report(net_a: Network, net_b: Network, bin_edges) -> np.ndarray
     return (counts_b - counts_a) / float(pooled_a.size)
 
 
-def covering_bin_edges(net_a: Network, net_b: Network, bins: int = 40) -> np.ndarray:
-    """Symmetric equal-width edges guaranteed to cover both weight ranges."""
+def covering_bin_edges(net_a: Network, net_b: Network) -> np.ndarray:
+    """Edges of 40 symmetric equal-width bins guaranteed to cover both weight ranges."""
     widest = max(
         float(np.max(np.abs(layer.w))) for net in (net_a, net_b) for layer in net.layers
     )
     limit = widest * 1.001 + 1e-12
-    return np.linspace(-limit, limit, bins + 1)
+    return np.linspace(-limit, limit, 40 + 1)
 
 
 def _fmt(value: float) -> str:

@@ -208,9 +208,8 @@ class TestTapeLayout:
             if layer.plif_raw is not None:
                 layer.plif_raw[...] = -1.0
         assert len(tape.u) == len(chained) == 2
-        for series in (tape.o, tape.u):  # a slice reads as a list of layers
-            assert [a.tobytes() for a in series[-1:]] == [series[1].tobytes()]
-            assert [a.tobytes() for a in series[:]] == [a.tobytes() for a in series]
+        for series in (tape.o, tape.u):  # iterating reads each layer as indexing does
+            assert [a.tobytes() for a in series] == [series[0].tobytes(), series[-1].tobytes()]
         for n, (p, u, o) in enumerate(chained):
             assert tape.u[n].dtype == np.float64
             assert tape.u[n].tobytes() == u.tobytes()
@@ -830,6 +829,31 @@ class TestGradcheck:
             assert calls["scan"] == n_layers + sum(
                 (n_layers - n) * size for n, size in weights) + sum(
                 2 * (n_layers - n) * size for n, size in others)
+
+    @pytest.mark.parametrize("model", ["lif", "cached-aia"])
+    def test_reruns_unpack_the_input_bits_once(self, model, monkeypatch):
+        # 20 inputs are 3 bytes a row and every layer above 1 byte, so a call
+        # on 3-byte rows unpacks input bits. The analytic forward and backward
+        # unpack them as they always do; the reruns of every layer-0 entry, a
+        # weight's 100 or a beta's 5, share one more unpack.
+        unpacked = []
+        original = numerics.unpack_rows
+
+        def counting(packed, width):
+            unpacked.append(packed.shape[-1] == 3)
+            return original(packed, width)
+
+        monkeypatch.setattr(numerics, "unpack_rows", counting)
+        rng = np.random.default_rng(38)
+        net = init_network([20, 5, 3], model=model, timesteps=3, seed=39)
+        inputs = _binary_inputs(rng, 2, 20, 3)
+        labels = rng.integers(0, 3, size=2)
+        tape, readout = forward_record(net, inputs, smoothed=True)
+        backward(tape, readout_and_loss(readout, labels)[1], net)
+        analytic = sum(unpacked)
+        unpacked.clear()
+        assert gradcheck(net, inputs, labels).passed
+        assert analytic > 0 and sum(unpacked) == analytic + 1
 
     def test_report_names_every_parameter(self):
         rng = np.random.default_rng(32)

@@ -82,7 +82,7 @@ class TestAdam:
         for lr in (1e-3, 0.05):
             p = np.array([0.0])
             opt = Adam([("p", p)], learning_rate=lr)
-            opt.step([("p", np.array([1.0]))])
+            opt.step({"p": np.array([1.0])})
             npt.assert_allclose(-p[0], lr, rtol=1e-6)
             assert p[0] == -(lr * 1.0 / (np.sqrt(1.0) + 1e-8))
 
@@ -95,7 +95,7 @@ class TestAdam:
         v = np.zeros_like(p_ref)
         for t in range(1, 11):
             g = rng.normal(size=(3, 4))
-            opt.step([("w", g)])
+            opt.step({"w": g})
             m = 0.9 * m + 0.1 * g
             v = 0.99 * v + 0.01 * g * g
             p_ref -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.99 ** t)) + 1e-8)
@@ -104,14 +104,14 @@ class TestAdam:
     def test_handles_zero_d_parameters(self):
         p = np.zeros(())
         opt = Adam([("raw", p)], learning_rate=0.1)
-        opt.step([("raw", np.asarray(1.0))])
+        opt.step({"raw": np.asarray(1.0)})
         assert p.shape == ()
         assert p < 0
 
     def test_missing_gradient_rejected(self):
         opt = Adam([("a", np.zeros(2)), ("b", np.zeros(2))], learning_rate=0.1)
         with pytest.raises(StateError, match="b"):
-            opt.step([("a", np.ones(2))])
+            opt.step({"a": np.ones(2)})
 
 
 class TestTrainLoop:
